@@ -6,7 +6,7 @@ the hinge loss with either stochastic subgradient descent or dual
 coordinate descent.
 """
 
-from .dual_cd import DualConfig, DualState, cd_update, dual_objective, init_state, projected_gradient, q_entry, train_dual_cd
+from .dual_cd import DualConfig, DualState, dual_objective, train_dual_cd
 from .errors import (
     ConfigError,
     DegenerateLabelsError,
@@ -77,7 +77,6 @@ from .sgd import (
     objective,
     regularizer_subgradient,
     regularizer_value,
-    sgd_step,
     train_sgd,
 )
 from .synthetic import (
@@ -95,8 +94,6 @@ from .vectorize import (
     Vocabulary,
     build_vocabulary,
     count_matrix,
-    count_vector,
-    extract_ngrams,
     fit_idf,
     fit_transform,
     l2_normalize,

@@ -66,58 +66,6 @@ def _augmented_rows(matrix: FeatureMatrix) -> tuple[list[np.ndarray], list[np.nd
     return idxs, vals
 
 
-def init_state(matrix: FeatureMatrix) -> DualState:
-    return DualState(
-        alpha_dual=np.zeros(len(matrix)), w=np.zeros(matrix.dim + 1), outer_iter=0
-    )
-
-
-def q_entry(i: int, j: int, matrix: FeatureMatrix, labels: Sequence[int]) -> float:
-    """Q_ij = y_i y_j (x_i . x_j) over bias-augmented rows."""
-    a, b = matrix.rows[i], matrix.rows[j]
-    common, ia, ib = np.intersect1d(a.indices, b.indices, return_indices=True)
-    dot = float(a.values[ia] @ b.values[ib]) + 1.0  # + bias coord product
-    return labels[i] * labels[j] * dot
-
-
-def gradient(i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int]) -> float:
-    """G_i = y_i (w . x_i) - 1 with x_i augmented."""
-    row = matrix.rows[i]
-    wx = float(row.values @ state.w[row.indices]) + state.w[-1]
-    return labels[i] * wx - 1.0
-
-
-def projected_gradient(
-    i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int], C: float
-) -> float:
-    """G_i projected onto the box: 0 at an active bound that G_i pushes against."""
-    g = gradient(i, state, matrix, labels)
-    a = state.alpha_dual[i]
-    if a <= 0.0:
-        return min(g, 0.0)
-    if a >= C:
-        return max(g, 0.0)
-    return g
-
-
-def cd_update(
-    i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int], C: float
-) -> DualState:
-    """Move coordinate i to its clipped univariate minimum; returns a new state."""
-    row = matrix.rows[i]
-    qii = float(row.values @ row.values) + 1.0
-    g = gradient(i, state, matrix, labels)
-    new_alpha = min(max(state.alpha_dual[i] - g / qii, 0.0), C)
-    alpha_dual = state.alpha_dual.copy()
-    w = state.w.copy()
-    delta = new_alpha - alpha_dual[i]
-    if delta != 0.0:
-        alpha_dual[i] = new_alpha
-        w[row.indices] += (delta * labels[i]) * row.values
-        w[-1] += delta * labels[i]
-    return DualState(alpha_dual=alpha_dual, w=w, outer_iter=state.outer_iter)
-
-
 def dual_objective(state: DualState) -> float:
     """1/2 ||w||^2 - sum(a), using the maintained augmented w."""
     return 0.5 * float(state.w @ state.w) - float(np.sum(state.alpha_dual))

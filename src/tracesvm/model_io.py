@@ -8,7 +8,9 @@ save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -21,6 +23,7 @@ from .vectorize import IdfModel, Vocabulary
 
 FORMAT_VERSION = 1
 _TOOL = "tracesvm/0.1.0"
+_CHUNKS_PER_WRITE = 1 << 16
 
 
 @dataclass
@@ -49,9 +52,13 @@ def _to_document(artifact: ModelArtifact) -> dict[str, Any]:
 
 
 def save_model(artifact: ModelArtifact, path: Path | str) -> None:
-    doc = _to_document(artifact)
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    Path(path).write_bytes((text + "\n").encode("utf-8"))
+    # The same text json.dumps would give, written in blocks of chunks: the
+    # whole text and its list of chunks would cost several times the file size.
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(_to_document(artifact))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        while block := list(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
+            fh.write("".join(block))
+        fh.write("\n")
 
 
 def load_model(path: Path | str) -> ModelArtifact:
@@ -73,21 +80,39 @@ def load_model(path: Path | str) -> ModelArtifact:
             n_min=int(doc["ngram_min"]),
             n_max=int(doc["ngram_max"]),
         )
+        dim = len(vocab)
         idf_values = np.asarray(doc["idf"], dtype=np.float64)
         idf = IdfModel(idf=idf_values, n_docs=int(doc["n_docs"]))
-        dim = len(vocab)
-        weights = np.zeros(dim)
-        for j, v in doc["weights"]:
-            weights[int(j)] = float(v)
+        weights = _parse_weights(doc["weights"], dim)
+        bias = float(doc["bias"])
         metadata = dict(doc.get("config", {}))
         metadata["trainer"] = doc.get("trainer")
-        model = LinearModel(
-            weights=weights, bias=float(doc["bias"]), dim=dim, metadata=metadata
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        model = LinearModel(weights=weights, bias=bias, dim=dim, metadata=metadata)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
-    if idf_values.shape[0] != dim:
+    if idf_values.shape != (dim,):
         raise ModelFormatError(
-            f"{path}: idf length {idf_values.shape[0]} != vocabulary size {dim}"
+            f"{path}: idf shape {idf_values.shape} does not match vocabulary size {dim}"
         )
+    if not np.all(np.isfinite(idf_values)):
+        raise ModelFormatError(f"{path}: idf holds a non-finite value")
+    if not math.isfinite(bias):
+        raise ModelFormatError(f"{path}: bias {bias!r} is not finite")
     return ModelArtifact(model=model, vocabulary=vocab, idf=idf)
+
+
+def _parse_weights(pairs, dim: int) -> np.ndarray:
+    """Dense weights from [index, value] pairs with strictly increasing indices < dim."""
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        raise ValueError("weights must be [index, value] pairs")
+    flat = itertools.chain.from_iterable(pairs)
+    index, value = np.fromiter(flat, dtype=np.float64, count=2 * len(pairs)).reshape(-1, 2).T
+    if not np.all((index >= 0) & (index < dim) & (index == np.floor(index))):
+        raise ValueError(f"weight indices must be integers in [0, {dim})")
+    if np.any(np.diff(index) <= 0):
+        raise ValueError("weight indices must be strictly increasing")
+    if not np.all(np.isfinite(value)):
+        raise ValueError("weights hold a non-finite value")
+    weights = np.zeros(dim)
+    weights[index.astype(np.int64)] = value
+    return weights

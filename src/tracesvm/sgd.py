@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateLabelsError, LengthMismatchError
 from .linear_model import LinearModel
-from .vectorize import FeatureMatrix, SparseVector
+from .vectorize import FeatureMatrix
 
 PENALTY_L1 = "l1"
 PENALTY_L2 = "l2"
@@ -98,30 +98,6 @@ def learning_rate(t: int, alpha: float, t0: float) -> float:
     if t0 + t <= 0:
         raise ConfigError(f"t0 + t must be > 0, got {t0} + {t}")
     return 1.0 / (alpha * (t0 + t))
-
-
-def sgd_step(
-    w: np.ndarray,
-    b: float,
-    x: SparseVector,
-    label: int,
-    alpha: float,
-    eta: float,
-    penalty: str,
-    phi: float = 0.5,
-) -> tuple[np.ndarray, float]:
-    """One update on one example; returns fresh (w, b), inputs untouched.
-
-    Both subgradients are evaluated at the incoming (w, b).
-    """
-    score = x.dot_dense(w) + b
-    grad = alpha * regularizer_subgradient(w, penalty, phi)
-    w_new = w - eta * grad
-    b_new = b
-    if label * score < 1.0:
-        w_new[x.indices] += eta * label * x.values
-        b_new = b + eta * label
-    return w_new, b_new
 
 
 def objective(

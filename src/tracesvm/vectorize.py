@@ -2,7 +2,21 @@
 
 An n-gram is a space-joined window of n consecutive call names.  The
 vocabulary is the union of all n-grams for n in [n_min, n_max] across the
-corpus, with indices assigned in lexicographic order.  Inverse document
+corpus, with indices assigned in lexicographic order of those strings.
+
+A fitted vocabulary is integer-keyed.  Call names get ids 1, 2, ... in
+sorted order, each window becomes a key of n_max big-endian uint32 ids
+padded with 0, and one ``np.unique`` over the keys gives the vocabulary.
+No call name may hold a character <= U+0020, so memcmp order on keys equals
+string order on the joined grams, a gram before its extensions.  Counting
+finds each window's column with ``np.searchsorted`` and each row's counts
+with one more ``np.unique``; it builds no n-gram string.  The strings are
+rendered once, on first access to ``Vocabulary.by_index``, for model files,
+top features and vocabulary exports.  A vocabulary read from a model file
+holds only strings; it is counted by joining each window and looking the
+string up in a dict.
+
+Inverse document
 frequency uses the natural log of (1 + n_docs) / (1 + doc_frequency), so a
 feature present in every document gets idf 0 and drops out of the tf-idf
 vectors entirely; an optional flag adds 1 after the log to keep such
@@ -11,15 +25,20 @@ features alive.  Rows are L2-normalized before training.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyVocabularyError
+from .errors import ConfigError, DimensionMismatchError, EmptyVocabularyError
 from .ingest import SyscallTrace
+
+_SEPARATOR = re.compile(r"[\x00-\x20]")
 
 
 class SparseVector:
@@ -94,27 +113,54 @@ class SparseVector:
         return f"SparseVector(nnz={self.nnz}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """Bijection between n-gram strings and column indices."""
+    """Bijection between n-grams and column indices, in lexicographic order.
 
-    by_index: tuple[str, ...]
-    n_min: int
-    n_max: int
+    A vocabulary fitted on a corpus (``from_keys``) is held in integer form:
+    ``alphabet`` is the sorted call names, and ``keys`` the sorted unique
+    windows as void scalars (see ``_window_keys``).  Its n-gram strings are
+    rendered on first access to ``by_index``.  A vocabulary built from
+    strings, as a loaded model's is, has ``alphabet`` and ``keys`` None.
+    """
 
-    def __post_init__(self):
-        for gram in self.by_index:
-            n = gram.count(" ") + 1
-            if not self.n_min <= n <= self.n_max:
-                raise ValueError(f"{gram!r} has {n} tokens, outside [{self.n_min}, {self.n_max}]")
+    def __init__(self, by_index: Sequence[str], n_min: int, n_max: int):
+        if not 1 <= n_min <= n_max:
+            raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+        by_index = tuple(by_index)
+        spaces = list(map(str.count, by_index, itertools.repeat(" ")))
+        if spaces and not n_min <= min(spaces) + 1 <= max(spaces) + 1 <= n_max:
+            raise ValueError(f"every n-gram must have {n_min} to {n_max} tokens")
+        if not all(map(operator.lt, by_index, by_index[1:])):
+            raise ValueError("n-grams must be sorted and unique")
+        self.n_min = n_min
+        self.n_max = n_max
+        self.alphabet: tuple[str, ...] | None = None
+        self.keys: np.ndarray | None = None
+        self._by_index: tuple[str, ...] | None = by_index
+
+    @classmethod
+    def from_keys(
+        cls, alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: int
+    ) -> Vocabulary:
+        vocab = cls((), n_min, n_max)
+        vocab.alphabet = tuple(alphabet)
+        vocab.keys = keys
+        vocab._by_index = None
+        return vocab
 
     def __len__(self) -> int:
-        return len(self.by_index)
+        return len(self.keys) if self.keys is not None else len(self.by_index)
+
+    @property
+    def by_index(self) -> tuple[str, ...]:
+        if self._by_index is None:
+            self._by_index = _render_keys(self.alphabet, self.keys, self.n_max)
+        return self._by_index
 
     @property
     def ngram_to_index(self) -> dict[str, int]:
         # Rebuilt on demand; callers that loop should hold onto the result.
-        return {g: i for i, g in enumerate(self.by_index)}
+        return dict(zip(self.by_index, range(len(self.by_index))))
 
 
 @dataclass(frozen=True)
@@ -158,11 +204,53 @@ class FeatureMatrix:
         return sum(r.nnz for r in self.rows)
 
 
-def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
-    """All contiguous space-joined windows of length n, in order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [" ".join(calls[i : i + n]) for i in range(len(calls) - n + 1)]
+def _window_keys(
+    corpus: Sequence[SyscallTrace], index: dict[str, int], n_min: int, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window of n_min..n_max calls, as parallel (trace row, key) arrays.
+
+    A key is n_max big-endian uint32 call ids, index[name] per call and 0 as
+    padding, viewed as one void scalar; ids start at 1, so memcmp order on
+    keys is id-tuple order with a shorter gram before its extensions.  Calls
+    missing from ``index`` get an id above every indexed one, so a window
+    holding one matches no key built from ``index``.
+    """
+    key_dtype = np.dtype((np.void, 4 * n_max))
+    lengths = np.fromiter((len(t.calls) for t in corpus), dtype=np.int64, count=len(corpus))
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=key_dtype)
+    unseen = len(index) + 1
+    ids = np.fromiter(
+        (index.get(c, unseen) for t in corpus for c in t.calls), dtype=np.uint32, count=total
+    )
+    row_of = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    # Each trace is followed by n_max zeros, so no window runs into the next.
+    at = np.arange(total) + n_max * row_of
+    seq = np.zeros(total + n_max * len(corpus), dtype=">u4")
+    seq[at] = ids
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # calls to trace end
+    view = np.lib.stride_tricks.sliding_window_view(seq, n_max)
+    rows, keys = [], []
+    for n in range(n_min, n_max + 1):
+        fits = left >= n
+        windows = view[at[fits]]
+        windows[:, n:] = 0
+        rows.append(row_of[fits])
+        keys.append(windows.view(key_dtype).ravel())
+    return np.concatenate(rows), np.concatenate(keys)
+
+
+def _render_keys(alphabet: Sequence[str], keys: np.ndarray, n_max: int) -> tuple[str, ...]:
+    """The space-joined n-gram string of every key, in key order."""
+    ids = keys.view(">u4").reshape(-1, n_max)
+    names = np.array(("",) + tuple(alphabet), dtype=object)
+    lengths = np.count_nonzero(ids, axis=1)
+    grams = np.empty(len(keys), dtype=object)
+    for n in np.unique(lengths).tolist():
+        at = np.flatnonzero(lengths == n)
+        grams[at] = [" ".join(w) for w in names[ids[at, :n]].tolist()]
+    return tuple(grams.tolist())
 
 
 def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> Vocabulary:
@@ -171,43 +259,73 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
         raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
     if not corpus:
         raise ValueError("corpus is empty")
-    grams: set[str] = set()
-    for trace in corpus:
-        for n in range(n_min, n_max + 1):
-            grams.update(extract_ngrams(trace.calls, n))
-    if not grams:
+    alphabet = sorted({c for t in corpus for c in t.calls})
+    for name in alphabet:
+        # Such a name would make a joined gram ambiguous and break the
+        # equality of id order and string order that the keys rely on.
+        if _SEPARATOR.search(name):
+            raise ConfigError(f"call name {name!r} contains a space or control character")
+    index = {name: i for i, name in enumerate(alphabet, start=1)}
+    _, keys = _window_keys(corpus, index, n_min, n_max)
+    if keys.size == 0:
         raise EmptyVocabularyError(
             f"no trace yields an n-gram for n in [{n_min}, {n_max}]"
         )
-    return Vocabulary(by_index=tuple(sorted(grams)), n_min=n_min, n_max=n_max)
+    return Vocabulary.from_keys(alphabet, np.unique(keys), n_min, n_max)
 
 
-def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int] | None = None) -> SparseVector:
-    """Raw occurrence counts of vocabulary n-grams in one trace.
+def _key_columns(
+    corpus: Sequence[SyscallTrace], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+    rows, keys = _window_keys(corpus, index, vocab.n_min, vocab.n_max)
+    cols = np.searchsorted(vocab.keys, keys)
+    hit = cols < len(vocab.keys)
+    hit[hit] = vocab.keys[cols[hit]] == keys[hit]
+    return rows[hit], cols[hit]
 
-    N-grams absent from the vocabulary are ignored.
-    """
-    lookup = _lookup if _lookup is not None else vocab.ngram_to_index
-    counts: dict[int, int] = {}
-    for n in range(vocab.n_min, vocab.n_max + 1):
-        for gram in extract_ngrams(trace.calls, n):
-            j = lookup.get(gram)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-    return SparseVector.from_pairs([(j, float(c)) for j, c in counts.items()], len(vocab))
+
+def _string_columns(
+    corpus: Sequence[SyscallTrace], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    # A vocabulary read from a model file holds only strings, and deriving
+    # keys from them costs more than this join-and-lookup per window.  Model
+    # format v2, which stores each n-gram as alphabet ids, removes this path.
+    lookup = vocab.ngram_to_index
+    cols: list[int] = []
+    per_row: list[int] = []
+    for trace in corpus:
+        calls = trace.calls
+        before = len(cols)
+        for n in range(vocab.n_min, vocab.n_max + 1):
+            grams = [" ".join(calls[i : i + n]) for i in range(len(calls) - n + 1)]
+            cols.extend(j for j in map(lookup.get, grams) if j is not None)
+        per_row.append(len(cols) - before)
+    rows = np.repeat(np.arange(len(corpus), dtype=np.int64), per_row)
+    return rows, np.array(cols, dtype=np.int64)
 
 
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:
-    """Count vectors for a whole corpus, carrying ids and labels through."""
-    lookup = vocab.ngram_to_index
-    rows = [count_vector(t, vocab, _lookup=lookup) for t in corpus]
+    """Raw n-gram occurrence counts per trace, carrying ids and labels through.
+
+    N-grams absent from the vocabulary are ignored.
+    """
+    if vocab.keys is not None:
+        rows, cols = _key_columns(corpus, vocab)
+    else:
+        rows, cols = _string_columns(corpus, vocab)
+    dim = len(vocab)
+    cells, counts = np.unique(rows * dim + cols, return_counts=True)
+    bounds = np.searchsorted(cells, np.arange(len(corpus) + 1) * dim).tolist()
+    cols = cells % dim
+    values = counts.astype(np.float64)
     labels = [t.label for t in corpus]
     have_labels = all(l is not None for l in labels)
     return FeatureMatrix(
-        rows=rows,
+        rows=[SparseVector(cols[a:b], values[a:b], dim) for a, b in zip(bounds, bounds[1:])],
         row_ids=[t.source_id for t in corpus],
         labels=list(labels) if have_labels else None,  # type: ignore[arg-type]
-        dim=len(vocab),
+        dim=dim,
     )
 
 

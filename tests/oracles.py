@@ -1,14 +1,23 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately naive and dense: straight loops, explicit
-formulas, no sharing of code paths with the package under test.
+formulas, no sharing of code paths with the package under test.  The
+single-step references at the end (string n-grams and per-trace counts, one
+SGD step, one dual coordinate update) take the package's own types as
+arguments; no trainer or vectorizer calls them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
+
+from tracesvm.dual_cd import DualState
+from tracesvm.ingest import SyscallTrace
+from tracesvm.sgd import regularizer_subgradient
+from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
 
 
 def dense_tfidf_pipeline(corpus_calls, n_min, n_max):
@@ -108,3 +117,101 @@ def central_difference_gradient(f, x, h=1e-6):
         step[j] = h
         g[j] = (f(x + step) - f(x - step)) / (2.0 * h)
     return g
+
+
+def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
+    """All contiguous space-joined windows of length n, in order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [" ".join(calls[i : i + n]) for i in range(len(calls) - n + 1)]
+
+
+def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int] | None = None) -> SparseVector:
+    """Raw occurrence counts of vocabulary n-grams in one trace.
+
+    N-grams absent from the vocabulary are ignored.
+    """
+    lookup = _lookup if _lookup is not None else vocab.ngram_to_index
+    counts: dict[int, int] = {}
+    for n in range(vocab.n_min, vocab.n_max + 1):
+        for gram in extract_ngrams(trace.calls, n):
+            j = lookup.get(gram)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+    return SparseVector.from_pairs([(j, float(c)) for j, c in counts.items()], len(vocab))
+
+
+def sgd_step(
+    w: np.ndarray,
+    b: float,
+    x: SparseVector,
+    label: int,
+    alpha: float,
+    eta: float,
+    penalty: str,
+    phi: float = 0.5,
+) -> tuple[np.ndarray, float]:
+    """One update on one example; returns fresh (w, b), inputs untouched.
+
+    Both subgradients are evaluated at the incoming (w, b).
+    """
+    score = x.dot_dense(w) + b
+    grad = alpha * regularizer_subgradient(w, penalty, phi)
+    w_new = w - eta * grad
+    b_new = b
+    if label * score < 1.0:
+        w_new[x.indices] += eta * label * x.values
+        b_new = b + eta * label
+    return w_new, b_new
+
+
+def init_state(matrix: FeatureMatrix) -> DualState:
+    return DualState(
+        alpha_dual=np.zeros(len(matrix)), w=np.zeros(matrix.dim + 1), outer_iter=0
+    )
+
+
+def q_entry(i: int, j: int, matrix: FeatureMatrix, labels: Sequence[int]) -> float:
+    """Q_ij = y_i y_j (x_i . x_j) over bias-augmented rows."""
+    a, b = matrix.rows[i], matrix.rows[j]
+    common, ia, ib = np.intersect1d(a.indices, b.indices, return_indices=True)
+    dot = float(a.values[ia] @ b.values[ib]) + 1.0  # + bias coord product
+    return labels[i] * labels[j] * dot
+
+
+def gradient(i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int]) -> float:
+    """G_i = y_i (w . x_i) - 1 with x_i augmented."""
+    row = matrix.rows[i]
+    wx = float(row.values @ state.w[row.indices]) + state.w[-1]
+    return labels[i] * wx - 1.0
+
+
+def projected_gradient(
+    i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int], C: float
+) -> float:
+    """G_i projected onto the box: 0 at an active bound that G_i pushes against."""
+    g = gradient(i, state, matrix, labels)
+    a = state.alpha_dual[i]
+    if a <= 0.0:
+        return min(g, 0.0)
+    if a >= C:
+        return max(g, 0.0)
+    return g
+
+
+def cd_update(
+    i: int, state: DualState, matrix: FeatureMatrix, labels: Sequence[int], C: float
+) -> DualState:
+    """Move coordinate i to its clipped univariate minimum; returns a new state."""
+    row = matrix.rows[i]
+    qii = float(row.values @ row.values) + 1.0
+    g = gradient(i, state, matrix, labels)
+    new_alpha = min(max(state.alpha_dual[i] - g / qii, 0.0), C)
+    alpha_dual = state.alpha_dual.copy()
+    w = state.w.copy()
+    delta = new_alpha - alpha_dual[i]
+    if delta != 0.0:
+        alpha_dual[i] = new_alpha
+        w[row.indices] += (delta * labels[i]) * row.values
+        w[-1] += delta * labels[i]
+    return DualState(alpha_dual=alpha_dual, w=w, outer_iter=state.outer_iter)

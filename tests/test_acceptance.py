@@ -26,7 +26,6 @@ from tracesvm import (
     SyscallTrace,
     accuracy_score,
     confusion,
-    extract_ngrams,
     fit_transform,
     grid_search,
     l2_normalize,
@@ -51,6 +50,7 @@ from oracles import (
     box_constrained_min,
     central_difference_gradient,
     dense_tfidf_pipeline,
+    extract_ngrams,
     pairwise_auc,
 )
 from test_sgd import matrix_from_dense

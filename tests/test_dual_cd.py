@@ -11,17 +11,20 @@ from tracesvm import (
     DualConfig,
     NonConvergenceWarning,
     SgdConfig,
-    cd_update,
     dual_objective,
-    init_state,
-    projected_gradient,
-    q_entry,
     train_dual_cd,
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
 from test_sgd import matrix_from_dense
-from oracles import augmented_q_matrix, box_constrained_min
+from oracles import (
+    augmented_q_matrix,
+    box_constrained_min,
+    cd_update,
+    init_state,
+    projected_gradient,
+    q_entry,
+)
 
 TWO_POINT_ROWS = [[1.0], [-1.0]]
 TWO_POINT_Y = np.array([1, -1])

@@ -17,11 +17,10 @@ from tracesvm import (
     objective,
     regularizer_subgradient,
     regularizer_value,
-    sgd_step,
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, sgd_step
 
 
 def matrix_from_dense(rows, labels=None):

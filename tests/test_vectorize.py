@@ -3,31 +3,38 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracesvm import (
+    ConfigError,
     DimensionMismatchError,
     EmptyVocabularyError,
     FeatureMatrix,
     IdfModel,
+    LinearModel,
+    ModelArtifact,
     SparseVector,
     SyscallTrace,
+    Vocabulary,
     build_vocabulary,
     count_matrix,
-    count_vector,
-    extract_ngrams,
     fit_idf,
     fit_transform,
     l2_normalize,
+    load_model,
+    save_model,
     tfidf_transform,
     tfidf_vector,
+    transform,
     write_matrix,
     write_vocabulary,
 )
-from oracles import dense_tfidf_pipeline
+from oracles import count_vector, dense_tfidf_pipeline, extract_ngrams
 
 SEVEN_CALLS = (
     "ntclose",
@@ -83,6 +90,48 @@ class TestVocabulary:
     def test_all_short_traces_raise(self):
         with pytest.raises(EmptyVocabularyError):
             build_vocabulary([trace(["ntclose"] * 3)], 8, 10)
+
+    def test_prefix_related_names_sort_as_strings(self):
+        # "nta" < "nta nta0" < "nta0" < "nta_b" < "ntab": a gram comes before
+        # its extensions, and those before any longer call name it prefixes.
+        calls = ["nta", "nta0", "ntab", "nta_b", "nta", "ntab"]
+        vocab = build_vocabulary([trace(calls)], 1, 3)
+        assert list(vocab.by_index) == sorted(vocab.by_index)
+        assert len(vocab) == len(set(vocab.by_index))
+
+    def test_order_holds_past_one_byte_of_ids(self):
+        # 300 names give ids above 255, whose bytes must compare big-endian.
+        rng = np.random.default_rng(3)
+        calls = [f"nt{k}" for k in rng.permutation(300)]
+        vocab = build_vocabulary([trace(calls)], 1, 2)
+        keys, _, _ = dense_tfidf_pipeline([calls], 1, 2)
+        assert list(vocab.by_index) == keys
+
+    def test_fitted_vocabulary_renders_strings_lazily(self):
+        vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
+        assert vocab.alphabet == ("ntclose", "ntopenkeyex")
+        assert len(vocab) == 3
+        assert vocab._by_index is None
+        assert vocab.by_index == ("ntclose", "ntclose ntopenkeyex", "ntopenkeyex")
+
+    @pytest.mark.parametrize("name", ["nt close", "ntclose\t", "\x00nt", "nt\nclose"])
+    def test_separator_in_call_name_rejected(self, name):
+        with pytest.raises(ConfigError):
+            build_vocabulary([trace(["ntclose", name])], 1, 2)
+
+    def test_string_vocabulary_must_be_sorted_and_unique(self):
+        with pytest.raises(ValueError):
+            Vocabulary(by_index=("ntb", "nta"), n_min=1, n_max=1)
+        with pytest.raises(ValueError):
+            Vocabulary(by_index=("nta", "nta"), n_min=1, n_max=1)
+
+    @pytest.mark.parametrize(
+        "grams, n_min, n_max",
+        [(("nta",), 2, 3), (("nta ntb",), 1, 1), ((), 0, 1), ((), 3, 2)],
+    )
+    def test_string_vocabulary_checks_gram_lengths(self, grams, n_min, n_max):
+        with pytest.raises(ValueError):
+            Vocabulary(by_index=grams, n_min=n_min, n_max=n_max)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
@@ -241,6 +290,66 @@ class TestFitTransform:
             assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
             for row, ref in zip(m.rows, rows_ref):
                 assert np.allclose(row.to_dense(), ref, atol=1e-12, rtol=0)
+
+
+# Prefix-related names: one is a prefix of the others, and "0" < "_" < "b".
+PREFIX_NAMES = ["nta", "nta0", "nta_b", "ntab"]
+UNSEEN_NAMES = ["nt", "nta1", "ntac", "ntz"]
+
+
+def corpora(names, max_traces=5, max_len=12):
+    calls = st.lists(st.sampled_from(names), min_size=0, max_size=max_len)
+    return st.lists(calls, min_size=1, max_size=max_traces)
+
+
+def as_corpus(calls_lists):
+    return [trace(calls, f"t{i}") for i, calls in enumerate(calls_lists)]
+
+
+class TestIntegerKeyedLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(PREFIX_NAMES), st.integers(1, 4), st.integers(0, 2))
+    def test_fit_transform_matches_dense_oracle(self, calls_lists, n_min, extra):
+        n_max = n_min + extra
+        corpus = as_corpus(calls_lists)
+        keys, idf_ref, rows_ref = dense_tfidf_pipeline(calls_lists, n_min, n_max)
+        if not keys:
+            with pytest.raises(EmptyVocabularyError):
+                fit_transform(corpus, n_min, n_max)
+            return
+        vocab, idf, m = fit_transform(corpus, n_min, n_max)
+        assert list(vocab.by_index) == keys
+        assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
+        for row, ref in zip(m.rows, rows_ref):
+            assert np.allclose(row.to_dense(), ref, atol=1e-12, rtol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpora(PREFIX_NAMES, max_len=10),
+        corpora(PREFIX_NAMES + UNSEEN_NAMES, max_len=10),
+        st.integers(1, 3),
+        st.integers(0, 2),
+    )
+    def test_loaded_vocabulary_transforms_like_fitted(self, fit_lists, new_lists, n_min, extra):
+        n_max = n_min + extra
+        fit_corpus = as_corpus(fit_lists)
+        try:
+            vocab, idf, _ = fit_transform(fit_corpus, n_min, n_max)
+        except EmptyVocabularyError:
+            return
+        model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, dim=len(vocab), metadata={})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), path)
+            loaded = load_model(path)
+        assert loaded.vocabulary.keys is None
+        new_corpus = as_corpus(new_lists) + fit_corpus
+        fitted_rows = transform(new_corpus, vocab, idf).rows
+        loaded_rows = transform(new_corpus, loaded.vocabulary, loaded.idf).rows
+        assert fitted_rows == loaded_rows
+        per_trace = [count_vector(t, loaded.vocabulary) for t in new_corpus]
+        assert count_matrix(new_corpus, vocab).rows == per_trace
+        assert count_matrix(new_corpus, loaded.vocabulary).rows == per_trace
 
 
 class TestExports:
