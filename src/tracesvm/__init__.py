@@ -55,7 +55,7 @@ from .ingest import (
     write_manifest,
     write_processed,
 )
-from .linear_model import LinearModel, decision_function, decision_many, predict, predict_many
+from .linear_model import LinearModel, decision_many, predict_many
 from .model_io import ModelArtifact, load_model, save_model
 from .selection import (
     DEFAULT_ALPHA_GRID,
@@ -96,10 +96,8 @@ from .vectorize import (
     count_matrix,
     fit_idf,
     fit_transform,
-    l2_normalize,
     normalize_matrix,
     tfidf_transform,
-    tfidf_vector,
     transform,
     write_matrix,
     write_vocabulary,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dual_cd import DualConfig, train_dual_cd
-from .errors import EmptyTraceError, SingleClassError, TraceSvmError
+from .errors import ConfigError, EmptyTraceError, SingleClassError, TraceSvmError
 from .evaluation import (
     accuracy_score,
     classification_report,
@@ -177,12 +177,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         out_dir = Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_bytes(
-            format_report_text(
-                classification_report(preds, y, macro=args.macro)
-            ).encode("utf-8")
-        )
-        write_report_csv(classification_report(preds, y, macro=args.macro), out_dir / "report.csv")
+        # Without test_seconds, so that reruns write identical bytes.
+        untimed = classification_report(preds, y, macro=args.macro)
+        (out_dir / "report.txt").write_bytes(format_report_text(untimed).encode("utf-8"))
+        write_report_csv(untimed, out_dir / "report.csv")
         if curve is not None:
             write_roc_csv(curve, out_dir / "roc.csv")
         print(f"reports written under {out_dir}")
@@ -192,8 +190,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
     if text is None:
         return default
-    values = tuple(float(v) for v in text.split(",") if v.strip())
-    return values
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"grid entry {entry.strip()!r} is not a number") from None
+    return tuple(values)
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:

@@ -57,15 +57,6 @@ class DualState:
     outer_iter: int = 0
 
 
-def _augmented_rows(matrix: FeatureMatrix) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    dim = matrix.dim
-    idxs, vals = [], []
-    for row in matrix.rows:
-        idxs.append(np.append(row.indices, dim))
-        vals.append(np.append(row.values, 1.0))
-    return idxs, vals
-
-
 def dual_objective(state: DualState) -> float:
     """1/2 ||w||^2 - sum(a), using the maintained augmented w."""
     return 0.5 * float(state.w @ state.w) - float(np.sum(state.alpha_dual))
@@ -85,11 +76,13 @@ def train_dual_cd(
     y = validate_labels(labels, len(matrix))
     dim = matrix.dim
     C = float(config.C)
-    idxs, vals = _augmented_rows(matrix)
-    qii = np.array([float(v @ v) for v in vals])
-    active = np.array(
-        [i for i, row in enumerate(matrix.rows) if row.nnz > 0], dtype=np.int64
-    )
+    # The bias-augmented CSR: each row gains column dim, holding 1.
+    bounds = (matrix.indptr + np.arange(len(matrix) + 1)).tolist()
+    indices = np.insert(matrix.indices, matrix.indptr[1:], dim)
+    data = np.insert(matrix.data, matrix.indptr[1:], 1.0)
+    rows = [(indices[a:b], data[a:b]) for a, b in zip(bounds, bounds[1:])]
+    qii = np.array([float(v @ v) for _, v in rows])
+    active = np.flatnonzero(np.diff(matrix.indptr))
     rng = np.random.default_rng(config.seed)
 
     alpha = np.zeros(len(matrix))
@@ -104,8 +97,7 @@ def train_dual_cd(
         state.outer_iter = outer
         max_pg = 0.0
         for i in rng.permutation(active):
-            xi = idxs[i]
-            xv = vals[i]
+            xi, xv = rows[i]
             g = yf[i] * float(xv @ w[xi]) - 1.0
             a = alpha[i]
             if a <= 0.0:
@@ -132,7 +124,7 @@ def train_dual_cd(
         if max_pg < config.tol:
             # Sweep-time gradients are stale once later coordinates move;
             # confirm on a frozen pass before declaring convergence.
-            if _max_abs_pg(active, idxs, vals, yf, alpha, w, C) < config.tol:
+            if _max_abs_pg(active, rows, yf, alpha, w, C) < config.tol:
                 converged = True
                 break
 
@@ -156,15 +148,16 @@ def train_dual_cd(
             "seed": config.seed,
             "outer_iters": outer,
             "converged": converged,
-            "dual_objective": 0.5 * float(w @ w) - float(np.sum(alpha)),
+            "dual_objective": dual_objective(state),
         },
     )
 
 
-def _max_abs_pg(active, idxs, vals, yf, alpha, w, C) -> float:
+def _max_abs_pg(active, rows, yf, alpha, w, C) -> float:
     worst = 0.0
     for i in active:
-        g = yf[i] * float(vals[i] @ w[idxs[i]]) - 1.0
+        xi, xv = rows[i]
+        g = yf[i] * float(xv @ w[xi]) - 1.0
         a = alpha[i]
         if a <= 0.0:
             pg = min(g, 0.0)

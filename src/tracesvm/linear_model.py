@@ -8,7 +8,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .vectorize import FeatureMatrix, SparseVector
+from .vectorize import FeatureMatrix
 
 
 @dataclass
@@ -28,22 +28,12 @@ class LinearModel:
             )
 
 
-def decision_function(model: LinearModel, x: SparseVector) -> float:
-    """Signed score w . x + b."""
-    if x.dim != model.dim:
-        raise DimensionMismatchError(f"input dim {x.dim} vs model dim {model.dim}")
-    return x.dot_dense(model.weights) + model.bias
-
-
-def predict(model: LinearModel, x: SparseVector) -> int:
-    """+1 (malicious) when the score is >= 0, else -1 (benign)."""
-    return 1 if decision_function(model, x) >= 0.0 else -1
-
-
 def decision_many(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
-    return np.array([decision_function(model, row) for row in matrix.rows])
+    """Signed score w . x + b of every row."""
+    return matrix.dot(model.weights) + model.bias
 
 
 def predict_many(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
+    """+1 (malicious) where the score is >= 0, else -1 (benign)."""
     scores = decision_many(model, matrix)
     return np.where(scores >= 0.0, 1, -1)

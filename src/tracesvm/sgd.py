@@ -111,9 +111,9 @@ def objective(
 ) -> float:
     """Mean hinge loss plus alpha times the penalty; 1.0 at the zero model."""
     total = 0.0
-    for row, y in zip(matrix.rows, labels):
-        total += hinge_loss(row.dot_dense(w) + b, y)
-    return total / len(matrix.rows) + alpha * regularizer_value(w, penalty, phi)
+    for score, y in zip(matrix.dot(w) + b, labels):
+        total += hinge_loss(score, y)
+    return total / len(matrix) + alpha * regularizer_value(w, penalty, phi)
 
 
 def validate_labels(labels: Sequence[int], n_rows: int) -> np.ndarray:
@@ -140,8 +140,7 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
     t0 = config.resolved_t0()
     rng = np.random.default_rng(config.seed)
 
-    idxs = [r.indices for r in matrix.rows]
-    vals = [r.values for r in matrix.rows]
+    rows = matrix.row_slices()
 
     # When there is no l1 term the multiplicative shrink is tracked as a
     # scalar on top of v, so each step touches only the active features.
@@ -159,8 +158,7 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
         for i in rng.permutation(len(y)):
             t += 1
             eta = 1.0 / (alpha * (t0 + t))
-            xi = idxs[i]
-            xv = vals[i]
+            xi, xv = rows[i]
             yi = y[i]
             score = scale * float(xv @ v[xi]) + b
             violated = yi * score < 1.0

@@ -16,11 +16,16 @@ top features and vocabulary exports.  A vocabulary read from a model file
 holds only strings; it is counted by joining each window and looking the
 string up in a dict.
 
-Inverse document
-frequency uses the natural log of (1 + n_docs) / (1 + doc_frequency), so a
-feature present in every document gets idf 0 and drops out of the tf-idf
-vectors entirely; an optional flag adds 1 after the log to keep such
-features alive.  Rows are L2-normalized before training.
+Inverse document frequency uses the natural log of
+(1 + n_docs) / (1 + doc_frequency), so a feature present in every document
+gets idf 0 and drops out of the tf-idf vectors entirely; an optional flag
+adds 1 after the log to keep such features alive.  Rows are L2-normalized
+before training.
+
+A ``FeatureMatrix`` is CSR: ``indptr``, ``indices`` and ``data`` arrays,
+checked once when built.  Counting emits them directly, and tf-idf,
+normalization, both trainers and scoring work on them.  ``rows`` is a
+read-only view of them as one ``SparseVector`` per row, for inspection.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,43 +48,18 @@ _SEPARATOR = re.compile(r"[\x00-\x20]")
 
 
 class SparseVector:
-    """Immutable-by-convention sparse vector: parallel (indices, values) arrays.
+    """One row of a ``FeatureMatrix``: parallel (indices, values) arrays and dim.
 
-    Indices are strictly increasing and < dim; values are finite and nonzero.
+    A view for inspection.  The matrix it comes from has checked that the
+    indices rise strictly below dim and the values are finite and nonzero.
     """
 
     __slots__ = ("indices", "values", "dim")
 
     def __init__(self, indices, values, dim: int):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.ndim != 1 or values.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("indices and values must be parallel 1-d arrays")
-        if dim < 0:
-            raise ValueError("dim must be non-negative")
-        if indices.size:
-            if indices[0] < 0 or indices[-1] >= dim:
-                raise ValueError("indices out of range")
-            if indices.size > 1 and not np.all(np.diff(indices) > 0):
-                raise ValueError("indices must be strictly increasing")
-            if not np.all(np.isfinite(values)) or np.any(values == 0.0):
-                raise ValueError("values must be finite and nonzero")
-        self.indices = indices
-        self.values = values
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
         self.dim = dim
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], dim: int) -> SparseVector:
-        pairs = sorted(pairs)
-        idx = [i for i, _ in pairs]
-        val = [v for _, v in pairs]
-        return cls(idx, val, dim)
-
-    @classmethod
-    def from_dense(cls, dense) -> SparseVector:
-        dense = np.asarray(dense, dtype=np.float64)
-        idx = np.nonzero(dense)[0]
-        return cls(idx, dense[idx], dense.shape[0])
 
     @property
     def nnz(self) -> int:
@@ -91,12 +72,6 @@ class SparseVector:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
         return out
-
-    def dot_dense(self, w: np.ndarray) -> float:
-        """Dot product against a dense vector of matching dimension."""
-        if w.shape[0] != self.dim:
-            raise DimensionMismatchError(f"vector dim {self.dim} vs dense dim {w.shape[0]}")
-        return float(self.values @ w[self.indices])
 
     def norm(self) -> float:
         return float(math.sqrt(float(self.values @ self.values)))
@@ -178,30 +153,69 @@ class IdfModel:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMatrix:
-    """A corpus as parallel sparse rows, row ids and optional labels."""
+    """A corpus as CSR arrays, with row ids and optional labels.
 
-    rows: list[SparseVector]
+    Row i has columns ``indices[indptr[i]:indptr[i + 1]]``, strictly
+    increasing and < dim, holding the finite nonzero values at the same
+    positions of ``data``.  The arrays are checked once, on construction.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_ids: list[str]
     labels: list[str] | None
     dim: int
 
     def __post_init__(self):
-        if len(self.rows) != len(self.row_ids):
-            raise ValueError("rows and row_ids must be parallel")
-        if self.labels is not None and len(self.labels) != len(self.rows):
+        self.indptr = indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = indices = np.asarray(self.indices, dtype=np.int64)
+        self.data = data = np.asarray(self.data, dtype=np.float64)
+        if indices.ndim != 1 or data.ndim != 1 or indices.shape != data.shape:
+            raise ValueError("indices and data must be parallel 1-d arrays")
+        if indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("indptr must run from 0 to nnz")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must be non-decreasing")
+        if self.dim < 0:
+            raise ValueError("dim must be non-negative")
+        if len(self.row_ids) != len(self):
+            raise ValueError("row_ids must parallel rows")
+        if self.labels is not None and len(self.labels) != len(self):
             raise ValueError("labels must parallel rows")
-        for r in self.rows:
-            if r.dim != self.dim:
-                raise DimensionMismatchError(f"row dim {r.dim} != matrix dim {self.dim}")
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= self.dim:
+                raise ValueError("indices out of range")
+            row_of = np.repeat(np.arange(len(self)), np.diff(indptr))
+            if not np.all((np.diff(indices) > 0) | (np.diff(row_of) > 0)):
+                raise ValueError("indices must be strictly increasing within a row")
+            if not np.all(np.isfinite(data)) or np.any(data == 0.0):
+                raise ValueError("data must be finite and nonzero")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
 
     @property
     def nnz(self) -> int:
-        return sum(r.nnz for r in self.rows)
+        return int(self.indices.size)
+
+    def row_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each row's (indices, data), as views of the CSR arrays."""
+        bounds = self.indptr.tolist()
+        return [(self.indices[a:b], self.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """Each row's dot product with the dense vector w."""
+        if w.shape[0] != self.dim:
+            raise DimensionMismatchError(f"matrix dim {self.dim} vs dense dim {w.shape[0]}")
+        return np.array([d @ w[i] for i, d in self.row_slices()], dtype=np.float64)
+
+    @cached_property
+    def rows(self) -> tuple[SparseVector, ...]:
+        """Read-only per-row ``SparseVector`` views, for inspection only."""
+        return tuple(SparseVector(i, d, self.dim) for i, d in self.row_slices())
 
 
 def _window_keys(
@@ -256,7 +270,7 @@ def _render_keys(alphabet: Sequence[str], keys: np.ndarray, n_max: int) -> tuple
 def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> Vocabulary:
     """Union of all n-grams for n in [n_min, n_max], indexed lexicographically."""
     if not 1 <= n_min <= n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+        raise ConfigError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
     if not corpus:
         raise ValueError("corpus is empty")
     alphabet = sorted({c for t in corpus for c in t.calls})
@@ -316,13 +330,12 @@ def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMa
         rows, cols = _string_columns(corpus, vocab)
     dim = len(vocab)
     cells, counts = np.unique(rows * dim + cols, return_counts=True)
-    bounds = np.searchsorted(cells, np.arange(len(corpus) + 1) * dim).tolist()
-    cols = cells % dim
-    values = counts.astype(np.float64)
     labels = [t.label for t in corpus]
     have_labels = all(l is not None for l in labels)
     return FeatureMatrix(
-        rows=[SparseVector(cols[a:b], values[a:b], dim) for a, b in zip(bounds, bounds[1:])],
+        indptr=np.searchsorted(cells, np.arange(len(corpus) + 1) * dim),
+        indices=cells % dim,
+        data=counts.astype(np.float64),
         row_ids=[t.source_id for t in corpus],
         labels=list(labels) if have_labels else None,  # type: ignore[arg-type]
         dim=dim,
@@ -336,41 +349,39 @@ def fit_idf(counts: FeatureMatrix, add_one: bool = False) -> IdfModel:
     """
     if len(counts) == 0:
         raise ValueError("cannot fit idf on an empty corpus")
-    df = np.zeros(counts.dim)
-    for row in counts.rows:
-        df[row.indices] += 1.0
+    df = np.bincount(counts.indices, minlength=counts.dim)
     idf = np.log((1.0 + len(counts)) / (1.0 + df))
     if add_one:
         idf += 1.0
     return IdfModel(idf=idf, n_docs=len(counts))
 
 
-def tfidf_vector(counts: SparseVector, idf_model: IdfModel) -> SparseVector:
+def tfidf_transform(counts: FeatureMatrix, idf_model: IdfModel) -> FeatureMatrix:
     """Per-coordinate tf * idf; coordinates whose product is 0 are dropped."""
     if counts.dim != idf_model.idf.shape[0]:
         raise DimensionMismatchError(
             f"counts dim {counts.dim} vs idf dim {idf_model.idf.shape[0]}"
         )
-    vals = counts.values * idf_model.idf[counts.indices]
-    keep = vals != 0.0
-    return SparseVector(counts.indices[keep], vals[keep], counts.dim)
-
-
-def tfidf_transform(counts: FeatureMatrix, idf_model: IdfModel) -> FeatureMatrix:
-    rows = [tfidf_vector(r, idf_model) for r in counts.rows]
-    return FeatureMatrix(rows=rows, row_ids=list(counts.row_ids), labels=counts.labels, dim=counts.dim)
-
-
-def l2_normalize(v: SparseVector) -> SparseVector:
-    """Scale to unit Euclidean length; the empty vector is returned unchanged."""
-    if v.nnz == 0:
-        return v
-    return SparseVector(v.indices, v.values / v.norm(), v.dim)
+    values = counts.data * idf_model.idf[counts.indices]
+    keep = values != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return FeatureMatrix(
+        indptr=kept_before[counts.indptr],
+        indices=counts.indices[keep],
+        data=values[keep],
+        row_ids=list(counts.row_ids),
+        labels=counts.labels,
+        dim=counts.dim,
+    )
 
 
 def normalize_matrix(m: FeatureMatrix) -> FeatureMatrix:
+    """Scale each row to unit Euclidean length; empty rows stay empty."""
+    norms = np.sqrt([d @ d for _, d in m.row_slices()])
     return FeatureMatrix(
-        rows=[l2_normalize(r) for r in m.rows],
+        indptr=m.indptr,
+        indices=m.indices,
+        data=m.data / np.repeat(norms, np.diff(m.indptr)),
         row_ids=list(m.row_ids),
         labels=m.labels,
         dim=m.dim,
@@ -400,10 +411,10 @@ def transform(
 
 def write_matrix(matrix: FeatureMatrix, path: Path | str) -> None:
     """Triplet text export: a "rows cols nnz" header, then row<TAB>col<TAB>value."""
+    row_of = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr)).tolist()
     lines = [f"{len(matrix)} {matrix.dim} {matrix.nnz}"]
-    for r, row in enumerate(matrix.rows):
-        for j, v in row.pairs():
-            lines.append(f"{r}\t{j}\t{v!r}")
+    triplets = zip(row_of, matrix.indices.tolist(), matrix.data.tolist())
+    lines += [f"{r}\t{j}\t{v!r}" for r, j, v in triplets]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

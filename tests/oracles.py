@@ -4,7 +4,8 @@ Everything here is deliberately naive and dense: straight loops, explicit
 formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, one
 SGD step, one dual coordinate update) take the package's own types as
-arguments; no trainer or vectorizer calls them.
+arguments; no trainer or vectorizer calls them.  ``csr_matrix`` and
+``matrix_from_dense`` build small test matrices from per-row lists.
 """
 
 from __future__ import annotations
@@ -119,6 +120,26 @@ def central_difference_gradient(f, x, h=1e-6):
     return g
 
 
+def csr_matrix(rows, dim, labels=None) -> FeatureMatrix:
+    """A FeatureMatrix from per-row (indices, values) lists, row ids r0, r1, ..."""
+    lengths = [len(indices) for indices, _ in rows]
+    return FeatureMatrix(
+        indptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        indices=np.array([j for indices, _ in rows for j in indices], dtype=np.int64),
+        data=np.array([v for _, values in rows for v in values], dtype=np.float64),
+        row_ids=[f"r{i}" for i in range(len(rows))],
+        labels=labels,
+        dim=dim,
+    )
+
+
+def matrix_from_dense(rows, labels=None) -> FeatureMatrix:
+    """A FeatureMatrix holding the nonzeros of equal-length dense rows."""
+    dense = [np.asarray(r, dtype=np.float64) for r in rows]
+    nonzero = [np.flatnonzero(r) for r in dense]
+    return csr_matrix([(j, r[j]) for j, r in zip(nonzero, dense)], dense[0].shape[0], labels)
+
+
 def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
     """All contiguous space-joined windows of length n, in order."""
     if n < 1:
@@ -138,7 +159,8 @@ def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int]
             j = lookup.get(gram)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
-    return SparseVector.from_pairs([(j, float(c)) for j, c in counts.items()], len(vocab))
+    columns = sorted(counts)
+    return SparseVector(columns, [float(counts[j]) for j in columns], len(vocab))
 
 
 def sgd_step(
@@ -155,7 +177,7 @@ def sgd_step(
 
     Both subgradients are evaluated at the incoming (w, b).
     """
-    score = x.dot_dense(w) + b
+    score = float(x.values @ w[x.indices]) + b
     grad = alpha * regularizer_subgradient(w, penalty, phi)
     w_new = w - eta * grad
     b_new = b

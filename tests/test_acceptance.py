@@ -21,15 +21,14 @@ from tracesvm import (
     GeneratorConfig,
     SgdConfig,
     SingleClassError,
-    SparseVector,
     SplitSpec,
     SyscallTrace,
     accuracy_score,
     confusion,
     fit_transform,
     grid_search,
-    l2_normalize,
     load_model,
+    normalize_matrix,
     parse_trace,
     recall_score,
     roc_curve,
@@ -49,11 +48,12 @@ from oracles import (
     augmented_q_matrix,
     box_constrained_min,
     central_difference_gradient,
+    csr_matrix,
     dense_tfidf_pipeline,
     extract_ngrams,
+    matrix_from_dense,
     pairwise_auc,
 )
-from test_sgd import matrix_from_dense
 from test_vectorize import SEVEN_CALLS
 
 RAW_LOG = (
@@ -98,9 +98,9 @@ def pipeline500():
 
 
 def test_unit_norm_worked_example():
-    normalized = l2_normalize(SparseVector.from_dense(np.array([10.0, 3.0, 1.0])))
+    normalized = normalize_matrix(csr_matrix([([0, 1, 2], [10.0, 3.0, 1.0])], 3))
     target = np.array([0.953, 0.286, 0.095])
-    assert np.max(np.abs(normalized.to_dense() - target)) <= 5e-4
+    assert np.max(np.abs(normalized.rows[0].to_dense() - target)) <= 5e-4
     print("PASS unit-norm worked example: [10,3,1] -> [0.953,0.286,0.095] within 5e-4")
 
 

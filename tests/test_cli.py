@@ -214,6 +214,29 @@ class TestGridSearch:
         assert main([*args, "--output", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--alpha-grid", "--tol-grid"])
+    def test_non_numeric_grid_entry_exits_cleanly(self, corpus_dir, tmp_path, capsys, flag):
+        code = main(
+            [
+                "grid-search", "--manifest", str(corpus_dir / "manifest.csv"),
+                flag, "1e-3, abc", "--output", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == 2
+        assert "error: grid entry 'abc' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("command", ["grid-search", "train"])
+    def test_ngram_min_zero_exits_cleanly(self, corpus_dir, tmp_path, capsys, command):
+        code = main(
+            [
+                command, "--manifest", str(corpus_dir / "manifest.csv"),
+                "--ngram-min", "0", "--output", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "error: need 1 <= n_min <= n_max" in capsys.readouterr().err
+
 
 class TestTopFeatures:
     def test_prints_ranked_grams(self, model_path, capsys):

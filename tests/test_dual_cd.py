@@ -16,12 +16,12 @@ from tracesvm import (
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from test_sgd import matrix_from_dense
 from oracles import (
     augmented_q_matrix,
     box_constrained_min,
     cd_update,
     init_state,
+    matrix_from_dense,
     projected_gradient,
     q_entry,
 )

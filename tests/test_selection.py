@@ -21,7 +21,7 @@ from tracesvm import (
     write_grid_csv,
 )
 from tracesvm.selection import TRAINER_DUAL_CD, TRAINER_SGD, _cell_config
-from test_sgd import matrix_from_dense
+from oracles import matrix_from_dense
 
 TOY_ROWS = [[1.0, 0.0], [0.8, 0.0], [0.0, 1.0], [0.0, 0.7]]
 TOY_Y = np.array([1, 1, -1, -1])

@@ -8,7 +8,6 @@ import pytest
 from tracesvm import (
     ConfigError,
     DegenerateLabelsError,
-    FeatureMatrix,
     LengthMismatchError,
     SgdConfig,
     SparseVector,
@@ -20,18 +19,7 @@ from tracesvm import (
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from oracles import central_difference_gradient, sgd_step
-
-
-def matrix_from_dense(rows, labels=None):
-    dense = [np.asarray(r, dtype=np.float64) for r in rows]
-    dim = dense[0].shape[0]
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(r) for r in dense],
-        row_ids=[f"r{i}" for i in range(len(dense))],
-        labels=labels,
-        dim=dim,
-    )
+from oracles import central_difference_gradient, matrix_from_dense, sgd_step
 
 
 class TestHinge:

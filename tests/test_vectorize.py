@@ -25,16 +25,15 @@ from tracesvm import (
     count_matrix,
     fit_idf,
     fit_transform,
-    l2_normalize,
     load_model,
+    normalize_matrix,
     save_model,
     tfidf_transform,
-    tfidf_vector,
     transform,
     write_matrix,
     write_vocabulary,
 )
-from oracles import count_vector, dense_tfidf_pipeline, extract_ngrams
+from oracles import count_vector, csr_matrix, dense_tfidf_pipeline, extract_ngrams
 
 SEVEN_CALLS = (
     "ntclose",
@@ -134,9 +133,9 @@ class TestVocabulary:
             Vocabulary(by_index=grams, n_min=n_min, n_max=n_max)
 
     def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose"])], 2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose"])], 0, 1)
 
 
@@ -162,32 +161,75 @@ class TestCountVector:
 
 
 class TestSparseVector:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SparseVector([1, 0], [1.0, 2.0], 3)  # not increasing
-        with pytest.raises(ValueError):
-            SparseVector([0, 0], [1.0, 2.0], 3)  # duplicate index
-        with pytest.raises(ValueError):
-            SparseVector([0, 5], [1.0, 2.0], 3)  # out of range
-        with pytest.raises(ValueError):
-            SparseVector([0], [0.0], 3)  # stored zero
-        with pytest.raises(ValueError):
-            SparseVector([0], [float("nan")], 3)
-
     def test_dense_round_trip(self):
-        v = SparseVector.from_dense([0.0, 2.0, 0.0, -1.5])
+        v = SparseVector([1, 3], [2.0, -1.5], 4)
         assert v.pairs() == [(1, 2.0), (3, -1.5)]
         assert np.array_equal(v.to_dense(), [0.0, 2.0, 0.0, -1.5])
+
+
+class TestFeatureMatrix:
+    ROWS = [([0, 2], [1.5, -2.0]), ([], []), ([1], [4.0])]
+
+    def _build(self, indptr=(0, 2, 2, 3), indices=(0, 2, 1), data=(1.5, -2.0, 4.0), **kw):
+        fields = dict(row_ids=["a", "b", "c"], labels=None, dim=3) | kw
+        return FeatureMatrix(indptr=indptr, indices=indices, data=data, **fields)
+
+    def test_valid_matrix_and_row_views(self):
+        m = self._build(labels=["malicious", "benign", "benign"])
+        assert len(m) == 3 and m.nnz == 3
+        assert m.indptr.dtype == m.indices.dtype == np.int64 and m.data.dtype == np.float64
+        assert [r.pairs() for r in m.rows] == [[(0, 1.5), (2, -2.0)], [], [(1, 4.0)]]
+        assert m.rows is m.rows
+        assert np.array_equal(m.dot(np.array([1.0, 2.0, 3.0])), [-4.5, 0.0, 8.0])
+        assert csr_matrix(self.ROWS, 3).rows == m.rows
+
+    @pytest.mark.parametrize(
+        "indptr",
+        [(1, 2, 2, 3), (0, 2, 2, 2), (0, 2, 1, 3), ()],
+        ids=["not-from-0", "not-to-nnz", "decreasing", "empty"],
+    )
+    def test_bad_indptr(self, indptr):
+        with pytest.raises(ValueError):
+            self._build(indptr=indptr)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [(2, 0, 1), (0, 0, 1), (0, 3, 1), (0, 2, -1)],
+        ids=["unsorted", "duplicate", "at-dim", "negative"],
+    )
+    def test_bad_indices(self, indices):
+        with pytest.raises(ValueError):
+            self._build(indices=indices)
+
+    def test_indices_may_fall_across_rows(self):
+        # A row may start at a lower column than the previous row ended.
+        m = self._build(indptr=(0, 2, 3, 3), indices=(1, 2, 0))
+        assert [r.pairs() for r in m.rows] == [[(1, 1.5), (2, -2.0)], [(0, 4.0)], []]
+
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_data(self, value):
+        with pytest.raises(ValueError):
+            self._build(data=(1.5, value, 4.0))
+
+    def test_data_parallel_to_indices(self):
+        with pytest.raises(ValueError):
+            self._build(data=(1.5, -2.0))
+
+    @pytest.mark.parametrize("field", ["row_ids", "labels"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_ids_or_labels(self, field, length):
+        with pytest.raises(ValueError):
+            self._build(**{field: ["x"] * length})
+
+    def test_dot_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            self._build().dot(np.zeros(2))
 
 
 class TestIdf:
     def _matrix_with_df(self, df, n_docs=10):
         # single feature, present in the first df documents
-        rows = [
-            SparseVector([0], [1.0], 1) if i < df else SparseVector([], [], 1)
-            for i in range(n_docs)
-        ]
-        return FeatureMatrix(rows=rows, row_ids=[str(i) for i in range(n_docs)], labels=None, dim=1)
+        return csr_matrix([([0], [1.0]) if i < df else ([], []) for i in range(n_docs)], 1)
 
     def test_rare_feature(self):
         model = fit_idf(self._matrix_with_df(1))
@@ -209,41 +251,44 @@ class TestIdf:
 
 class TestTfidf:
     def test_weighting_and_zero_drop(self):
-        counts = FeatureMatrix(
-            rows=[SparseVector([0, 1], [3.0, 2.0], 2)],
-            row_ids=["d"],
-            labels=None,
-            dim=2,
-        )
+        counts = csr_matrix([([0, 1], [3.0, 2.0])], 2)
         idf = IdfModel(idf=np.array([math.log(11 / 2), 0.0]), n_docs=10)
         out = tfidf_transform(counts, idf)
         assert out.rows[0].pairs() == [(0, pytest.approx(3 * math.log(11 / 2), abs=1e-12))]
         assert out.rows[0].pairs()[0][1] == pytest.approx(5.114, abs=1e-3)
 
+    def test_zero_drop_moves_later_rows(self):
+        counts = csr_matrix([([0, 1], [3.0, 2.0]), ([1], [5.0]), ([0], [1.0])], 2)
+        out = tfidf_transform(counts, IdfModel(idf=np.array([2.0, 0.0]), n_docs=10))
+        assert out.indptr.tolist() == [0, 1, 1, 2]
+        assert [r.pairs() for r in out.rows] == [[(0, 6.0)], [], [(0, 2.0)]]
+
     def test_empty_row_stays_empty(self):
         idf = IdfModel(idf=np.array([1.0]), n_docs=3)
-        out = tfidf_vector(SparseVector([], [], 1), idf)
-        assert out.nnz == 0
+        out = tfidf_transform(csr_matrix([([], [])], 1), idf)
+        assert out.rows[0].nnz == 0
 
     def test_dimension_mismatch(self):
         idf = IdfModel(idf=np.array([1.0]), n_docs=3)
         with pytest.raises(DimensionMismatchError):
-            tfidf_vector(SparseVector([0], [1.0], 2), idf)
+            tfidf_transform(csr_matrix([([0], [1.0])], 2), idf)
 
 
 class TestNormalize:
     def test_worked_example(self):
-        v = l2_normalize(SparseVector([0, 1, 2], [10.0, 3.0, 1.0], 3))
+        v = normalize_matrix(csr_matrix([([0, 1, 2], [10.0, 3.0, 1.0])], 3)).rows[0]
         assert v.values == pytest.approx([0.953, 0.286, 0.095], abs=5e-4)
         assert v.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_vector_unchanged(self):
-        v = l2_normalize(SparseVector([1], [1.0], 4))
+        v = normalize_matrix(csr_matrix([([1], [1.0])], 4)).rows[0]
         assert v.pairs() == [(1, pytest.approx(1.0, abs=1e-12))]
 
     def test_empty_vector_unchanged(self):
-        v = SparseVector([], [], 4)
-        assert l2_normalize(v) is v
+        m = normalize_matrix(csr_matrix([([], []), ([2], [3.0])], 4))
+        assert m.indptr.tolist() == [0, 0, 1]
+        assert m.rows[0].nnz == 0
+        assert m.rows[1].pairs() == [(2, 1.0)]
 
 
 class TestFitTransform:
@@ -347,19 +392,14 @@ class TestIntegerKeyedLookup:
         fitted_rows = transform(new_corpus, vocab, idf).rows
         loaded_rows = transform(new_corpus, loaded.vocabulary, loaded.idf).rows
         assert fitted_rows == loaded_rows
-        per_trace = [count_vector(t, loaded.vocabulary) for t in new_corpus]
+        per_trace = tuple(count_vector(t, loaded.vocabulary) for t in new_corpus)
         assert count_matrix(new_corpus, vocab).rows == per_trace
         assert count_matrix(new_corpus, loaded.vocabulary).rows == per_trace
 
 
 class TestExports:
     def test_matrix_triplets(self, tmp_path):
-        m = FeatureMatrix(
-            rows=[SparseVector([0, 2], [1.5, -2.0], 3), SparseVector([1], [4.0], 3)],
-            row_ids=["a", "b"],
-            labels=None,
-            dim=3,
-        )
+        m = csr_matrix([([0, 2], [1.5, -2.0]), ([1], [4.0])], 3)
         out = tmp_path / "matrix.tsv"
         write_matrix(m, out)
         lines = out.read_text().splitlines()
