@@ -5,11 +5,13 @@ formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, one
 SGD step, one dual coordinate update) take the package's own types as
 arguments; no trainer or vectorizer calls them.  ``csr_matrix`` and
-``matrix_from_dense`` build small test matrices from per-row lists.
+``matrix_from_dense`` build small test matrices from per-row lists, and
+``canonical_text`` is the model file as one ``json.dumps`` call writes it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from tracesvm.dual_cd import DualState
 from tracesvm.ingest import SyscallTrace
+from tracesvm.model_io import ModelArtifact
 from tracesvm.sgd import regularizer_subgradient
 from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
 
@@ -138,6 +141,25 @@ def matrix_from_dense(rows, labels=None) -> FeatureMatrix:
     dense = [np.asarray(r, dtype=np.float64) for r in rows]
     nonzero = [np.flatnonzero(r) for r in dense]
     return csr_matrix([(j, r[j]) for j, r in zip(nonzero, dense)], dense[0].shape[0], labels)
+
+
+def canonical_text(artifact: ModelArtifact) -> str:
+    """The v1 model file: the whole document through one indented json.dumps."""
+    model = artifact.model
+    document = {
+        "format_version": 1,
+        "created_by": "tracesvm/0.1.0",
+        "trainer": model.metadata.get("trainer"),
+        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
+        "ngram_min": artifact.vocabulary.n_min,
+        "ngram_max": artifact.vocabulary.n_max,
+        "vocabulary": list(artifact.vocabulary.by_index),
+        "idf": [float(v) for v in artifact.idf.idf],
+        "n_docs": artifact.idf.n_docs,
+        "weights": [[j, float(w)] for j, w in enumerate(model.weights) if w != 0],
+        "bias": model.bias,
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
