@@ -99,8 +99,6 @@ from .vectorize import (
     normalize_matrix,
     tfidf_transform,
     transform,
-    write_matrix,
-    write_vocabulary,
 )
 
 __version__ = "0.1.0"

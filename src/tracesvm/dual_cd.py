@@ -100,13 +100,7 @@ def train_dual_cd(
             xi, xv = rows[i]
             g = yf[i] * float(xv @ w[xi]) - 1.0
             a = alpha[i]
-            if a <= 0.0:
-                pg = g if g < 0.0 else 0.0
-            elif a >= C:
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
-            apg = -pg if pg < 0.0 else pg
+            apg = _abs_projected_gradient(g, a, C)
             if apg > max_pg:
                 max_pg = apg
             if apg > _PG_EPS:
@@ -153,17 +147,21 @@ def train_dual_cd(
     )
 
 
+def _abs_projected_gradient(g: float, a: float, C: float) -> float:
+    """|PG| for dual variable a in [0, C] with gradient g.
+
+    At a bound, the part of g that points out of the box is cut to 0.
+    """
+    if a <= 0.0:
+        return -g if g < 0.0 else 0.0
+    if a >= C:
+        return g if g > 0.0 else 0.0
+    return -g if g < 0.0 else g
+
+
 def _max_abs_pg(active, rows, yf, alpha, w, C) -> float:
     worst = 0.0
     for i in active:
         xi, xv = rows[i]
-        g = yf[i] * float(xv @ w[xi]) - 1.0
-        a = alpha[i]
-        if a <= 0.0:
-            pg = min(g, 0.0)
-        elif a >= C:
-            pg = max(g, 0.0)
-        else:
-            pg = g
-        worst = max(worst, abs(pg))
+        worst = max(worst, _abs_projected_gradient(yf[i] * float(xv @ w[xi]) - 1.0, alpha[i], C))
     return worst

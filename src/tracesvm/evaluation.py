@@ -75,12 +75,11 @@ class ClassScores:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-class scores plus their average, with optional wall-clock timings."""
+    """Per-class scores plus their average, with an optional scoring time."""
 
     benign: ClassScores
     malware: ClassScores
     average: ClassScores
-    train_seconds: float | None = None
     test_seconds: float | None = None
 
 
@@ -88,7 +87,6 @@ def classification_report(
     predictions: Sequence[int],
     truths: Sequence[int],
     macro: bool = False,
-    train_seconds: float | None = None,
     test_seconds: float | None = None,
 ) -> EvaluationReport:
     """Benign and malware scores with a support-weighted (or macro) average."""
@@ -118,13 +116,7 @@ def classification_report(
         f1=wb * ben.f1 + wm * mal.f1,
         support=total,
     )
-    return EvaluationReport(
-        benign=ben,
-        malware=mal,
-        average=avg,
-        train_seconds=train_seconds,
-        test_seconds=test_seconds,
-    )
+    return EvaluationReport(benign=ben, malware=mal, average=avg, test_seconds=test_seconds)
 
 
 @dataclass(frozen=True)
@@ -140,12 +132,16 @@ def roc_curve(scores: Sequence[float], truths: Sequence[int]) -> RocCurve:
 
     The curve starts at (0, 0) under a +infinity sentinel threshold and ends
     at (1, 1); at threshold t an example is called malware when its score is
-    >= t, so tied scores collapse into a single point.  AUC is trapezoidal.
+    >= t, so tied scores collapse into a single point, whose threshold is
+    the first of them in input order (0.0 and -0.0 tie).  AUC is
+    trapezoidal.  A NaN score raises ValueError.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(truths, dtype=np.int64)
     if s.shape != y.shape:
         raise LengthMismatchError(f"{s.shape} scores vs {y.shape} truths")
+    if np.isnan(s).any():
+        raise ValueError("ROC scores must not be NaN")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == -1))
     if n_pos == 0 or n_neg == 0:
@@ -153,29 +149,19 @@ def roc_curve(scores: Sequence[float], truths: Sequence[int]) -> RocCurve:
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    pos_sorted = (y[order] == 1).astype(np.int64)
-
-    points: list[tuple[float, float, float]] = [(0.0, 0.0, math.inf)]
-    # Accumulate the trapezoid area as an integer before the final division
-    # so it agrees bit-for-bit with pairwise-ordering computations.
-    area_twice = 0
-    tp = fp = 0
-    i = 0
-    n = s_sorted.shape[0]
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        block_pos = int(np.sum(pos_sorted[i:j]))
-        block_neg = (j - i) - block_pos
-        area_twice += block_neg * (2 * tp + block_pos)
-        tp += block_pos
-        fp += block_neg
-        points.append((fp / n_neg, tp / n_pos, float(s_sorted[i])))
-        i = j
-
-    auc = area_twice / (2 * n_pos * n_neg)
-    return RocCurve(points=tuple(points), auc=auc)
+    # One block per run of tied scores; tp and fp count through its end.
+    starts = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
+    ends = np.append(starts[1:], s_sorted.size)
+    tp = np.cumsum(y[order] == 1)[ends - 1]
+    fp = ends - tp
+    block_pos = np.diff(tp, prepend=0)
+    block_neg = np.diff(fp, prepend=0)
+    # Sum the trapezoid area as an integer before the final division so it
+    # agrees bit-for-bit with pairwise-ordering computations.
+    area_twice = int(np.sum(block_neg * (2 * tp - block_pos)))
+    points = [(0.0, 0.0, math.inf)]
+    points += zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), s_sorted[starts].tolist())
+    return RocCurve(points=tuple(points), auc=area_twice / (2 * n_pos * n_neg))
 
 
 def top_features(model: LinearModel, vocab: Vocabulary, k: int) -> list[tuple[float, str]]:
@@ -205,8 +191,6 @@ def format_report_text(report: EvaluationReport) -> str:
         lines.append(
             f"{name:<14}{sc.precision:>10.2f}{sc.recall:>10.2f}{sc.f1:>10.2f}{sc.support:>10d}"
         )
-    if report.train_seconds is not None:
-        lines.append(f"training time: {report.train_seconds:.3f} s")
     if report.test_seconds is not None:
         lines.append(f"testing time: {report.test_seconds:.3f} s")
     return "\n".join(lines) + "\n"

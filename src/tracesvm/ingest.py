@@ -10,6 +10,7 @@ dropped.  Parsed traces keep call names lowercased, in log order.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -100,31 +101,43 @@ def read_manifest(path: Path | str) -> CorpusManifest:
     """Load a ``path,label`` CSV manifest.
 
     Relative trace paths are resolved against the manifest's directory.
+    Text that is not UTF-8 or not readable as CSV, and a path holding a NUL,
+    raise ManifestError naming the file and line.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest") from None
-        if [h.strip() for h in header] != ["path", "label"]:
-            raise ManifestError(f"{path}: expected header 'path,label', got {header!r}")
-        entries: list[tuple[Path, str]] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ManifestError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            raw_path, label = row[0].strip(), row[1].strip()
-            if label not in VALID_LABELS:
-                raise ManifestError(f"{path}:{lineno}: unknown label {label!r}")
-            if raw_path in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate path {raw_path!r}")
-            seen.add(raw_path)
-            p = Path(raw_path)
-            entries.append((p if p.is_absolute() else path.parent / p, label))
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # an over-long field; on Python 3.10, also a NUL
+        raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ManifestError(f"{path}: empty manifest")
+    header = rows[0]
+    if [h.strip() for h in header] != ["path", "label"]:
+        raise ManifestError(f"{path}: expected header 'path,label', got {header!r}")
+    entries: list[tuple[Path, str]] = []
+    seen: set[str] = set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ManifestError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        raw_path, label = row[0].strip(), row[1].strip()
+        if label not in VALID_LABELS:
+            raise ManifestError(f"{path}:{lineno}: unknown label {label!r}")
+        if "\0" in raw_path:
+            raise ManifestError(f"{path}:{lineno}: path {raw_path!r} holds a NUL")
+        if raw_path in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate path {raw_path!r}")
+        seen.add(raw_path)
+        p = Path(raw_path)
+        entries.append((p if p.is_absolute() else path.parent / p, label))
     return CorpusManifest(entries=tuple(entries))
 
 

@@ -82,11 +82,13 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
 def _write_list(fh: TextIO, *columns: Sequence) -> None:
     """Write a top-level list as ``indent=2`` lays it out, one block at a time.
 
-    One column gives a list of its items; two give a list of [a, b] pairs.
     Each block is encoded by json's C encoder, which runs only without
-    ``indent``, with a raw NUL as the item separator.  The encoder escapes a
-    NUL inside a string, so every raw NUL in its text is a separator and is
-    replaced by the comma, newline and indent that ``indent=2`` writes there.
+    ``indent``.  One column gives a list of its items, and the encoder writes
+    the comma, newline and indent of ``indent=2`` between them itself.  Two
+    columns give a list of [a, b] pairs, which need two separators, one
+    inside a pair and one between pairs.  Those are encoded with a raw NUL as
+    the item separator and each NUL is then replaced by the right one; the
+    encoder escapes a NUL inside a string, so every raw NUL is a separator.
     """
     if not len(columns[0]):
         fh.write("[]")
@@ -106,7 +108,7 @@ def _write_list(fh: TextIO, *columns: Sequence) -> None:
             text = json.dumps(list(zip(*block)), separators=("\0", ":"))[2:-2]
             text = text.replace("]\0[", between).replace("\0", "," + entry)
         else:
-            text = json.dumps(block[0], separators=("\0", ":"))[1:-1].replace("\0", between)
+            text = json.dumps(block[0], separators=(between, ":"))[1:-1]
         if start:
             fh.write(between)
         fh.write(text)

@@ -31,7 +31,6 @@ DEFAULT_TOL_GRID = (1e2, 1e1, 1e0, 1e-1, 1e-2, 1e-3, 1e-4, 5e-5)
 class SplitSpec:
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -45,22 +44,15 @@ def train_test_split(
 ) -> tuple[list[SyscallTrace], list[SyscallTrace]]:
     """Disjoint (train, test) covering the corpus, in original corpus order.
 
-    Stratified mode targets round(train_fraction * n) total while keeping
-    each class's share within one trace of proportional; both splits must
-    see every class, else InsufficientDataError.
+    The split is stratified: it targets round(train_fraction * n) total
+    while keeping each class's share within one trace of proportional; both
+    splits must see every class, else InsufficientDataError.
     """
     n = len(corpus)
     if n < 2:
         raise InsufficientDataError(f"cannot split a corpus of {n} trace(s)")
     rng = np.random.default_rng(spec.seed)
     target_total = round_half_up(spec.train_fraction * n)
-
-    if not spec.stratified:
-        order = rng.permutation(n)
-        chosen = set(order[:target_total].tolist())
-        train = [t for i, t in enumerate(corpus) if i in chosen]
-        test = [t for i, t in enumerate(corpus) if i not in chosen]
-        return train, test
 
     by_label: dict[str, list[int]] = {}
     for i, trace in enumerate(corpus):

@@ -22,6 +22,7 @@ regularized.  sign(0) is taken as 0 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,14 +54,14 @@ class SgdConfig:
     def __post_init__(self):
         if self.penalty not in PENALTIES:
             raise ConfigError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi must be in [0, 1], got {self.phi}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.t0 is not None and self.t0 < 0:
-            raise ConfigError(f"t0 must be >= 0, got {self.t0}")
+        if self.t0 is not None and not 0 <= self.t0 < math.inf:
+            raise ConfigError(f"t0 must be finite and >= 0, got {self.t0}")
         if not self.tol >= 0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
 
@@ -157,7 +158,7 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
     for _ in range(config.epochs):
         for i in rng.permutation(len(y)):
             t += 1
-            eta = 1.0 / (alpha * (t0 + t))
+            eta = learning_rate(t, alpha, t0)
             xi, xv = rows[i]
             yi = y[i]
             score = scale * float(xv @ v[xi]) + b

@@ -11,10 +11,9 @@ No call name may hold a character <= U+0020, so memcmp order on keys equals
 string order on the joined grams, a gram before its extensions.  Counting
 finds each window's column with ``np.searchsorted`` and each row's counts
 with one more ``np.unique``; it builds no n-gram string.  The strings are
-rendered once, on first access to ``Vocabulary.by_index``, for model files,
-top features and vocabulary exports.  A vocabulary read from a model file
-holds only strings; it is counted by joining each window and looking the
-string up in a dict.
+rendered once, on first access to ``Vocabulary.by_index``, for model files
+and top features.  A vocabulary read from a model file holds only strings;
+it is counted by joining each window and looking the string up in a dict.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -36,7 +35,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -408,17 +406,3 @@ def transform(
     counts = count_matrix(corpus, vocab)
     return normalize_matrix(tfidf_transform(counts, idf_model))
 
-
-def write_matrix(matrix: FeatureMatrix, path: Path | str) -> None:
-    """Triplet text export: a "rows cols nnz" header, then row<TAB>col<TAB>value."""
-    row_of = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr)).tolist()
-    lines = [f"{len(matrix)} {matrix.dim} {matrix.nnz}"]
-    triplets = zip(row_of, matrix.indices.tolist(), matrix.data.tolist())
-    lines += [f"{r}\t{j}\t{v!r}" for r, j, v in triplets]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def write_vocabulary(vocab: Vocabulary, path: Path | str) -> None:
-    """index<TAB>ngram, one line per feature, in index order."""
-    lines = [f"{i}\t{g}" for i, g in enumerate(vocab.by_index)]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

@@ -99,6 +99,23 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_manifest_exits_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(b"path,label\n\xff.log,benign\n")
+        code = main(["train", "--manifest", str(bad), "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "manifest.csv:2: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--t0", "nan")])
+    def test_non_finite_sgd_setting_exits_cleanly(self, corpus_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        code = main(
+            ["train", "--manifest", str(corpus_dir / "manifest.csv"), flag, value, "--output", str(out)]
+        )
+        assert code == 2
+        assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(
             ["train", "--manifest", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m")]
@@ -224,6 +241,18 @@ class TestGridSearch:
         )
         assert code == 2
         assert "error: grid entry 'abc' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_infinite_alpha_cell_exits_cleanly(self, corpus_dir, tmp_path, capsys):
+        code = main(
+            [
+                "grid-search", "--manifest", str(corpus_dir / "manifest.csv"),
+                "--alpha-grid", "inf,1e-4", "--tol-grid", "1e-3",
+                "--output", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == 2
+        assert "error: training failed at grid cell alpha=inf" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.parametrize("command", ["grid-search", "train"])

@@ -125,8 +125,7 @@ class TestClassificationReport:
         assert report.malware.support == c.tp + c.fn
 
     def test_timings_carried(self):
-        report = classification_report([1, -1], [1, -1], train_seconds=1.5, test_seconds=0.25)
-        assert report.train_seconds == 1.5
+        report = classification_report([1, -1], [1, -1], test_seconds=0.25)
         assert report.test_seconds == 0.25
 
 
@@ -203,6 +202,16 @@ class TestRocCurve:
         with pytest.raises(SingleClassError):
             roc_curve([0.1, 0.2], [-1, -1])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_curve([math.nan, 0.1], [1, -1])
+
+    def test_tie_threshold_is_first_score_of_the_block(self):
+        for first in (0.0, -0.0):
+            curve = roc_curve([first, -first, 1.0], [1, -1, 1])
+            assert [p[:2] for p in curve.points] == [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0)]
+            assert math.copysign(1.0, curve.points[-1][2]) == math.copysign(1.0, first)
+
 
 def tiny_model(weights):
     w = np.asarray(weights, dtype=np.float64)
@@ -244,9 +253,8 @@ class TestRendering:
         assert "time" not in text
 
     def test_text_table_with_timings(self):
-        report = classification_report([1, -1], [1, -1], train_seconds=1.25, test_seconds=0.5)
+        report = classification_report([1, -1], [1, -1], test_seconds=0.5)
         text = format_report_text(report)
-        assert "training time: 1.250 s" in text
         assert "testing time: 0.500 s" in text
 
     def test_report_csv(self, tmp_path):

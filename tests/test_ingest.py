@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracesvm import (
     CorpusManifest,
@@ -111,6 +114,15 @@ class TestParseTrace:
         again = parse_trace(rendered, "rendered")
         assert again.calls == trace.calls
 
+    @given(st.text(max_size=300))
+    def test_any_text_parses_or_raises_empty_trace(self, text):
+        try:
+            trace = parse_trace(text, "fuzz")
+        except EmptyTraceError:
+            return
+        assert isinstance(trace, SyscallTrace)
+        assert trace.calls and all(name.startswith("nt") for name in trace.calls)
+
     def test_label_attachment(self):
         trace = parse_trace(RAW_EXCERPT, "excerpt")
         assert trace.label is None
@@ -193,6 +205,44 @@ class TestManifest:
         bad.write_text("file,class\nx.log,benign\n")
         with pytest.raises(ManifestError):
             read_manifest(bad)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"x.log,benign\n\xff.log,benign\n",
+            b"x.log,benign\n" + b"y" * 131073 + b",benign\n",
+            b"x.log,benign\nx\x00.log,benign\n",
+        ],
+        ids=["not-utf8", "over-long-field", "nul-in-path"],
+    )
+    def test_unreadable_row_names_file_and_line(self, tmp_path, body):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(b"path,label\n" + body)
+        with pytest.raises(ManifestError, match="manifest.csv:3: "):
+            read_manifest(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"benign", b"malicious"])
+            | st.binary(max_size=8),
+            max_size=30,
+        ).map(b"".join)
+    )
+    @example(b"a.log,benign\n" * 2)
+    @example(b"\x00,benign\n")
+    def test_any_bytes_after_header_read_or_raise_manifest_error(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.csv"
+            path.write_bytes(b"path,label\n" + body)
+            try:
+                manifest = read_manifest(path)
+            except ManifestError as exc:
+                assert str(exc).startswith(str(path))
+                return
+            for p, label in manifest.entries:
+                assert label in ("benign", "malicious")
+                assert "\x00" not in str(p)
 
     def test_missing_trace_file_surfaces_path(self, tmp_path):
         m = tmp_path / "manifest.csv"

@@ -77,12 +77,6 @@ class TestTrainTestSplit:
         for side in (train, test):
             assert {t.label for t in side} == {"benign", "malicious"}
 
-    def test_unstratified_counts(self):
-        train, test = train_test_split(
-            corpus(6, 4), SplitSpec(train_fraction=0.8, seed=0, stratified=False)
-        )
-        assert len(train) == 8 and len(test) == 2
-
     def test_single_member_class_rejected(self):
         with pytest.raises(InsufficientDataError):
             train_test_split(corpus(9, 1), SplitSpec())

@@ -244,3 +244,9 @@ class TestTrainSgd:
             SgdConfig(epochs=0)
         with pytest.raises(ConfigError):
             SgdConfig(t0=-1.0)
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                SgdConfig(alpha=alpha)
+        for t0 in (np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                SgdConfig(t0=t0)

@@ -30,8 +30,6 @@ from tracesvm import (
     save_model,
     tfidf_transform,
     transform,
-    write_matrix,
-    write_vocabulary,
 )
 from oracles import count_vector, csr_matrix, dense_tfidf_pipeline, extract_ngrams
 
@@ -398,24 +396,6 @@ class TestIntegerKeyedLookup:
 
 
 class TestExports:
-    def test_matrix_triplets(self, tmp_path):
-        m = csr_matrix([([0, 2], [1.5, -2.0]), ([1], [4.0])], 3)
-        out = tmp_path / "matrix.tsv"
-        write_matrix(m, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "2 3 3"
-        assert lines[1:] == ["0\t0\t1.5", "0\t2\t-2.0", "1\t1\t4.0"]
-
-    def test_vocabulary_lines(self, tmp_path):
-        vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
-        out = tmp_path / "vocab.tsv"
-        write_vocabulary(vocab, out)
-        assert out.read_text().splitlines() == [
-            "0\tntclose",
-            "1\tntclose ntopenkeyex",
-            "2\tntopenkeyex",
-        ]
-
     def test_count_matrix_carries_labels(self):
         corpus = [trace(SEVEN_CALLS, "a", "malicious"), trace(SEVEN_CALLS, "b", "benign")]
         vocab = build_vocabulary(corpus, 1, 2)
