@@ -17,6 +17,7 @@ a_i = 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,12 +41,14 @@ class DualConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ConfigError(f"C must be > 0, got {self.C}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.C < math.inf:
+            raise ConfigError(f"C must be finite and > 0, got {self.C}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_outer < 1:
             raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

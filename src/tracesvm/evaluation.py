@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LengthMismatchError, SingleClassError
 from .linear_model import LinearModel
-from .vectorize import Vocabulary
+from .vectorize import Vocabulary, _render_keys
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ def top_features(model: LinearModel, vocab: Vocabulary, k: int) -> list[tuple[fl
     if k <= 0:
         return []
     order = np.argsort(-model.weights, kind="stable")[: min(k, model.dim)]
-    return [(float(model.weights[j]), vocab.by_index[j]) for j in order]
+    grams = _render_keys(vocab.alphabet, vocab.keys[order], vocab.n_max)
+    return list(zip(model.weights[order].tolist(), grams))
 
 
 def format_report_text(report: EvaluationReport) -> str:

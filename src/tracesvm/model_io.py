@@ -1,32 +1,44 @@
 """Single-file JSON persistence for trained models.
 
 The artifact bundles everything prediction needs: sparse weights, bias,
-vocabulary, idf values and the training configuration echo.  Writing is
-canonical (sorted keys, two-space indent, LF, trailing newline) so that
-save -> load -> save is byte-identical.  The file is the text of
-``json.dumps(document, sort_keys=True, indent=2) + "\n"``, but only the
-small fields pass through json's pure-Python encoder, which ``indent``
-forces.  The large arrays (vocabulary, idf, weights) are encoded in blocks
-by json's C encoder and re-laid-out as ``indent=2`` would, one block
-written at a time.
+vocabulary, idf values and the training configuration echo.  ``save_model``
+writes format v2, the text of ``json.dumps(document, sort_keys=True,
+indent=2, allow_nan=False) + "\\n"``, so that save -> load -> save is
+byte-identical.  Next to the small fields (``bias``, ``config``,
+``created_by``, ``format_version``, ``n_docs``, ``ngram_min``,
+``ngram_max``, ``trainer``) the document holds:
 
-Loading is strict: anything but a v1 model document raises
-``ModelFormatError`` (``VersionMismatchError`` for a ``format_version``
-other than the integer 1).  That includes text that is not JSON or nests
-too deeply to decode, and fields of the wrong JSON type: ``vocabulary``
-must be a list of strings, ``ngram_min``, ``ngram_max`` and ``n_docs``
-integers (``n_docs`` at least 1), ``bias`` and every idf and weight entry
-numbers, ``config`` an object; ``true`` and ``false`` are not numbers.
+- ``alphabet``: the sorted call names;
+- ``vocabulary``: the base64 of the vocabulary's keys, ``ngram_max``
+  big-endian uint32 alphabet ids per n-gram (ids start at 1), padded with 0;
+- ``idf``: the base64 of one little-endian float64 per n-gram;
+- ``weight_index``: the base64 of the strictly increasing little-endian
+  uint32 indices of the nonzero weights;
+- ``weight_value``: the base64 of those weights as little-endian float64.
+
+Each large field is one string, so json's pure-Python ``indent`` encoder
+hardly touches it.  Format v1, which stored the n-gram strings, the idf
+values and ``[index, value]`` weight pairs as JSON lists, is still read:
+its strings are turned into keys once, on load.  Nothing writes v1.
+
+Loading is strict: anything but a v1 or v2 model document raises
+``ModelFormatError`` naming the field (``VersionMismatchError`` for a
+``format_version`` other than the integer 1 or 2).  That includes text that
+is not JSON or nests too deeply to decode, fields of the wrong JSON type
+(``true`` and ``false`` are not numbers), a ``config`` holding a non-finite
+number, non-finite idf or weight values and, in v2, invalid base64, byte
+lengths that do not fit the vocabulary size, and keys that are not a
+sorted vocabulary over the alphabet (see ``vectorize._check_keys``).
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -34,9 +46,9 @@ from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
 from .vectorize import IdfModel, Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 _TOOL = "tracesvm/0.1.0"
-_BLOCK_ITEMS = 1 << 14
 
 
 @dataclass
@@ -47,72 +59,32 @@ class ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: Path | str) -> None:
-    """Write the canonical text: json.dumps(document, sort_keys=True, indent=2) + "\n".
-
-    Only the small fields go through json's pure-Python encoder, which
-    ``indent`` forces; the three large arrays are written by ``_write_list``.
-    """
+    """Write the v2 document; a non-finite number in ``config`` raises ValueError."""
     model = artifact.model
+    vocab = artifact.vocabulary
     nz = np.flatnonzero(model.weights)
-    fields = {
+    document = {
         "format_version": FORMAT_VERSION,
         "created_by": _TOOL,
         "trainer": model.metadata.get("trainer"),
         "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
-        "ngram_min": artifact.vocabulary.n_min,
-        "ngram_max": artifact.vocabulary.n_max,
+        "ngram_min": vocab.n_min,
+        "ngram_max": vocab.n_max,
         "n_docs": artifact.idf.n_docs,
         "bias": model.bias,
+        "alphabet": list(vocab.alphabet),
+        "vocabulary": _b64(vocab.keys.tobytes()),
+        "idf": _b64(artifact.idf.idf.astype("<f8").tobytes()),
+        "weight_index": _b64(nz.astype("<u4").tobytes()),
+        "weight_value": _b64(model.weights[nz].astype("<f8").tobytes()),
     }
-    arrays = {
-        "vocabulary": (artifact.vocabulary.by_index,),
-        "idf": (artifact.idf.idf,),
-        "weights": (nz, model.weights[nz]),
-    }
+    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, key in enumerate(sorted([*fields, *arrays])):
-            fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
-            if key in arrays:
-                _write_list(fh, *arrays[key])
-            else:
-                fh.write(json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-        fh.write("\n}\n")
-
-
-def _write_list(fh: TextIO, *columns: Sequence) -> None:
-    """Write a top-level list as ``indent=2`` lays it out, one block at a time.
-
-    Each block is encoded by json's C encoder, which runs only without
-    ``indent``.  One column gives a list of its items, and the encoder writes
-    the comma, newline and indent of ``indent=2`` between them itself.  Two
-    columns give a list of [a, b] pairs, which need two separators, one
-    inside a pair and one between pairs.  Those are encoded with a raw NUL as
-    the item separator and each NUL is then replaced by the right one; the
-    encoder escapes a NUL inside a string, so every raw NUL is a separator.
-    """
-    if not len(columns[0]):
-        fh.write("[]")
-        return
-    item, entry = "\n    ", "\n      "
-    pairs = len(columns) == 2
-    if pairs:
-        head, between, tail = "[" + item + "[" + entry, item + "]," + item + "[" + entry, item + "]\n  ]"
-    else:
-        head, between, tail = "[" + item, "," + item, "\n  ]"
-    fh.write(head)
-    for start in range(0, len(columns[0]), _BLOCK_ITEMS):
-        block = [column[start : start + _BLOCK_ITEMS] for column in columns]
-        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-        if pairs:
-            # Pairs hold only numbers, so "]\0[" is exactly the NUL between two pairs.
-            text = json.dumps(list(zip(*block)), separators=("\0", ":"))[2:-2]
-            text = text.replace("]\0[", between).replace("\0", "," + entry)
-        else:
-            text = json.dumps(block[0], separators=(between, ":"))[1:-1]
-        if start:
-            fh.write(between)
         fh.write(text)
-    fh.write(tail)
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
 
 
 def load_model(path: Path | str) -> ModelArtifact:
@@ -126,25 +98,34 @@ def load_model(path: Path | str) -> ModelArtifact:
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
     version = doc.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise VersionMismatchError(
-            f"{path}: format_version {version!r} is not supported (expected {FORMAT_VERSION})"
+            f"{path}: format_version {version!r} is not supported (expected 1 or 2)"
         )
     try:
-        vocab = Vocabulary(
-            by_index=_list_of(doc["vocabulary"], "vocabulary", str),
-            n_min=_typed(doc["ngram_min"], "ngram_min", int),
-            n_max=_typed(doc["ngram_max"], "ngram_max", int),
-        )
+        n_min = _typed(doc["ngram_min"], "ngram_min", int)
+        n_max = _typed(doc["ngram_max"], "ngram_max", int)
+        if version == 1:
+            vocab = Vocabulary(_list_of(doc["vocabulary"], "vocabulary", str), n_min, n_max)
+            idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
+            weights = _parse_weights(_list_of(doc["weights"], "weights", list), len(vocab))
+        else:
+            alphabet = _list_of(doc["alphabet"], "alphabet", str)
+            vocab = Vocabulary.from_bytes(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
+            idf_values = _array(doc, "idf", "<f8", len(vocab))
+            index = _array(doc, "weight_index", "<u4")
+            weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), len(vocab))
         dim = len(vocab)
-        idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
         n_docs = _typed(doc["n_docs"], "n_docs", int)
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, got {n_docs}")
         idf = IdfModel(idf=idf_values, n_docs=n_docs)
-        weights = _parse_weights(_list_of(doc["weights"], "weights", list), dim)
         bias = float(_typed(doc["bias"], "bias", int, float))
         metadata = dict(_typed(doc.get("config", {}), "config", dict))
+        try:
+            json.dumps(metadata, allow_nan=False)
+        except ValueError:
+            raise ValueError("config holds a non-finite number") from None
         metadata["trainer"] = doc.get("trainer")
         model = LinearModel(weights=weights, bias=bias, dim=dim, metadata=metadata)
     except (KeyError, ValueError, OverflowError) as exc:
@@ -175,18 +156,41 @@ def _list_of(items, key: str, *types: type) -> list:
     return items
 
 
+def _unb64(doc: dict, key: str) -> bytes:
+    text = _typed(doc[key], key, str)
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{key} is not valid base64: {exc}") from None
+
+
+def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:
+    """The base64 field as a native-endian, writable array of ``count`` items, if given."""
+    raw = _unb64(doc, key)
+    width = np.dtype(dtype).itemsize
+    if len(raw) % width or (count is not None and len(raw) != count * width):
+        expected = f"{count} items of" if count is not None else "a whole number of"
+        raise ValueError(f"{key} holds {len(raw)} bytes, not {expected} {width} bytes")
+    return np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
+
+
+def _dense_weights(index: np.ndarray, value: np.ndarray, dim: int) -> np.ndarray:
+    """Dense weights from strictly increasing indices < dim and finite values."""
+    if np.any(index >= dim) or np.any(np.diff(index.astype(np.int64)) <= 0):
+        raise ValueError(f"weight indices must be strictly increasing and below {dim}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError("weight values must be finite")
+    weights = np.zeros(dim)
+    weights[index] = value
+    return weights
+
+
 def _parse_weights(pairs: list, dim: int) -> np.ndarray:
-    """Dense weights from [index, value] lists with strictly increasing indices < dim."""
+    """Dense weights from v1's [index, value] lists."""
     if not set(map(len, pairs)) <= {2}:
         raise ValueError("weights must be [index, value] pairs")
     flat = _list_of(list(itertools.chain.from_iterable(pairs)), "weight pair", int, float)
     index, value = np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(-1, 2).T
     if not np.all((index >= 0) & (index < dim) & (index == np.floor(index))):
         raise ValueError(f"weight indices must be integers in [0, {dim})")
-    if np.any(np.diff(index) <= 0):
-        raise ValueError("weight indices must be strictly increasing")
-    if not np.all(np.isfinite(value)):
-        raise ValueError("weights hold a non-finite value")
-    weights = np.zeros(dim)
-    weights[index.astype(np.int64)] = value
-    return weights
+    return _dense_weights(index.astype(np.int64), value, dim)

@@ -62,8 +62,12 @@ class SgdConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.t0 is not None and not 0 <= self.t0 < math.inf:
             raise ConfigError(f"t0 must be finite and >= 0, got {self.t0}")
-        if not self.tol >= 0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        if self.t0 is None and not self.resolved_t0() < math.inf:
+            raise ConfigError(f"alpha {self.alpha} is too small: its t0 = 1/alpha - 1 overflows")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_t0(self) -> float:
         return self.t0 if self.t0 is not None else max(0.0, 1.0 / self.alpha - 1.0)
@@ -193,6 +197,9 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
             break
 
     w = np.multiply(v, scale) if scale != 1.0 else v.copy()
+    if not (math.isfinite(final_obj) and math.isfinite(b) and np.all(np.isfinite(w))):
+        # A tiny alpha with a small explicit t0 makes steps of up to 1/alpha.
+        raise ConfigError(f"training diverged: alpha {alpha} with t0 {t0} gives a non-finite model")
     return LinearModel(
         weights=w,
         bias=float(b),

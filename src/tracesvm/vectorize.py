@@ -4,16 +4,17 @@ An n-gram is a space-joined window of n consecutive call names.  The
 vocabulary is the union of all n-grams for n in [n_min, n_max] across the
 corpus, with indices assigned in lexicographic order of those strings.
 
-A fitted vocabulary is integer-keyed.  Call names get ids 1, 2, ... in
-sorted order, each window becomes a key of n_max big-endian uint32 ids
-padded with 0, and one ``np.unique`` over the keys gives the vocabulary.
-No call name may hold a character <= U+0020, so memcmp order on keys equals
-string order on the joined grams, a gram before its extensions.  Counting
-finds each window's column with ``np.searchsorted`` and each row's counts
-with one more ``np.unique``; it builds no n-gram string.  The strings are
-rendered once, on first access to ``Vocabulary.by_index``, for model files
-and top features.  A vocabulary read from a model file holds only strings;
-it is counted by joining each window and looking the string up in a dict.
+Every vocabulary is integer-keyed.  Call names get ids 1, 2, ... in sorted
+order, each window becomes a key of n_max big-endian uint32 ids padded with
+0, and one ``np.unique`` over the keys gives the vocabulary.  No call name
+may hold a character <= U+0020, so memcmp order on keys equals string order
+on the joined grams, a gram before its extensions.  Counting has one path:
+it finds each window's column with ``np.searchsorted`` and each row's
+counts with one more ``np.unique``, and builds no n-gram string.  A v2
+model file stores the alphabet and the keys as they are; a vocabulary of
+n-gram strings, as a v1 model file holds, is turned into keys once, when it
+is built.  The strings are rendered on first access to
+``Vocabulary.by_index``.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -43,6 +44,10 @@ from .errors import ConfigError, DimensionMismatchError, EmptyVocabularyError
 from .ingest import SyscallTrace
 
 _SEPARATOR = re.compile(r"[\x00-\x20]")
+# The longest n-gram a vocabulary may hold.  A key takes 4 bytes per call
+# slot, so this bounds the keys derived from a v1 model file's strings and
+# the windows built to count against any vocabulary; the paper uses 8-10.
+MAX_NGRAM = 1000
 
 
 class SparseVector:
@@ -89,40 +94,58 @@ class SparseVector:
 class Vocabulary:
     """Bijection between n-grams and column indices, in lexicographic order.
 
-    A vocabulary fitted on a corpus (``from_keys``) is held in integer form:
     ``alphabet`` is the sorted call names, and ``keys`` the sorted unique
-    windows as void scalars (see ``_window_keys``).  Its n-gram strings are
-    rendered on first access to ``by_index``.  A vocabulary built from
-    strings, as a loaded model's is, has ``alphabet`` and ``keys`` None.
+    n-grams as void scalars of n_max big-endian uint32 alphabet ids, 0 as
+    padding (see ``_window_keys``).  The n-gram strings are rendered on
+    first access to ``by_index``.
     """
 
     def __init__(self, by_index: Sequence[str], n_min: int, n_max: int):
-        if not 1 <= n_min <= n_max:
-            raise ValueError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+        """The vocabulary of sorted, unique space-joined n-gram strings."""
+        _check_range(n_min, n_max)
         by_index = tuple(by_index)
-        spaces = list(map(str.count, by_index, itertools.repeat(" ")))
-        if spaces and not n_min <= min(spaces) + 1 <= max(spaces) + 1 <= n_max:
-            raise ValueError(f"every n-gram must have {n_min} to {n_max} tokens")
-        if not all(map(operator.lt, by_index, by_index[1:])):
-            raise ValueError("n-grams must be sorted and unique")
-        self.n_min = n_min
-        self.n_max = n_max
-        self.alphabet: tuple[str, ...] | None = None
-        self.keys: np.ndarray | None = None
+        lengths = np.fromiter(map(str.count, by_index, itertools.repeat(" ")), np.int64, len(by_index)) + 1
+        if lengths.size and not n_min <= lengths.min() <= lengths.max() <= n_max:
+            raise ValueError(f"vocabulary: every n-gram must have {n_min} to {n_max} tokens")
+        names = " ".join(by_index).split(" ") if by_index else []
+        alphabet = sorted(set(names))
+        index = {name: i for i, name in enumerate(alphabet, start=1)}
+        ids = np.zeros((len(by_index), n_max), dtype=">u4")
+        row = np.repeat(np.arange(len(by_index)), lengths)
+        col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        ids[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
+        keys = ids.view(np.dtype((np.void, 4 * n_max))).ravel()
+        _check_keys(alphabet, keys, n_min, n_max)
+        self.n_min, self.n_max = n_min, n_max
+        self.alphabet: tuple[str, ...] = tuple(alphabet)
+        self.keys: np.ndarray = keys
         self._by_index: tuple[str, ...] | None = by_index
 
     @classmethod
     def from_keys(
         cls, alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: int
     ) -> Vocabulary:
-        vocab = cls((), n_min, n_max)
+        """The vocabulary of keys that are already known to be valid."""
+        vocab = cls.__new__(cls)
+        vocab.n_min, vocab.n_max = n_min, n_max
         vocab.alphabet = tuple(alphabet)
         vocab.keys = keys
         vocab._by_index = None
         return vocab
 
+    @classmethod
+    def from_bytes(cls, alphabet: Sequence[str], raw: bytes, n_min: int, n_max: int) -> Vocabulary:
+        """The vocabulary whose keys are the bytes ``keys.tobytes()`` gave, checked."""
+        _check_range(n_min, n_max)
+        width = 4 * n_max
+        if len(raw) % width:
+            raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
+        keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, width)))
+        _check_keys(alphabet, keys, n_min, n_max)
+        return cls.from_keys(alphabet, keys, n_min, n_max)
+
     def __len__(self) -> int:
-        return len(self.keys) if self.keys is not None else len(self.by_index)
+        return len(self.keys)
 
     @property
     def by_index(self) -> tuple[str, ...]:
@@ -130,10 +153,37 @@ class Vocabulary:
             self._by_index = _render_keys(self.alphabet, self.keys, self.n_max)
         return self._by_index
 
-    @property
-    def ngram_to_index(self) -> dict[str, int]:
-        # Rebuilt on demand; callers that loop should hold onto the result.
-        return dict(zip(self.by_index, range(len(self.by_index))))
+
+def _check_range(n_min: int, n_max: int) -> None:
+    if not 1 <= n_min <= n_max <= MAX_NGRAM:
+        raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_NGRAM}, got ({n_min}, {n_max})")
+
+
+def _check_keys(alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: int) -> None:
+    """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
+
+    The names must be sorted, unique, non-empty and free of characters
+    <= U+0020, so that key order is string order; each key n_min to n_max
+    ids in 1..len(alphabet) and then only 0 padding; the keys strictly
+    increasing, compared row-wise on their ids because numpy cannot order
+    void scalars.
+    """
+    if not all(map(operator.lt, alphabet, alphabet[1:])):
+        raise ValueError("alphabet: call names must be sorted and unique")
+    if not all(name and not _SEPARATOR.search(name) for name in alphabet):
+        raise ValueError("alphabet: a call name is empty or holds a character <= U+0020")
+    ids = keys.view(">u4").reshape(-1, n_max).astype(np.uint32)
+    if ids.size and ids.max() > len(alphabet):
+        raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
+    if np.any(ids[:, :n_min] == 0):
+        raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
+    if np.any((ids[:, :-1] == 0) & (ids[:, 1:] != 0)):
+        raise ValueError("vocabulary: an n-gram has an id after its padding")
+    before, after = ids[:-1], ids[1:]
+    differ = before != after
+    rows, first = np.arange(len(differ)), differ.argmax(axis=1)
+    if not np.all(differ[rows, first] & (before[rows, first] < after[rows, first])):
+        raise ValueError("vocabulary: n-grams must be sorted and unique")
 
 
 @dataclass(frozen=True)
@@ -267,8 +317,10 @@ def _render_keys(alphabet: Sequence[str], keys: np.ndarray, n_max: int) -> tuple
 
 def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> Vocabulary:
     """Union of all n-grams for n in [n_min, n_max], indexed lexicographically."""
-    if not 1 <= n_min <= n_max:
-        raise ConfigError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+    try:
+        _check_range(n_min, n_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not corpus:
         raise ValueError("corpus is empty")
     alphabet = sorted({c for t in corpus for c in t.calls})
@@ -297,35 +349,12 @@ def _key_columns(
     return rows[hit], cols[hit]
 
 
-def _string_columns(
-    corpus: Sequence[SyscallTrace], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    # A vocabulary read from a model file holds only strings, and deriving
-    # keys from them costs more than this join-and-lookup per window.  Model
-    # format v2, which stores each n-gram as alphabet ids, removes this path.
-    lookup = vocab.ngram_to_index
-    cols: list[int] = []
-    per_row: list[int] = []
-    for trace in corpus:
-        calls = trace.calls
-        before = len(cols)
-        for n in range(vocab.n_min, vocab.n_max + 1):
-            grams = [" ".join(calls[i : i + n]) for i in range(len(calls) - n + 1)]
-            cols.extend(j for j in map(lookup.get, grams) if j is not None)
-        per_row.append(len(cols) - before)
-    rows = np.repeat(np.arange(len(corpus), dtype=np.int64), per_row)
-    return rows, np.array(cols, dtype=np.int64)
-
-
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:
     """Raw n-gram occurrence counts per trace, carrying ids and labels through.
 
     N-grams absent from the vocabulary are ignored.
     """
-    if vocab.keys is not None:
-        rows, cols = _key_columns(corpus, vocab)
-    else:
-        rows, cols = _string_columns(corpus, vocab)
+    rows, cols = _key_columns(corpus, vocab)
     dim = len(vocab)
     cells, counts = np.unique(rows * dim + cols, return_counts=True)
     labels = [t.label for t in corpus]

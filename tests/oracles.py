@@ -6,13 +6,16 @@ single-step references at the end (string n-grams and per-trace counts, one
 SGD step, one dual coordinate update) take the package's own types as
 arguments; no trainer or vectorizer calls them.  ``csr_matrix`` and
 ``matrix_from_dense`` build small test matrices from per-row lists, and
-``canonical_text`` is the model file as one ``json.dumps`` call writes it.
+``canonical_text`` and ``canonical_text_v1`` are the v2 and v1 model files
+as one ``json.dumps`` call writes them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +147,43 @@ def matrix_from_dense(rows, labels=None) -> FeatureMatrix:
 
 
 def canonical_text(artifact: ModelArtifact) -> str:
-    """The v1 model file: the whole document through one indented json.dumps."""
+    """The v2 model file: one indented json.dumps, its arrays packed by struct.
+
+    Each n-gram's ids are looked up from its string in the alphabet, not
+    taken from the vocabulary's keys.
+    """
+    model, vocab = artifact.model, artifact.vocabulary
+    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+    vocabulary = b""
+    for gram in vocab.by_index:
+        ids = [index[name] for name in gram.split(" ")]
+        vocabulary += struct.pack(f">{vocab.n_max}I", *ids, *[0] * (vocab.n_max - len(ids)))
+    idf = [float(v) for v in artifact.idf.idf]
+    nz = [j for j, w in enumerate(model.weights) if w != 0]
+    document = {
+        "format_version": 2,
+        "created_by": "tracesvm/0.1.0",
+        "trainer": model.metadata.get("trainer"),
+        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
+        "ngram_min": vocab.n_min,
+        "ngram_max": vocab.n_max,
+        "n_docs": artifact.idf.n_docs,
+        "bias": model.bias,
+        "alphabet": list(vocab.alphabet),
+        "vocabulary": _b64(vocabulary),
+        "idf": _b64(struct.pack(f"<{len(idf)}d", *idf)),
+        "weight_index": _b64(struct.pack(f"<{len(nz)}I", *nz)),
+        "weight_value": _b64(struct.pack(f"<{len(nz)}d", *[float(model.weights[j]) for j in nz])),
+    }
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def canonical_text_v1(artifact: ModelArtifact) -> str:
+    """The v1 model file, which nothing writes any more: one indented json.dumps."""
     model = artifact.model
     document = {
         "format_version": 1,
@@ -162,6 +201,11 @@ def canonical_text(artifact: ModelArtifact) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
+def ngram_to_index(vocab: Vocabulary) -> dict[str, int]:
+    """Each n-gram string's column."""
+    return dict(zip(vocab.by_index, range(len(vocab))))
+
+
 def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
     """All contiguous space-joined windows of length n, in order."""
     if n < 1:
@@ -174,7 +218,7 @@ def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int]
 
     N-grams absent from the vocabulary are ignored.
     """
-    lookup = _lookup if _lookup is not None else vocab.ngram_to_index
+    lookup = _lookup if _lookup is not None else ngram_to_index(vocab)
     counts: dict[int, int] = {}
     for n in range(vocab.n_min, vocab.n_max + 1):
         for gram in extract_ngrams(trace.calls, n):

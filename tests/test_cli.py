@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracesvm import load_model, save_model
 from tracesvm.cli import main
@@ -15,6 +21,18 @@ FIG2_RAW = (
     "NtQueryPerformanceCounter( Counter=0x4e9f9c8 [3.01683e+009], Freq=null ) => 0\n"
     "NtProtectVirtualMemory( ProcessHandle=-1, BaseAddress=0x4e9f9f4 [0x77eae000], Size=0x4e9f9f8\n"
 )
+
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1.7976931348623157e308])
+INTEGERS = st.integers(-3, 40) | st.integers()
+# Epoch and sweep caps stay small enough for a quick test: with --tol 0 a
+# run can use every epoch it is given.
+CAPS = st.integers(-3, 300)
+_SHARED_FLAGS = [("--tol", FLOATS), ("--seed", INTEGERS), ("--ngram-min", INTEGERS), ("--ngram-max", INTEGERS)]
+# Every numeric flag of train, by trainer, with the values to draw for it.
+NUMERIC_FLAGS = {
+    "sgd": [("--alpha", FLOATS), ("--phi", FLOATS), ("--t0", FLOATS), ("--epochs", CAPS), *_SHARED_FLAGS],
+    "dual-cd": [("--c", FLOATS), ("--max-outer", CAPS), *_SHARED_FLAGS],
+}
 
 CORPUS_FLAGS = ["--n-traces", "30", "--len-min", "12", "--len-max", "16", "--seed", "9"]
 
@@ -116,6 +134,38 @@ class TestTrain:
         assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_numeric_flag_trains_a_loadable_model_or_exits_2(self, corpus_dir, data):
+        trainer = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+        flags = data.draw(st.lists(st.sampled_from(NUMERIC_FLAGS[trainer]), min_size=1, max_size=2, unique=True))
+        settings_ = [f"{flag}={data.draw(values)!r}" for flag, values in flags]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "m.json"
+            argv = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--trainer", trainer,
+                    *settings_, "--output", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+            if code == 0:
+                load_model(out)
+            else:
+                assert code == 2 and err.getvalue().startswith("error: ")
+                assert not out.exists()
+
+    def test_diverging_sgd_settings_exit_cleanly(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(
+                ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--alpha", "1e-300", "--t0", "0",
+                 "--output", str(out)]
+            )
+        assert code == 2
+        assert "error: training diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(
             ["train", "--manifest", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m")]
@@ -134,10 +184,10 @@ class TestModelFile:
     def test_no_timestamps_inside(self, model_path):
         doc = json.loads(model_path.read_text())
         assert set(doc) == {
-            "format_version", "created_by", "trainer", "config", "ngram_min",
-            "ngram_max", "vocabulary", "idf", "n_docs", "weights", "bias",
+            "format_version", "created_by", "trainer", "config", "ngram_min", "ngram_max",
+            "alphabet", "vocabulary", "idf", "n_docs", "weight_index", "weight_value", "bias",
         }
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
 
     def test_corrupted_model_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -159,14 +209,14 @@ class TestModelFile:
 
     def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         future = tmp_path / "future.json"
         future.write_text(json.dumps(doc))
         code = main(
             ["evaluate", "--model", str(future), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
-        assert "format_version 2" in capsys.readouterr().err
+        assert "format_version 3" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -239,3 +239,8 @@ class TestTrainDualCd:
             DualConfig(tol=0.0)
         with pytest.raises(ConfigError):
             DualConfig(max_outer=0)
+        # A non-finite C or tol would be written into the model's config as
+        # Infinity or NaN, which is not JSON.
+        for bad in ({"C": np.inf}, {"C": np.nan}, {"tol": np.inf}, {"tol": np.nan}, {"seed": -1}):
+            with pytest.raises(ConfigError):
+                DualConfig(**bad)

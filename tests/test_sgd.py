@@ -250,3 +250,8 @@ class TestTrainSgd:
         for t0 in (np.inf, np.nan):
             with pytest.raises(ConfigError):
                 SgdConfig(t0=t0)
+        # alpha 1e-320 is finite, but its default t0 = 1/alpha - 1 is not.
+        for bad in ({"alpha": 1e-320}, {"tol": np.inf}, {"tol": np.nan}, {"seed": -1}):
+            with pytest.raises(ConfigError):
+                SgdConfig(**bad)
+        assert SgdConfig(alpha=1e-300).resolved_t0() < np.inf

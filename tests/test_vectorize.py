@@ -31,7 +31,14 @@ from tracesvm import (
     tfidf_transform,
     transform,
 )
-from oracles import count_vector, csr_matrix, dense_tfidf_pipeline, extract_ngrams
+from oracles import (
+    canonical_text_v1,
+    count_vector,
+    csr_matrix,
+    dense_tfidf_pipeline,
+    extract_ngrams,
+    ngram_to_index,
+)
 
 SEVEN_CALLS = (
     "ntclose",
@@ -74,7 +81,7 @@ class TestVocabulary:
     def test_lexicographic_indices(self):
         vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
         assert vocab.by_index == ("ntclose", "ntclose ntopenkeyex", "ntopenkeyex")
-        assert vocab.ngram_to_index == {
+        assert ngram_to_index(vocab) == {
             "ntclose": 0,
             "ntclose ntopenkeyex": 1,
             "ntopenkeyex": 2,
@@ -124,17 +131,31 @@ class TestVocabulary:
 
     @pytest.mark.parametrize(
         "grams, n_min, n_max",
-        [(("nta",), 2, 3), (("nta ntb",), 1, 1), ((), 0, 1), ((), 3, 2)],
+        [(("nta",), 2, 3), (("nta ntb",), 1, 1), ((), 0, 1), ((), 3, 2), (("nta",), 1, 1001)],
     )
     def test_string_vocabulary_checks_gram_lengths(self, grams, n_min, n_max):
         with pytest.raises(ValueError):
             Vocabulary(by_index=grams, n_min=n_min, n_max=n_max)
+
+    @pytest.mark.parametrize("grams", [("nta  ntb",), (" nta",), ("",), ("nt\ta",), ("nta\x00",)])
+    def test_string_vocabulary_call_names_checked(self, grams):
+        # Names must be non-empty and free of characters <= U+0020, or the
+        # keys derived from the strings would not sort as the strings do.
+        with pytest.raises(ValueError):
+            Vocabulary(by_index=grams, n_min=1, n_max=3)
+
+    def test_string_vocabulary_derives_keys(self):
+        vocab = Vocabulary(by_index=("nta", "nta ntb", "ntb"), n_min=1, n_max=2)
+        assert vocab.alphabet == ("nta", "ntb")
+        assert vocab.keys.view(">u4").reshape(-1, 2).tolist() == [[1, 0], [1, 2], [2, 0]]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose"])], 2, 1)
         with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose"])], 0, 1)
+        with pytest.raises(ConfigError):
+            build_vocabulary([trace(["ntclose"])], 1, 1001)
 
 
 class TestCountVector:
@@ -143,8 +164,8 @@ class TestCountVector:
         vocab = build_vocabulary([t], 1, 2)
         v = count_vector(t, vocab)
         assert v.pairs() == [
-            (vocab.ngram_to_index["ntclose"], 3.0),
-            (vocab.ngram_to_index["ntclose ntclose"], 2.0),
+            (ngram_to_index(vocab)["ntclose"], 3.0),
+            (ngram_to_index(vocab)["ntclose ntclose"], 2.0),
         ]
 
     def test_out_of_vocabulary_ignored(self):
@@ -381,18 +402,23 @@ class TestIntegerKeyedLookup:
         except EmptyVocabularyError:
             return
         model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, dim=len(vocab), metadata={})
+        artifact = ModelArtifact(model=model, vocabulary=vocab, idf=idf)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
-            save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), path)
+            save_model(artifact, path)
             loaded = load_model(path)
-        assert loaded.vocabulary.keys is None
+            path.write_text(canonical_text_v1(artifact))
+            loaded_v1 = load_model(path)
+        assert loaded.vocabulary._by_index is None  # v2 loads keys, no strings
+        assert loaded_v1.vocabulary.by_index == vocab.by_index
         new_corpus = as_corpus(new_lists) + fit_corpus
         fitted_rows = transform(new_corpus, vocab, idf).rows
-        loaded_rows = transform(new_corpus, loaded.vocabulary, loaded.idf).rows
-        assert fitted_rows == loaded_rows
+        assert transform(new_corpus, loaded.vocabulary, loaded.idf).rows == fitted_rows
+        assert transform(new_corpus, loaded_v1.vocabulary, loaded_v1.idf).rows == fitted_rows
         per_trace = tuple(count_vector(t, loaded.vocabulary) for t in new_corpus)
         assert count_matrix(new_corpus, vocab).rows == per_trace
         assert count_matrix(new_corpus, loaded.vocabulary).rows == per_trace
+        assert count_matrix(new_corpus, loaded_v1.vocabulary).rows == per_trace
 
 
 class TestExports:
