@@ -11,13 +11,26 @@ with hinge(s, y) = max(0, 1 - y*s) and R one of
     elasticnet:  R(w) = phi/2 * sum w_j^2 + (1 - phi) * sum |w_j|
 
 Note the elasticnet l1 term carries no 1/2, unlike standalone l1; phi = 1
-makes elasticnet coincide with l2 exactly.  Each step updates
+makes elasticnet coincide with l2 exactly.  With dR/dw = l2c * w + l1c *
+sign(w) and eta(t) = 1 / (alpha * (t0 + t)), step t on example (x, y) does:
 
-    w <- w - eta * (alpha * dR/dw + dL/dw),    eta(t) = 1 / (alpha * (t0 + t))
+1. l2 shrink: w <- (1 - eta * alpha * l2c) * w.  The weights are stored as
+   scale * v, so this multiplies one scalar.
+2. Cumulative l1 penalty (Tsuruoka, Tsujii & Ananiadou, ACL 2009):
+   u <- u + eta * alpha * l1c is the total l1 shrink any weight could have
+   received so far, and q_j the signed shrink that w_j has received.  Each
+   weight active in x is moved toward 0 by what it is still owed, u + q_j
+   if w_j > 0 and u - q_j if w_j < 0, and stops at 0.  Every nonzero weight
+   is settled the same way after each epoch.  The penalty never flips a
+   sign, l1 weights reach exactly 0, and a step costs O(nnz(x)).  For pure
+   l1 this equals applying the penalty to every weight at every step.
+3. Hinge step, if y * (w . x + b) < 1: w <- w + eta * y * x and
+   b <- b + 0.01 * eta * y.
 
-where dL/dw is -y*x when the margin is violated (y*(w.x+b) < 1) and 0
-otherwise.  The bias moves with the loss term only and is never
-regularized.  sign(0) is taken as 0 throughout.
+The bias is never regularized.  Its step is damped by 0.01, scikit-learn's
+rule for sparse input (SPARSE_INTERCEPT_DECAY), so that a run of margin
+violations cannot swing it by whole units.  sign(0) is taken as 0
+throughout.
 """
 
 from __future__ import annotations
@@ -39,6 +52,9 @@ PENALTIES = (PENALTY_L1, PENALTY_L2, PENALTY_ELASTICNET)
 
 # Rescale the scaled-weight representation before the factor underflows.
 _SCALE_FLOOR = 1e-130
+# The bias moves at this fraction of the weights' step (scikit-learn's
+# SPARSE_INTERCEPT_DECAY).
+_INTERCEPT_DECAY = 0.01
 
 
 @dataclass(frozen=True)
@@ -132,6 +148,22 @@ def validate_labels(labels: Sequence[int], n_rows: int) -> np.ndarray:
     return y
 
 
+def _settle_l1(v: np.ndarray, q: np.ndarray, idx: np.ndarray, scale: float, u: float) -> np.ndarray:
+    """Give the weights scale * v[idx] the l1 shrink they are still owed.
+
+    Updates v[idx] and q[idx] in place and returns the new v[idx].  idx must
+    not repeat.  For q_j in [-u, u] no weight changes sign or grows.
+    """
+    w = scale * v[idx]
+    qi = q[idx]
+    s = np.sign(w)
+    shrunk = s * np.maximum(0.0, np.abs(w) - (u + s * qi))
+    q[idx] = qi + (shrunk - w)
+    vi = shrunk / scale
+    v[idx] = vi
+    return vi
+
+
 def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -> LinearModel:
     """Epoch-wise SGD with seeded reshuffling and early stopping.
 
@@ -147,14 +179,12 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
 
     rows = matrix.row_slices()
 
-    # When there is no l1 term the multiplicative shrink is tracked as a
-    # scalar on top of v, so each step touches only the active features.
-    use_scaling = l1c == 0.0
-    v = np.zeros(dim)
+    v = np.zeros(dim)  # w = scale * v
     scale = 1.0
+    q = np.zeros(dim)  # l1 shrink each weight has received, in w units
+    u = 0.0  # l1 shrink any weight could have received
     b = 0.0
     t = 0
-    sign_buf = np.empty(dim)
     prev_obj = 1.0  # objective of the zero model
     epochs_run = 0
     final_obj = prev_obj
@@ -165,30 +195,27 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
             eta = learning_rate(t, alpha, t0)
             xi, xv = rows[i]
             yi = y[i]
-            score = scale * float(xv @ v[xi]) + b
-            violated = yi * score < 1.0
-            if use_scaling:
-                factor = 1.0 - eta * alpha * l2c
-                if factor == 0.0:
-                    v[:] = 0.0
-                    scale = 1.0
-                else:
-                    scale *= factor
-                    if abs(scale) < _SCALE_FLOOR:
-                        v *= scale
-                        scale = 1.0
-                if violated:
-                    v[xi] += (eta * yi / scale) * xv
+            factor = 1.0 - eta * alpha * l2c
+            if factor == 0.0:
+                v[:] = 0.0
+                scale = 1.0
             else:
-                if l2c:
-                    v *= 1.0 - eta * alpha * l2c
-                np.sign(v, out=sign_buf)
-                v -= (eta * alpha * l1c) * sign_buf
-                if violated:
-                    v[xi] += (eta * yi) * xv
-            if violated:
-                b += eta * yi
+                scale *= factor
+                if abs(scale) < _SCALE_FLOOR:
+                    v *= scale
+                    scale = 1.0
+            if l1c:
+                u += eta * alpha * l1c
+                vi = _settle_l1(v, q, xi, scale, u)
+            else:
+                vi = v[xi]
+            if yi * (scale * float(xv @ vi) + b) < 1.0:
+                v[xi] = vi + (eta * yi / scale) * xv
+                b += _INTERCEPT_DECAY * eta * yi
         epochs_run += 1
+        if l1c:
+            # Also settles the returned model: no step follows the last one.
+            _settle_l1(v, q, np.flatnonzero(v), scale, u)
         w_now = v * scale if scale != 1.0 else v
         final_obj = objective(w_now, b, matrix, y, alpha, config.penalty, config.phi)
         improvement = (prev_obj - final_obj) / max(abs(prev_obj), 1e-12)

@@ -3,11 +3,12 @@
 Everything here is deliberately naive and dense: straight loops, explicit
 formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, one
-SGD step, one dual coordinate update) take the package's own types as
-arguments; no trainer or vectorizer calls them.  ``csr_matrix`` and
-``matrix_from_dense`` build small test matrices from per-row lists, and
-``canonical_text`` and ``canonical_text_v1`` are the v2 and v1 model files
-as one ``json.dumps`` call writes them.
+SGD subgradient step, one dual coordinate update) take the package's own
+types as arguments; no trainer or vectorizer calls them.
+``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 path.
+``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
+per-row lists, and ``canonical_text`` and ``canonical_text_v1`` are the v2
+and v1 model files as one ``json.dumps`` call writes them.
 """
 
 from __future__ import annotations
@@ -239,9 +240,13 @@ def sgd_step(
     penalty: str,
     phi: float = 0.5,
 ) -> tuple[np.ndarray, float]:
-    """One update on one example; returns fresh (w, b), inputs untouched.
+    """One plain subgradient step of the objective on one example.
 
-    Both subgradients are evaluated at the incoming (w, b).
+    Returns fresh (w, b), inputs untouched.  Both subgradients are evaluated
+    at the incoming (w, b): the penalty's is alpha * dR/dw with sign(w) for
+    the l1 part, and the bias takes the loss step undamped.  ``train_sgd``
+    takes neither literally: its l1 part is the cumulative penalty
+    (``sgd_cumulative_l1``) and its bias step is damped by 0.01.
     """
     score = float(x.values @ w[x.indices]) + b
     grad = alpha * regularizer_subgradient(w, penalty, phi)
@@ -251,6 +256,52 @@ def sgd_step(
         w_new[x.indices] += eta * label * x.values
         b_new = b + eta * label
     return w_new, b_new
+
+
+def sgd_cumulative_l1(rows_dense, labels, alpha, t0, epochs, seed):
+    """Pure-l1 SGD that applies the cumulative penalty to every weight at every step.
+
+    Step t: eta = 1 / (alpha * (t0 + t)); u, the l1 shrink any weight could
+    have had, grows by eta * alpha / 2 (l1's R carries 1/2); then every
+    weight gets the shrink it is still owed, w_j > 0 becoming
+    max(0, w_j - (u + q_j)) and w_j < 0 becoming min(0, w_j + (u - q_j)),
+    where q_j is the signed sum of the shrinks w_j has had; then the hinge
+    step on the example, the bias moving 0.01 * eta * y.  After each epoch
+    every weight gets its due once more.  The permutations are
+    ``train_sgd``'s for the same seed; exactly ``epochs`` epochs run.
+    Returns (w, b).
+    """
+    rows = [[float(x) for x in row] for row in rows_dense]
+    dim = len(rows[0])
+    w = [0.0] * dim
+    q = [0.0] * dim
+    u, b, t = 0.0, 0.0, 0
+    rng = np.random.default_rng(seed)
+
+    def settle():
+        for j in range(dim):
+            z = w[j]
+            if z > 0:
+                w[j] = max(0.0, z - (u + q[j]))
+            elif z < 0:
+                w[j] = min(0.0, z + (u - q[j]))
+            q[j] += w[j] - z
+
+    for _ in range(epochs):
+        for i in rng.permutation(len(rows)):
+            t += 1
+            eta = 1.0 / (alpha * (t0 + t))
+            u += eta * alpha * 0.5
+            settle()
+            score = b
+            for x, wj in zip(rows[i], w):
+                score += x * wj
+            if labels[i] * score < 1.0:
+                for j in range(dim):
+                    w[j] += eta * labels[i] * rows[i][j]
+                b += 0.01 * eta * labels[i]
+        settle()
+    return np.array(w), b
 
 
 def init_state(matrix: FeatureMatrix) -> DualState:

@@ -272,6 +272,22 @@ class TestGridSearch:
         assert lines[0] == "alpha,tol,f1"
         assert len(lines) == 3
 
+    def test_sgd_cell_reaches_dual_cd_f1_on_short_traces(self, tmp_path):
+        # On this corpus an undamped SGD bias step, about 1 per violation,
+        # called every validation trace malware (F1 0.7786; dual CD: 1.0).
+        corpus = tmp_path / "corpus"
+        flags = ["--n-traces", "400", "--len-min", "20", "--len-max", "40", "--seed", "6"]
+        assert main(["gen-corpus", *flags, "--output-dir", str(corpus)]) == 0
+        out = tmp_path / "grid.csv"
+        code = main(
+            [
+                "grid-search", "--trainer", "sgd", "--manifest", str(corpus / "manifest.csv"),
+                "--alpha-grid", "1e-4", "--tol-grid", "1e-3", "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert float(out.read_text().splitlines()[1].split(",")[2]) >= 0.95
+
     def test_grid_csv_reproducible(self, corpus_dir, tmp_path):
         args = [
             "grid-search", "--manifest", str(corpus_dir / "manifest.csv"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracesvm import (
     ConfigError,
@@ -19,7 +20,8 @@ from tracesvm import (
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from oracles import central_difference_gradient, matrix_from_dense, sgd_step
+from tracesvm.sgd import _settle_l1
+from oracles import central_difference_gradient, matrix_from_dense, sgd_cumulative_l1, sgd_step
 
 
 class TestHinge:
@@ -255,3 +257,57 @@ class TestTrainSgd:
             with pytest.raises(ConfigError):
                 SgdConfig(**bad)
         assert SgdConfig(alpha=1e-300).resolved_t0() < np.inf
+
+
+class TestCumulativeL1:
+    """train_sgd's lazy l1 path against the eager reference and its own rules."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        dim=st.integers(1, 4),
+        alpha=st.floats(0.05, 0.5),
+        epochs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lazy_matches_eager_reference(self, n, dim, alpha, epochs, seed):
+        # Few features and a strong penalty, so that the shrink still pending
+        # on a row's features often decides whether its margin is violated.
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.05, 1.0, (n, dim)) * rng.choice([-1.0, 0.0, 1.0], (n, dim))
+        y = np.concatenate(([1, -1], rng.choice([1, -1], n - 2)))
+        cfg = SgdConfig(penalty="l1", alpha=alpha, epochs=epochs, tol=0.0, seed=seed)
+        model = train_sgd(matrix_from_dense(rows), y, cfg)
+        w, b = sgd_cumulative_l1(
+            rows, y, alpha, cfg.resolved_t0(), model.metadata["epochs_run"], cfg.seed
+        )
+        assert np.abs(model.weights - w).max() <= 1e-9
+        assert abs(model.bias - b) <= 1e-9
+
+    def test_feature_seen_once_ends_at_exactly_zero(self):
+        # Feature 2 is in row 0 only, which one epoch visits once.  Its one
+        # hinge step (at most 0.1) is below one epoch's penalty, about 0.58,
+        # so it must end at exactly 0, not overshoot around it.
+        rows = [[0.0, 0.0, 0.1]] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]] * 10
+        y = np.array([1] + [1, -1] * 10)
+        for seed in range(5):
+            model = train_sgd(
+                matrix_from_dense(rows), y,
+                SgdConfig(penalty="l1", alpha=0.1, epochs=1, tol=0.0, seed=seed),
+            )
+            assert model.weights[2] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+        share=st.floats(-1.0, 1.0),
+        u=st.floats(0.0, 10.0),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_penalty_never_flips_a_sign(self, w, share, u, scale):
+        v = np.array(w) / scale
+        before = v.copy()
+        q = np.full(v.size, share * u)  # what a weight has had lies in [-u, u]
+        _settle_l1(v, q, np.arange(v.size), scale, u)
+        assert np.all(np.sign(v) * np.sign(before) >= 0.0)
+        assert np.all(np.abs(v) <= np.abs(before) * (1 + 1e-12))
