@@ -75,7 +75,6 @@ from .sgd import (
     hinge_loss,
     learning_rate,
     objective,
-    regularizer_subgradient,
     regularizer_value,
     train_sgd,
 )

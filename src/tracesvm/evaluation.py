@@ -75,19 +75,17 @@ class ClassScores:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-class scores plus their average, with an optional scoring time."""
+    """Per-class scores plus their average."""
 
     benign: ClassScores
     malware: ClassScores
     average: ClassScores
-    test_seconds: float | None = None
 
 
 def classification_report(
     predictions: Sequence[int],
     truths: Sequence[int],
     macro: bool = False,
-    test_seconds: float | None = None,
 ) -> EvaluationReport:
     """Benign and malware scores with a support-weighted (or macro) average."""
     c = confusion(predictions, truths)
@@ -116,7 +114,7 @@ def classification_report(
         f1=wb * ben.f1 + wm * mal.f1,
         support=total,
     )
-    return EvaluationReport(benign=ben, malware=mal, average=avg, test_seconds=test_seconds)
+    return EvaluationReport(benign=ben, malware=mal, average=avg)
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,6 @@ def format_report_text(report: EvaluationReport) -> str:
         lines.append(
             f"{name:<14}{sc.precision:>10.2f}{sc.recall:>10.2f}{sc.f1:>10.2f}{sc.support:>10d}"
         )
-    if report.test_seconds is not None:
-        lines.append(f"testing time: {report.test_seconds:.3f} s")
     return "\n".join(lines) + "\n"
 
 

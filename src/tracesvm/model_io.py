@@ -18,8 +18,10 @@ byte-identical.  Next to the small fields (``bias``, ``config``,
 
 Each large field is one string, so json's pure-Python ``indent`` encoder
 hardly touches it.  Format v1, which stored the n-gram strings, the idf
-values and ``[index, value]`` weight pairs as JSON lists, is still read:
-its strings are turned into keys once, on load.  Nothing writes v1.
+values and ``[index, value]`` weight pairs as JSON lists, is still read.
+Nothing writes v1.  This module owns both formats: ``_parse_v1_vocabulary``
+turns v1's strings into keys, ``_decode_v2_vocabulary`` reads v2's key
+bytes as they are, and both end in ``vectorize._check_keys``.
 
 Loading is strict: anything but a v1 or v2 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
-from .vectorize import IdfModel, Vocabulary
+from .vectorize import IdfModel, Vocabulary, _check_keys, _check_range
 
 FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
@@ -106,12 +108,12 @@ def load_model(path: Path | str) -> ModelArtifact:
         n_min = _typed(doc["ngram_min"], "ngram_min", int)
         n_max = _typed(doc["ngram_max"], "ngram_max", int)
         if version == 1:
-            vocab = Vocabulary(_list_of(doc["vocabulary"], "vocabulary", str), n_min, n_max)
+            vocab = _parse_v1_vocabulary(_list_of(doc["vocabulary"], "vocabulary", str), n_min, n_max)
             idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
             weights = _parse_weights(_list_of(doc["weights"], "weights", list), len(vocab))
         else:
             alphabet = _list_of(doc["alphabet"], "alphabet", str)
-            vocab = Vocabulary.from_bytes(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
+            vocab = _decode_v2_vocabulary(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
             idf_values = _array(doc, "idf", "<f8", len(vocab))
             index = _array(doc, "weight_index", "<u4")
             weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), len(vocab))
@@ -162,6 +164,35 @@ def _unb64(doc: dict, key: str) -> bytes:
         return base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ValueError(f"{key} is not valid base64: {exc}") from None
+
+
+def _parse_v1_vocabulary(grams: list[str], n_min: int, n_max: int) -> Vocabulary:
+    """v1's sorted, unique space-joined n-gram strings as a checked vocabulary."""
+    _check_range(n_min, n_max)
+    lengths = np.fromiter(map(str.count, grams, itertools.repeat(" ")), np.int64, len(grams)) + 1
+    if lengths.size and not n_min <= lengths.min() <= lengths.max() <= n_max:
+        raise ValueError(f"vocabulary: every n-gram must have {n_min} to {n_max} tokens")
+    names = " ".join(grams).split(" ") if grams else []
+    alphabet = tuple(sorted(set(names)))
+    index = {name: i for i, name in enumerate(alphabet, start=1)}
+    ids = np.zeros((len(grams), n_max), dtype=">u4")
+    row = np.repeat(np.arange(len(grams)), lengths)
+    col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ids[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
+    keys = ids.view(np.dtype((np.void, 4 * n_max))).ravel()
+    _check_keys(alphabet, keys, n_min, n_max)
+    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min, n_max=n_max)
+
+
+def _decode_v2_vocabulary(alphabet: list[str], raw: bytes, n_min: int, n_max: int) -> Vocabulary:
+    """v2's key bytes, as ``keys.tobytes()`` gave them, as a checked vocabulary."""
+    _check_range(n_min, n_max)
+    width = 4 * n_max
+    if len(raw) % width:
+        raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
+    keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, width)))
+    _check_keys(alphabet, keys, n_min, n_max)
+    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min, n_max=n_max)
 
 
 def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:

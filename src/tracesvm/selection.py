@@ -37,6 +37,8 @@ class SplitSpec:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def train_test_split(

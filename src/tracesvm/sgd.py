@@ -107,11 +107,6 @@ def regularizer_value(w: np.ndarray, penalty: str, phi: float = 0.5) -> float:
     return float(0.5 * l2c * np.sum(w * w) + l1c * np.sum(np.abs(w)))
 
 
-def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np.ndarray:
-    l2c, l1c = _penalty_coefficients(penalty, phi)
-    return l2c * w + l1c * np.sign(w)
-
-
 def learning_rate(t: int, alpha: float, t0: float) -> float:
     """eta(t) = 1 / (alpha * (t0 + t)); decreasing in t."""
     if alpha <= 0:

@@ -44,6 +44,8 @@ DEFAULT_MOTIFS = (
 )
 
 _MAX_REDRAWS = 1000
+# numpy's Generator.poisson refuses a rate above about 9.22e18.
+_MAX_MOTIF_RATE = 9.2e18
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,10 @@ class GeneratorConfig:
             raise ConfigError("background_vocab must be non-empty")
         if not self.motifs or any(not m for m in self.motifs):
             raise ConfigError("motifs must be non-empty sequences")
-        if not self.motif_rate > 0:
-            raise ConfigError(f"motif_rate must be > 0, got {self.motif_rate}")
+        if not 0 < self.motif_rate <= _MAX_MOTIF_RATE:
+            raise ConfigError(f"motif_rate must be in (0, {_MAX_MOTIF_RATE:g}], got {self.motif_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _contains_motif(calls: Sequence[str], motif: Sequence[str]) -> bool:

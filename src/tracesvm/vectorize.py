@@ -4,23 +4,21 @@ An n-gram is a space-joined window of n consecutive call names.  The
 vocabulary is the union of all n-grams for n in [n_min, n_max] across the
 corpus, with indices assigned in lexicographic order of those strings.
 
-Every vocabulary is integer-keyed.  Call names get ids 1, 2, ... in sorted
-order, each window becomes a key of n_max big-endian uint32 ids padded with
-0, and one ``np.unique`` over the keys gives the vocabulary.  No call name
-may hold a character <= U+0020, so memcmp order on keys equals string order
-on the joined grams, a gram before its extensions.  Counting has one path:
-it finds each window's column with ``np.searchsorted`` and each row's
-counts with one more ``np.unique``, and builds no n-gram string.  A v2
-model file stores the alphabet and the keys as they are; a vocabulary of
-n-gram strings, as a v1 model file holds, is turned into keys once, when it
-is built.  The strings are rendered on first access to
-``Vocabulary.by_index``.
+A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order,
+each window becomes a key of n_max big-endian uint32 ids padded with 0, and
+one ``np.unique`` over the keys gives the vocabulary.  No call name may hold
+a character <= U+0020, so memcmp order on keys equals string order on the
+joined grams, a gram before its extensions.  Counting finds each window's
+column with ``np.searchsorted`` and each row's counts with one more
+``np.unique``, and builds no n-gram string.  N-gram strings are rendered
+only where they are printed, by ``_render_keys``.  This module knows no
+file format: ``model_io`` turns a model file's vocabulary into keys and
+checks them with ``_check_keys``.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
-gets idf 0 and drops out of the tf-idf vectors entirely; an optional flag
-adds 1 after the log to keep such features alive.  Rows are L2-normalized
-before training.
+gets idf 0 and drops out of the tf-idf vectors entirely.  Rows are
+L2-normalized before training.
 
 A ``FeatureMatrix`` is CSR: ``indptr``, ``indices`` and ``data`` arrays,
 checked once when built.  Counting emits them directly, and tf-idf,
@@ -30,8 +28,6 @@ read-only view of them as one ``SparseVector`` per row, for inspection.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -45,8 +41,8 @@ from .ingest import SyscallTrace
 
 _SEPARATOR = re.compile(r"[\x00-\x20]")
 # The longest n-gram a vocabulary may hold.  A key takes 4 bytes per call
-# slot, so this bounds the keys derived from a v1 model file's strings and
-# the windows built to count against any vocabulary; the paper uses 8-10.
+# slot, so this bounds the key width a model file can ask for and the
+# windows built to count against any vocabulary; the paper uses 8-10.
 MAX_NGRAM = 1000
 
 
@@ -68,90 +64,25 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def norm(self) -> float:
-        return float(math.sqrt(float(self.values @ self.values)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseVector(nnz={self.nnz}, dim={self.dim})"
-
-
+@dataclass(eq=False)
 class Vocabulary:
-    """Bijection between n-grams and column indices, in lexicographic order.
+    """The sorted unique n-grams of a corpus; column j is the n-gram ``keys[j]``.
 
-    ``alphabet`` is the sorted call names, and ``keys`` the sorted unique
-    n-grams as void scalars of n_max big-endian uint32 alphabet ids, 0 as
-    padding (see ``_window_keys``).  The n-gram strings are rendered on
-    first access to ``by_index``.
+    ``alphabet`` is the sorted call names, and ``keys`` the n-grams as void
+    scalars of n_max big-endian uint32 alphabet ids, 0 as padding (see
+    ``_window_keys``), strictly increasing.  Nothing is checked here:
+    ``build_vocabulary`` makes valid keys, and ``model_io`` checks a model
+    file's with ``_check_keys``.
     """
 
-    def __init__(self, by_index: Sequence[str], n_min: int, n_max: int):
-        """The vocabulary of sorted, unique space-joined n-gram strings."""
-        _check_range(n_min, n_max)
-        by_index = tuple(by_index)
-        lengths = np.fromiter(map(str.count, by_index, itertools.repeat(" ")), np.int64, len(by_index)) + 1
-        if lengths.size and not n_min <= lengths.min() <= lengths.max() <= n_max:
-            raise ValueError(f"vocabulary: every n-gram must have {n_min} to {n_max} tokens")
-        names = " ".join(by_index).split(" ") if by_index else []
-        alphabet = sorted(set(names))
-        index = {name: i for i, name in enumerate(alphabet, start=1)}
-        ids = np.zeros((len(by_index), n_max), dtype=">u4")
-        row = np.repeat(np.arange(len(by_index)), lengths)
-        col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        ids[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
-        keys = ids.view(np.dtype((np.void, 4 * n_max))).ravel()
-        _check_keys(alphabet, keys, n_min, n_max)
-        self.n_min, self.n_max = n_min, n_max
-        self.alphabet: tuple[str, ...] = tuple(alphabet)
-        self.keys: np.ndarray = keys
-        self._by_index: tuple[str, ...] | None = by_index
-
-    @classmethod
-    def from_keys(
-        cls, alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: int
-    ) -> Vocabulary:
-        """The vocabulary of keys that are already known to be valid."""
-        vocab = cls.__new__(cls)
-        vocab.n_min, vocab.n_max = n_min, n_max
-        vocab.alphabet = tuple(alphabet)
-        vocab.keys = keys
-        vocab._by_index = None
-        return vocab
-
-    @classmethod
-    def from_bytes(cls, alphabet: Sequence[str], raw: bytes, n_min: int, n_max: int) -> Vocabulary:
-        """The vocabulary whose keys are the bytes ``keys.tobytes()`` gave, checked."""
-        _check_range(n_min, n_max)
-        width = 4 * n_max
-        if len(raw) % width:
-            raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
-        keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, width)))
-        _check_keys(alphabet, keys, n_min, n_max)
-        return cls.from_keys(alphabet, keys, n_min, n_max)
+    alphabet: tuple[str, ...]
+    keys: np.ndarray
+    n_min: int
+    n_max: int
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @property
-    def by_index(self) -> tuple[str, ...]:
-        if self._by_index is None:
-            self._by_index = _render_keys(self.alphabet, self.keys, self.n_max)
-        return self._by_index
 
 
 def _check_range(n_min: int, n_max: int) -> None:
@@ -186,19 +117,12 @@ def _check_keys(alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: in
         raise ValueError("vocabulary: n-grams must be sorted and unique")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdfModel:
     """Per-feature idf weights fitted on a corpus of n_docs documents."""
 
     idf: np.ndarray
     n_docs: int
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdfModel)
-            and self.n_docs == other.n_docs
-            and np.array_equal(self.idf, other.idf)
-        )
 
 
 @dataclass(eq=False)
@@ -335,7 +259,7 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
         raise EmptyVocabularyError(
             f"no trace yields an n-gram for n in [{n_min}, {n_max}]"
         )
-    return Vocabulary.from_keys(alphabet, np.unique(keys), n_min, n_max)
+    return Vocabulary(alphabet=tuple(alphabet), keys=np.unique(keys), n_min=n_min, n_max=n_max)
 
 
 def _key_columns(
@@ -369,17 +293,15 @@ def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMa
     )
 
 
-def fit_idf(counts: FeatureMatrix, add_one: bool = False) -> IdfModel:
-    """idf[j] = ln((1 + n_docs) / (1 + df_j)), optionally + 1 after the log.
+def fit_idf(counts: FeatureMatrix) -> IdfModel:
+    """idf[j] = ln((1 + n_docs) / (1 + df_j)).
 
-    Without the +1, a feature present in every document gets idf exactly 0.
+    A feature present in every document gets idf exactly 0.
     """
     if len(counts) == 0:
         raise ValueError("cannot fit idf on an empty corpus")
     df = np.bincount(counts.indices, minlength=counts.dim)
     idf = np.log((1.0 + len(counts)) / (1.0 + df))
-    if add_one:
-        idf += 1.0
     return IdfModel(idf=idf, n_docs=len(counts))
 
 
@@ -416,12 +338,12 @@ def normalize_matrix(m: FeatureMatrix) -> FeatureMatrix:
 
 
 def fit_transform(
-    corpus: Sequence[SyscallTrace], n_min: int, n_max: int, add_one_idf: bool = False
+    corpus: Sequence[SyscallTrace], n_min: int, n_max: int
 ) -> tuple[Vocabulary, IdfModel, FeatureMatrix]:
     """Vocabulary + idf fitted on the corpus, and its normalized tf-idf rows."""
     vocab = build_vocabulary(corpus, n_min, n_max)
     counts = count_matrix(corpus, vocab)
-    idf_model = fit_idf(counts, add_one=add_one_idf)
+    idf_model = fit_idf(counts)
     return vocab, idf_model, normalize_matrix(tfidf_transform(counts, idf_model))
 
 

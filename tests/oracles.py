@@ -7,8 +7,11 @@ SGD subgradient step, one dual coordinate update) take the package's own
 types as arguments; no trainer or vectorizer calls them.
 ``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 path.
 ``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
-per-row lists, and ``canonical_text`` and ``canonical_text_v1`` are the v2
-and v1 model files as one ``json.dumps`` call writes them.
+per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
+read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
+by unpacking its keys with ``struct``, and ``vocabulary_of`` packs strings
+into a vocabulary the same way; ``canonical_text`` and ``canonical_text_v1``
+are the v2 and v1 model files as one ``json.dumps`` call writes them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from tracesvm.dual_cd import DualState
 from tracesvm.ingest import SyscallTrace
 from tracesvm.model_io import ModelArtifact
-from tracesvm.sgd import regularizer_subgradient
 from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
 
 
@@ -147,16 +149,60 @@ def matrix_from_dense(rows, labels=None) -> FeatureMatrix:
     return csr_matrix([(j, r[j]) for j, r in zip(nonzero, dense)], dense[0].shape[0], labels)
 
 
+def pairs(v: SparseVector) -> list[tuple[int, float]]:
+    """A row's (index, value) pairs in index order."""
+    return [(int(j), float(x)) for j, x in zip(v.indices, v.values)]
+
+
+def to_dense(v: SparseVector) -> np.ndarray:
+    out = np.zeros(v.dim)
+    for j, x in pairs(v):
+        out[j] = x
+    return out
+
+
+def norm(v: SparseVector) -> float:
+    return math.sqrt(sum(x * x for _, x in pairs(v)))
+
+
+def same_rows(a: Sequence[SparseVector], b: Sequence[SparseVector]) -> bool:
+    """As many rows, each with the same dim and the same (index, value) pairs."""
+    return len(a) == len(b) and all(x.dim == y.dim and pairs(x) == pairs(y) for x, y in zip(a, b))
+
+
+def grams(vocab: Vocabulary) -> list[str]:
+    """Each column's space-joined n-gram, its key's ids unpacked with struct."""
+    raw = vocab.keys.tobytes()
+    width = 4 * vocab.n_max
+    out = []
+    for start in range(0, len(raw), width):
+        ids = struct.unpack(f">{vocab.n_max}I", raw[start : start + width])
+        out.append(" ".join(vocab.alphabet[i - 1] for i in ids if i != 0))
+    return out
+
+
+def vocabulary_of(strings: Sequence[str], n_min: int, n_max: int) -> Vocabulary:
+    """The vocabulary of sorted, unique n-gram strings, each key packed with struct."""
+    alphabet = tuple(sorted({name for gram in strings for name in gram.split(" ")}))
+    index = {name: i for i, name in enumerate(alphabet, start=1)}
+    raw = b""
+    for gram in strings:
+        ids = [index[name] for name in gram.split(" ")]
+        raw += struct.pack(f">{n_max}I", *ids, *[0] * (n_max - len(ids)))
+    keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, 4 * n_max)))
+    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min, n_max=n_max)
+
+
 def canonical_text(artifact: ModelArtifact) -> str:
     """The v2 model file: one indented json.dumps, its arrays packed by struct.
 
-    Each n-gram's ids are looked up from its string in the alphabet, not
-    taken from the vocabulary's keys.
+    Each n-gram's ids are looked up in the alphabet from its string, as
+    ``grams`` renders it, and packed again.
     """
     model, vocab = artifact.model, artifact.vocabulary
     index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
     vocabulary = b""
-    for gram in vocab.by_index:
+    for gram in grams(vocab):
         ids = [index[name] for name in gram.split(" ")]
         vocabulary += struct.pack(f">{vocab.n_max}I", *ids, *[0] * (vocab.n_max - len(ids)))
     idf = [float(v) for v in artifact.idf.idf]
@@ -193,7 +239,7 @@ def canonical_text_v1(artifact: ModelArtifact) -> str:
         "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
         "ngram_min": artifact.vocabulary.n_min,
         "ngram_max": artifact.vocabulary.n_max,
-        "vocabulary": list(artifact.vocabulary.by_index),
+        "vocabulary": grams(artifact.vocabulary),
         "idf": [float(v) for v in artifact.idf.idf],
         "n_docs": artifact.idf.n_docs,
         "weights": [[j, float(w)] for j, w in enumerate(model.weights) if w != 0],
@@ -204,7 +250,7 @@ def canonical_text_v1(artifact: ModelArtifact) -> str:
 
 def ngram_to_index(vocab: Vocabulary) -> dict[str, int]:
     """Each n-gram string's column."""
-    return dict(zip(vocab.by_index, range(len(vocab))))
+    return dict(zip(grams(vocab), range(len(vocab))))
 
 
 def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
@@ -228,6 +274,20 @@ def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int]
                 counts[j] = counts.get(j, 0) + 1
     columns = sorted(counts)
     return SparseVector(columns, [float(counts[j]) for j in columns], len(vocab))
+
+
+def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np.ndarray:
+    """dR/dw for ``sgd.regularizer_value``'s R, taking sign(0) as 0."""
+    out = []
+    for x in w:
+        sign = 1.0 if x > 0 else -1.0 if x < 0 else 0.0
+        if penalty == "l2":
+            out.append(float(x))
+        elif penalty == "l1":
+            out.append(0.5 * sign)
+        else:
+            out.append(phi * x + (1.0 - phi) * sign)
+    return np.array(out, dtype=np.float64)
 
 
 def sgd_step(

@@ -29,6 +29,7 @@ from tracesvm import (
     grid_search,
     load_model,
     normalize_matrix,
+    objective,
     parse_trace,
     recall_score,
     roc_curve,
@@ -51,8 +52,11 @@ from oracles import (
     csr_matrix,
     dense_tfidf_pipeline,
     extract_ngrams,
+    grams,
     matrix_from_dense,
     pairwise_auc,
+    regularizer_subgradient,
+    to_dense,
 )
 from test_vectorize import SEVEN_CALLS
 
@@ -100,7 +104,7 @@ def pipeline500():
 def test_unit_norm_worked_example():
     normalized = normalize_matrix(csr_matrix([([0, 1, 2], [10.0, 3.0, 1.0])], 3))
     target = np.array([0.953, 0.286, 0.095])
-    assert np.max(np.abs(normalized.rows[0].to_dense() - target)) <= 5e-4
+    assert np.max(np.abs(to_dense(normalized.rows[0]) - target)) <= 5e-4
     print("PASS unit-norm worked example: [10,3,1] -> [0.953,0.286,0.095] within 5e-4")
 
 
@@ -131,10 +135,10 @@ def test_sparse_pipeline_matches_dense_oracle():
             corpus.append(SyscallTrace(source_id=f"t{i}", calls=calls))
         vocab, idf, matrix = fit_transform(corpus, 1, 3)
         keys, idf_ref, rows_ref = dense_tfidf_pipeline([t.calls for t in corpus], 1, 3)
-        assert list(vocab.by_index) == keys
+        assert grams(vocab) == keys
         assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
         for row, ref in zip(matrix.rows, rows_ref):
-            assert np.allclose(row.to_dense(), ref, atol=1e-12, rtol=0)
+            assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(
@@ -145,8 +149,6 @@ def test_sparse_pipeline_matches_dense_oracle():
 
 def test_objective_gradient_check():
     started = time.perf_counter()
-    from tracesvm import objective, regularizer_subgradient
-
     rng = np.random.default_rng(1234)
     n, dim, alpha = 5, 6, 0.37
     rows = rng.normal(size=(n, dim))

@@ -73,6 +73,18 @@ class TestGenCorpus:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1"], ["--motif-rate", "inf"], ["--motif-rate", "1e19"]],
+        ids=["negative-seed", "infinite-rate", "rate-beyond-poisson"],
+    )
+    def test_bad_seed_or_motif_rate_exits_cleanly(self, tmp_path, capsys, flags):
+        # numpy refuses these (a negative seed; a Poisson rate above about
+        # 9.2e18), so the config must refuse them first.
+        code = main(["gen-corpus", *flags, "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_reports_and_writes_model(self, corpus_dir, model_path, capsys):
@@ -230,6 +242,14 @@ class TestEvaluate:
         assert "testing time:" in stdout
         assert "auc:" in stdout
 
+    def test_testing_time_follows_the_table(self, corpus_dir, model_path, capsys):
+        args = ["evaluate", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.csv")]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("Average/Total")
+        assert lines[4].startswith("testing time: ") and lines[4].endswith(" s")
+        assert lines[5].startswith("auc: ")
+
     def test_artifacts_reproducible(self, corpus_dir, model_path, tmp_path):
         args = ["evaluate", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.csv")]
         assert main([*args, "--output-dir", str(tmp_path / "a")]) == 0
@@ -271,6 +291,16 @@ class TestGridSearch:
         lines = out.read_text().splitlines()
         assert lines[0] == "alpha,tol,f1"
         assert len(lines) == 3
+
+    def test_negative_seed_exits_cleanly(self, corpus_dir, tmp_path, capsys):
+        code = main(
+            [
+                "grid-search", "--manifest", str(corpus_dir / "manifest.csv"), "--seed", "-1",
+                "--alpha-grid", "0.001", "--tol-grid", "0.01", "--output", str(tmp_path / "grid.csv"),
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_sgd_cell_reaches_dual_cd_f1_on_short_traces(self, tmp_path):
         # On this corpus an undamped SGD bias step, about 1 per violation,

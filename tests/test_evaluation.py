@@ -14,8 +14,9 @@ from tracesvm import (
     LengthMismatchError,
     LinearModel,
     SingleClassError,
-    Vocabulary,
+    SyscallTrace,
     accuracy_score,
+    build_vocabulary,
     classification_report,
     confusion,
     f1_score,
@@ -124,10 +125,6 @@ class TestClassificationReport:
         assert report.malware.recall == recall_score(c)
         assert report.malware.support == c.tp + c.fn
 
-    def test_timings_carried(self):
-        report = classification_report([1, -1], [1, -1], test_seconds=0.25)
-        assert report.test_seconds == 0.25
-
 
 FOUR_SCORES = [0.9, 0.4, 0.6, 0.2]
 
@@ -218,7 +215,7 @@ def tiny_model(weights):
     return LinearModel(weights=w, bias=0.0, dim=w.shape[0], metadata={})
 
 
-TINY_VOCAB = Vocabulary(by_index=("nta", "ntb", "ntc"), n_min=1, n_max=1)
+TINY_VOCAB = build_vocabulary([SyscallTrace("t", ("nta", "ntb", "ntc"))], 1, 1)
 
 
 class TestTopFeatures:
@@ -251,11 +248,6 @@ class TestRendering:
         assert lines[2].split() == ["Malware", "0.50", "0.50", "0.50", "2"]
         assert lines[3].split() == ["Average/Total", "0.50", "0.50", "0.50", "4"]
         assert "time" not in text
-
-    def test_text_table_with_timings(self):
-        report = classification_report([1, -1], [1, -1], test_seconds=0.5)
-        text = format_report_text(report)
-        assert "testing time: 0.500 s" in text
 
     def test_report_csv(self, tmp_path):
         report = classification_report([1, 1, -1, -1], [1, -1, 1, -1])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import canonical_text, canonical_text_v1
+from oracles import canonical_text, canonical_text_v1, grams, vocabulary_of
 from tracesvm import (
     IdfModel,
     LinearModel,
@@ -26,7 +26,6 @@ from tracesvm import (
     SyscallTrace,
     TraceSvmError,
     VersionMismatchError,
-    Vocabulary,
     decision_many,
     fit_transform,
     load_model,
@@ -110,7 +109,7 @@ def test_unedited_document_loads(model_doc, v2_doc, tmp_path):
 def test_v1_file_loads_and_scores_as_its_source(trained, model_doc):
     path, _ = model_doc
     loaded = load_model(path)
-    assert loaded.vocabulary.by_index == trained.vocabulary.by_index
+    assert grams(loaded.vocabulary) == grams(trained.vocabulary)
     assert loaded.vocabulary.alphabet == trained.vocabulary.alphabet
     assert loaded.vocabulary.keys.tobytes() == trained.vocabulary.keys.tobytes()
     assert loaded.idf.idf.tobytes() == trained.idf.idf.tobytes()
@@ -466,13 +465,13 @@ JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text
 CONFIG_SCALARS = st.none() | st.booleans() | st.integers() | NUMBERS | st.text(max_size=6)
 
 
-def make_artifact(grams, weights, idf, n_min=1, n_max=3, bias=0.25, config=None):
+def make_artifact(strings, weights, idf, n_min=1, n_max=3, bias=0.25, config=None):
     metadata = {"trainer": "sgd", **(config or {})}
     return ModelArtifact(
         model=LinearModel(
-            weights=np.array(weights, dtype=np.float64), bias=bias, dim=len(grams), metadata=metadata
+            weights=np.array(weights, dtype=np.float64), bias=bias, dim=len(strings), metadata=metadata
         ),
-        vocabulary=Vocabulary(grams, n_min, n_max),
+        vocabulary=vocabulary_of(strings, n_min, n_max),
         idf=IdfModel(idf=np.array(idf, dtype=np.float64), n_docs=7),
     )
 
@@ -482,10 +481,10 @@ def artifacts(draw):
     n_min = draw(st.integers(1, 3))
     n_max = draw(st.integers(n_min, 3))
     gram = st.lists(NAMES, min_size=n_min, max_size=n_max).map(" ".join)
-    grams = sorted(draw(st.lists(gram, unique=True, max_size=9)))
-    dim = len(grams)
+    strings = sorted(draw(st.lists(gram, unique=True, max_size=9)))
+    dim = len(strings)
     return make_artifact(
-        grams,
+        strings,
         weights=draw(st.lists(st.just(0.0) | st.just(-0.0) | NUMBERS, min_size=dim, max_size=dim)),
         idf=draw(st.lists(NUMBERS, min_size=dim, max_size=dim)),
         n_min=n_min,
@@ -518,7 +517,8 @@ def test_save_writes_the_canonical_text(artifact):
         path.write_text(canonical_text_v1(artifact))
         from_v1 = load_model(path)
     for other in (loaded, from_v1):
-        assert other.vocabulary.by_index == artifact.vocabulary.by_index
+        assert other.vocabulary.alphabet == artifact.vocabulary.alphabet
+        assert other.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
         assert other.idf.idf.tobytes() == artifact.idf.idf.tobytes()
         assert other.model.weights.tobytes() == (artifact.model.weights + 0.0).tobytes()
 

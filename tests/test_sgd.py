@@ -15,13 +15,18 @@ from tracesvm import (
     hinge_loss,
     learning_rate,
     objective,
-    regularizer_subgradient,
     regularizer_value,
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
 from tracesvm.sgd import _settle_l1
-from oracles import central_difference_gradient, matrix_from_dense, sgd_cumulative_l1, sgd_step
+from oracles import (
+    central_difference_gradient,
+    matrix_from_dense,
+    regularizer_subgradient,
+    sgd_cumulative_l1,
+    sgd_step,
+)
 
 
 class TestHinge:

@@ -20,7 +20,6 @@ from tracesvm import (
     ModelArtifact,
     SparseVector,
     SyscallTrace,
-    Vocabulary,
     build_vocabulary,
     count_matrix,
     fit_idf,
@@ -29,15 +28,22 @@ from tracesvm import (
     normalize_matrix,
     save_model,
     tfidf_transform,
+    top_features,
     transform,
 )
+from tracesvm.model_io import _parse_v1_vocabulary
 from oracles import (
     canonical_text_v1,
     count_vector,
     csr_matrix,
     dense_tfidf_pipeline,
     extract_ngrams,
+    grams,
     ngram_to_index,
+    norm,
+    pairs,
+    same_rows,
+    to_dense,
 )
 
 SEVEN_CALLS = (
@@ -80,7 +86,7 @@ class TestExtractNgrams:
 class TestVocabulary:
     def test_lexicographic_indices(self):
         vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
-        assert vocab.by_index == ("ntclose", "ntclose ntopenkeyex", "ntopenkeyex")
+        assert grams(vocab) == ["ntclose", "ntclose ntopenkeyex", "ntopenkeyex"]
         assert ngram_to_index(vocab) == {
             "ntclose": 0,
             "ntclose ntopenkeyex": 1,
@@ -89,7 +95,7 @@ class TestVocabulary:
 
     def test_union_over_corpus(self):
         vocab = build_vocabulary([trace(["ntclose"]), trace(["ntopenkeyex"])], 1, 1)
-        assert vocab.by_index == ("ntclose", "ntopenkeyex")
+        assert grams(vocab) == ["ntclose", "ntopenkeyex"]
 
     def test_all_short_traces_raise(self):
         with pytest.raises(EmptyVocabularyError):
@@ -100,8 +106,8 @@ class TestVocabulary:
         # its extensions, and those before any longer call name it prefixes.
         calls = ["nta", "nta0", "ntab", "nta_b", "nta", "ntab"]
         vocab = build_vocabulary([trace(calls)], 1, 3)
-        assert list(vocab.by_index) == sorted(vocab.by_index)
-        assert len(vocab) == len(set(vocab.by_index))
+        assert grams(vocab) == sorted(grams(vocab))
+        assert len(vocab) == len(set(grams(vocab)))
 
     def test_order_holds_past_one_byte_of_ids(self):
         # 300 names give ids above 255, whose bytes must compare big-endian.
@@ -109,25 +115,21 @@ class TestVocabulary:
         calls = [f"nt{k}" for k in rng.permutation(300)]
         vocab = build_vocabulary([trace(calls)], 1, 2)
         keys, _, _ = dense_tfidf_pipeline([calls], 1, 2)
-        assert list(vocab.by_index) == keys
-
-    def test_fitted_vocabulary_renders_strings_lazily(self):
-        vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
-        assert vocab.alphabet == ("ntclose", "ntopenkeyex")
-        assert len(vocab) == 3
-        assert vocab._by_index is None
-        assert vocab.by_index == ("ntclose", "ntclose ntopenkeyex", "ntopenkeyex")
+        assert grams(vocab) == keys
 
     @pytest.mark.parametrize("name", ["nt close", "ntclose\t", "\x00nt", "nt\nclose"])
     def test_separator_in_call_name_rejected(self, name):
         with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose", name])], 1, 2)
 
+    # The string-vocabulary tests check model_io's v1 parser, which turns a
+    # v1 model file's n-gram strings into keys.
+
     def test_string_vocabulary_must_be_sorted_and_unique(self):
         with pytest.raises(ValueError):
-            Vocabulary(by_index=("ntb", "nta"), n_min=1, n_max=1)
+            _parse_v1_vocabulary(["ntb", "nta"], n_min=1, n_max=1)
         with pytest.raises(ValueError):
-            Vocabulary(by_index=("nta", "nta"), n_min=1, n_max=1)
+            _parse_v1_vocabulary(["nta", "nta"], n_min=1, n_max=1)
 
     @pytest.mark.parametrize(
         "grams, n_min, n_max",
@@ -135,17 +137,17 @@ class TestVocabulary:
     )
     def test_string_vocabulary_checks_gram_lengths(self, grams, n_min, n_max):
         with pytest.raises(ValueError):
-            Vocabulary(by_index=grams, n_min=n_min, n_max=n_max)
+            _parse_v1_vocabulary(list(grams), n_min=n_min, n_max=n_max)
 
     @pytest.mark.parametrize("grams", [("nta  ntb",), (" nta",), ("",), ("nt\ta",), ("nta\x00",)])
     def test_string_vocabulary_call_names_checked(self, grams):
         # Names must be non-empty and free of characters <= U+0020, or the
         # keys derived from the strings would not sort as the strings do.
         with pytest.raises(ValueError):
-            Vocabulary(by_index=grams, n_min=1, n_max=3)
+            _parse_v1_vocabulary(list(grams), n_min=1, n_max=3)
 
     def test_string_vocabulary_derives_keys(self):
-        vocab = Vocabulary(by_index=("nta", "nta ntb", "ntb"), n_min=1, n_max=2)
+        vocab = _parse_v1_vocabulary(["nta", "nta ntb", "ntb"], n_min=1, n_max=2)
         assert vocab.alphabet == ("nta", "ntb")
         assert vocab.keys.view(">u4").reshape(-1, 2).tolist() == [[1, 0], [1, 2], [2, 0]]
 
@@ -163,7 +165,7 @@ class TestCountVector:
         t = trace(["ntclose", "ntclose", "ntclose"])
         vocab = build_vocabulary([t], 1, 2)
         v = count_vector(t, vocab)
-        assert v.pairs() == [
+        assert pairs(v) == [
             (ngram_to_index(vocab)["ntclose"], 3.0),
             (ngram_to_index(vocab)["ntclose ntclose"], 2.0),
         ]
@@ -171,7 +173,7 @@ class TestCountVector:
     def test_out_of_vocabulary_ignored(self):
         vocab = build_vocabulary([trace(["ntclose", "ntopenkeyex"])], 1, 2)
         v = count_vector(trace(["ntclose", "ntcreatefile"]), vocab)
-        assert v.pairs() == [(0, 1.0)]  # only "ntclose" is known
+        assert pairs(v) == [(0, 1.0)]  # only "ntclose" is known
 
     def test_no_ngram_long_enough(self):
         vocab = build_vocabulary([trace(SEVEN_CALLS)], 2, 2)
@@ -182,8 +184,8 @@ class TestCountVector:
 class TestSparseVector:
     def test_dense_round_trip(self):
         v = SparseVector([1, 3], [2.0, -1.5], 4)
-        assert v.pairs() == [(1, 2.0), (3, -1.5)]
-        assert np.array_equal(v.to_dense(), [0.0, 2.0, 0.0, -1.5])
+        assert pairs(v) == [(1, 2.0), (3, -1.5)]
+        assert np.array_equal(to_dense(v), [0.0, 2.0, 0.0, -1.5])
 
 
 class TestFeatureMatrix:
@@ -197,10 +199,10 @@ class TestFeatureMatrix:
         m = self._build(labels=["malicious", "benign", "benign"])
         assert len(m) == 3 and m.nnz == 3
         assert m.indptr.dtype == m.indices.dtype == np.int64 and m.data.dtype == np.float64
-        assert [r.pairs() for r in m.rows] == [[(0, 1.5), (2, -2.0)], [], [(1, 4.0)]]
+        assert [pairs(r) for r in m.rows] == [[(0, 1.5), (2, -2.0)], [], [(1, 4.0)]]
         assert m.rows is m.rows
         assert np.array_equal(m.dot(np.array([1.0, 2.0, 3.0])), [-4.5, 0.0, 8.0])
-        assert csr_matrix(self.ROWS, 3).rows == m.rows
+        assert same_rows(csr_matrix(self.ROWS, 3).rows, m.rows)
 
     @pytest.mark.parametrize(
         "indptr",
@@ -223,7 +225,7 @@ class TestFeatureMatrix:
     def test_indices_may_fall_across_rows(self):
         # A row may start at a lower column than the previous row ended.
         m = self._build(indptr=(0, 2, 3, 3), indices=(1, 2, 0))
-        assert [r.pairs() for r in m.rows] == [[(1, 1.5), (2, -2.0)], [(0, 4.0)], []]
+        assert [pairs(r) for r in m.rows] == [[(1, 1.5), (2, -2.0)], [(0, 4.0)], []]
 
     @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), -float("inf")])
     def test_bad_data(self, value):
@@ -259,10 +261,6 @@ class TestIdf:
         model = fit_idf(self._matrix_with_df(10))
         assert model.idf[0] == 0.0
 
-    def test_add_one_variant(self):
-        model = fit_idf(self._matrix_with_df(10), add_one=True)
-        assert model.idf[0] == 1.0
-
     def test_absent_feature(self):
         model = fit_idf(self._matrix_with_df(0))
         assert model.idf[0] == pytest.approx(math.log(11.0), abs=1e-12)
@@ -273,14 +271,14 @@ class TestTfidf:
         counts = csr_matrix([([0, 1], [3.0, 2.0])], 2)
         idf = IdfModel(idf=np.array([math.log(11 / 2), 0.0]), n_docs=10)
         out = tfidf_transform(counts, idf)
-        assert out.rows[0].pairs() == [(0, pytest.approx(3 * math.log(11 / 2), abs=1e-12))]
-        assert out.rows[0].pairs()[0][1] == pytest.approx(5.114, abs=1e-3)
+        assert pairs(out.rows[0]) == [(0, pytest.approx(3 * math.log(11 / 2), abs=1e-12))]
+        assert pairs(out.rows[0])[0][1] == pytest.approx(5.114, abs=1e-3)
 
     def test_zero_drop_moves_later_rows(self):
         counts = csr_matrix([([0, 1], [3.0, 2.0]), ([1], [5.0]), ([0], [1.0])], 2)
         out = tfidf_transform(counts, IdfModel(idf=np.array([2.0, 0.0]), n_docs=10))
         assert out.indptr.tolist() == [0, 1, 1, 2]
-        assert [r.pairs() for r in out.rows] == [[(0, 6.0)], [], [(0, 2.0)]]
+        assert [pairs(r) for r in out.rows] == [[(0, 6.0)], [], [(0, 2.0)]]
 
     def test_empty_row_stays_empty(self):
         idf = IdfModel(idf=np.array([1.0]), n_docs=3)
@@ -297,17 +295,17 @@ class TestNormalize:
     def test_worked_example(self):
         v = normalize_matrix(csr_matrix([([0, 1, 2], [10.0, 3.0, 1.0])], 3)).rows[0]
         assert v.values == pytest.approx([0.953, 0.286, 0.095], abs=5e-4)
-        assert v.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_vector_unchanged(self):
         v = normalize_matrix(csr_matrix([([1], [1.0])], 4)).rows[0]
-        assert v.pairs() == [(1, pytest.approx(1.0, abs=1e-12))]
+        assert pairs(v) == [(1, pytest.approx(1.0, abs=1e-12))]
 
     def test_empty_vector_unchanged(self):
         m = normalize_matrix(csr_matrix([([], []), ([2], [3.0])], 4))
         assert m.indptr.tolist() == [0, 0, 1]
         assert m.rows[0].nnz == 0
-        assert m.rows[1].pairs() == [(2, 1.0)]
+        assert pairs(m.rows[1]) == [(2, 1.0)]
 
 
 class TestFitTransform:
@@ -323,19 +321,19 @@ class TestFitTransform:
         _, _, m = fit_transform(self._corpus(), 1, 3)
         for row in m.rows:
             if row.nnz:
-                assert row.norm() == pytest.approx(1.0, abs=1e-12)
+                assert norm(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_traces_identical_rows(self):
         corpus = [trace(SEVEN_CALLS, "a"), trace(SEVEN_CALLS, "b")]
         _, _, m = fit_transform(corpus, 1, 2)
-        assert m.rows[0] == m.rows[1]
+        assert pairs(m.rows[0]) == pairs(m.rows[1])
 
     def test_deterministic(self):
         corpus = self._corpus()
         _, idf1, m1 = fit_transform(corpus, 1, 3)
         _, idf2, m2 = fit_transform(corpus, 1, 3)
-        assert idf1 == idf2
-        assert all(a == b for a, b in zip(m1.rows, m2.rows))
+        assert idf1.n_docs == idf2.n_docs and idf1.idf.tobytes() == idf2.idf.tobytes()
+        assert same_rows(m1.rows, m2.rows)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(42)
@@ -350,10 +348,10 @@ class TestFitTransform:
             ]
             vocab, idf, m = fit_transform(corpus, 1, 3)
             keys, idf_ref, rows_ref = dense_tfidf_pipeline([t.calls for t in corpus], 1, 3)
-            assert list(vocab.by_index) == keys
+            assert grams(vocab) == keys
             assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
             for row, ref in zip(m.rows, rows_ref):
-                assert np.allclose(row.to_dense(), ref, atol=1e-12, rtol=0)
+                assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
 
 
 # Prefix-related names: one is a prefix of the others, and "0" < "_" < "b".
@@ -382,10 +380,10 @@ class TestIntegerKeyedLookup:
                 fit_transform(corpus, n_min, n_max)
             return
         vocab, idf, m = fit_transform(corpus, n_min, n_max)
-        assert list(vocab.by_index) == keys
+        assert grams(vocab) == keys
         assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
         for row, ref in zip(m.rows, rows_ref):
-            assert np.allclose(row.to_dense(), ref, atol=1e-12, rtol=0)
+            assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -409,16 +407,37 @@ class TestIntegerKeyedLookup:
             loaded = load_model(path)
             path.write_text(canonical_text_v1(artifact))
             loaded_v1 = load_model(path)
-        assert loaded.vocabulary._by_index is None  # v2 loads keys, no strings
-        assert loaded_v1.vocabulary.by_index == vocab.by_index
+        assert loaded.vocabulary.alphabet == vocab.alphabet
+        assert loaded.vocabulary.keys.tobytes() == vocab.keys.tobytes()
+        assert grams(loaded_v1.vocabulary) == grams(vocab)
         new_corpus = as_corpus(new_lists) + fit_corpus
         fitted_rows = transform(new_corpus, vocab, idf).rows
-        assert transform(new_corpus, loaded.vocabulary, loaded.idf).rows == fitted_rows
-        assert transform(new_corpus, loaded_v1.vocabulary, loaded_v1.idf).rows == fitted_rows
-        per_trace = tuple(count_vector(t, loaded.vocabulary) for t in new_corpus)
-        assert count_matrix(new_corpus, vocab).rows == per_trace
-        assert count_matrix(new_corpus, loaded.vocabulary).rows == per_trace
-        assert count_matrix(new_corpus, loaded_v1.vocabulary).rows == per_trace
+        assert same_rows(transform(new_corpus, loaded.vocabulary, loaded.idf).rows, fitted_rows)
+        assert same_rows(transform(new_corpus, loaded_v1.vocabulary, loaded_v1.idf).rows, fitted_rows)
+        per_trace = [count_vector(t, loaded.vocabulary) for t in new_corpus]
+        assert same_rows(count_matrix(new_corpus, vocab).rows, per_trace)
+        assert same_rows(count_matrix(new_corpus, loaded.vocabulary).rows, per_trace)
+        assert same_rows(count_matrix(new_corpus, loaded_v1.vocabulary).rows, per_trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(PREFIX_NAMES), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_top_features_render_every_gram(self, calls_lists, n_min, extra, seed):
+        # Every column's string and weight, as rendered by top_features, against
+        # the oracle's string n-grams of the corpus and its own rendering.
+        n_max = n_min + extra
+        try:
+            vocab = build_vocabulary(as_corpus(calls_lists), n_min, n_max)
+        except EmptyVocabularyError:
+            return
+        weights = np.random.default_rng(seed).standard_normal(len(vocab))
+        model = LinearModel(weights=weights, bias=0.0, dim=len(vocab), metadata={})
+        ranked = top_features(model, vocab, len(vocab))
+        n_range = range(n_min, n_max + 1)
+        expected = {gram for calls in calls_lists for n in n_range for gram in extract_ngrams(calls, n)}
+        assert {gram for _, gram in ranked} == expected
+        assert len(ranked) == len(expected)
+        column = ngram_to_index(vocab)
+        assert all(weight == weights[column[gram]] for weight, gram in ranked)
 
 
 class TestExports:
