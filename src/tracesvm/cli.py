@@ -62,32 +62,23 @@ def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trainer", choices=TRAINERS, default=TRAINER_SGD)
-    p.add_argument("--penalty", choices=PENALTIES, default=PENALTY_L2)
-    p.add_argument("--alpha", type=float, default=1e-4, help="regularization strength (sgd)")
-    p.add_argument("--phi", type=float, default=0.5, help="elasticnet mix, 1.0 = pure l2")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--t0", type=float, default=None, help="learning-rate offset (default 1/alpha - 1)")
-    p.add_argument("--c", type=float, default=1.0, help="box bound C (dual-cd)")
-    p.add_argument("--max-outer", type=int, default=1000, help="sweep cap (dual-cd)")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    """The trainer and every setting of its config but alpha, C and tol."""
+    p.add_argument("--trainer", choices=TRAINERS, default=TRAINER_SGD, help="optimizer (default sgd)")
+    p.add_argument("--penalty", choices=PENALTIES, default=PENALTY_L2, help="regularizer (sgd, default l2)")
+    p.add_argument("--phi", type=float, default=0.5, help="elasticnet mix, 1.0 = pure l2 (sgd)")
+    p.add_argument("--epochs", type=int, default=20, help="epoch cap (sgd, default 20)")
+    p.add_argument("--t0", type=float, default=None, help="learning-rate offset (sgd, default 1/alpha-1)")
+    p.add_argument("--max-outer", type=int, default=1000, help="sweep cap (dual-cd, default 1000)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the shuffles and of grid-search's split")
 
 
-def _sgd_config(args: argparse.Namespace) -> SgdConfig:
-    return SgdConfig(
-        penalty=args.penalty,
-        alpha=args.alpha,
-        phi=args.phi,
-        epochs=args.epochs,
-        t0=args.t0,
-        tol=args.tol,
-        seed=args.seed,
-    )
-
-
-def _dual_config(args: argparse.Namespace) -> DualConfig:
-    return DualConfig(C=args.c, tol=args.tol, max_outer=args.max_outer, seed=args.seed)
+def _config(args: argparse.Namespace, **cell) -> SgdConfig | DualConfig:
+    """The --trainer's config from the shared trainer flags, plus ``cell``'s settings."""
+    if args.trainer == TRAINER_SGD:
+        return SgdConfig(
+            penalty=args.penalty, phi=args.phi, epochs=args.epochs, t0=args.t0, seed=args.seed, **cell
+        )
+    return DualConfig(max_outer=args.max_outer, seed=args.seed, **cell)
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -104,9 +95,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         print(f"error: no inputs found in {src}", file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
+    written: dict[str, Path] = {}  # output name -> the input written to it
     failures = []
     for path in inputs:
+        name = f"{path.stem}.txt"
+        if name in written:
+            failures.append((path, f"its output {name} is already written from {written[name]}"))
+            continue
         try:
             trace = read_trace_file(path)
         except EmptyTraceError:
@@ -115,9 +110,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         except OSError as exc:
             failures.append((path, str(exc)))
             continue
-        write_processed(trace, out_dir / f"{path.stem}.txt")
-        written += 1
-    print(f"processed {written}/{len(inputs)} file(s) into {out_dir}")
+        write_processed(trace, out_dir / name)
+        written[name] = path
+    print(f"processed {len(written)}/{len(inputs)} file(s) into {out_dir}")
     for path, reason in failures:
         print(f"skipped {path}: {reason}")
     return 0 if written else 2
@@ -144,9 +139,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     y = _labels_to_y(matrix.labels)
     started = time.perf_counter()
     if args.trainer == TRAINER_SGD:
-        model = train_sgd(matrix, y, _sgd_config(args))
+        model = train_sgd(matrix, y, _config(args, alpha=args.alpha, tol=args.tol))
     else:
-        model = train_dual_cd(matrix, y, _dual_config(args))
+        model = train_dual_cd(matrix, y, _config(args, C=args.c, tol=args.tol))
     train_seconds = time.perf_counter() - started
     save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), args.output)
     train_acc = accuracy_score(confusion(predict_many(model, matrix), y))
@@ -205,19 +200,17 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     train, val = train_test_split(corpus, split)
     vocab, idf, train_matrix = fit_transform(train, args.ngram_min, args.ngram_max)
     val_matrix = transform(val, vocab, idf)
-    base = _sgd_config(args) if args.trainer == TRAINER_SGD else _dual_config(args)
     result = grid_search(
         train_matrix,
         _labels_to_y(train_matrix.labels),
         val_matrix,
         _labels_to_y(val_matrix.labels),
-        args.trainer,
+        _config(args),
         alpha_grid=_parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID),
         tol_grid=_parse_grid(args.tol_grid, DEFAULT_TOL_GRID),
-        base_config=base,
     )
     write_grid_csv(result, args.output)
-    print(f"searched {len(result.table)} cells with trainer {result.trainer_kind}")
+    print(f"searched {len(result.table)} cells with trainer {args.trainer}")
     print(f"best: alpha={result.best_alpha!r} tol={result.best_tol!r} f1={result.best_f1:.4f}")
     print(f"grid written to {args.output}")
     return 0
@@ -260,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     _add_ngram_flags(p)
     _add_trainer_flags(p)
+    p.add_argument("--alpha", type=float, default=1e-4, help="regularization strength (sgd, default 1e-4)")
+    p.add_argument("--c", type=float, default=1.0, help="box bound C (dual-cd, default 1.0)")
+    p.add_argument("--tol", type=float, default=1e-3, help="stopping tolerance (default 1e-3)")
     p.add_argument("--output", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
@@ -270,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None, help="where to write report.txt/report.csv/roc.csv")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grid-search", help="search (alpha, tol) on a validation split")
+    # No abbreviations, or train's --alpha and --tol would be read as the grid flags.
+    p = sub.add_parser(
+        "grid-search",
+        help="search (alpha, tol) on a validation split",
+        description="Each cell sets alpha (dual-cd: C = 1/alpha) and tol; the other flags hold for all.",
+        allow_abbrev=False,
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
     _add_ngram_flags(p)

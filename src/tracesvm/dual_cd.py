@@ -29,6 +29,8 @@ from .linear_model import LinearModel
 from .sgd import validate_labels
 from .vectorize import FeatureMatrix
 
+TRAINER_DUAL_CD = "dual-cd"
+
 # Projected gradients this small are numerical noise; skip the update.
 _PG_EPS = 1e-14
 
@@ -136,9 +138,8 @@ def train_dual_cd(
     return LinearModel(
         weights=w[:dim].copy(),
         bias=float(w[dim]),
-        dim=dim,
         metadata={
-            "trainer": "dual-cd",
+            "trainer": TRAINER_DUAL_CD,
             "C": config.C,
             "tol": config.tol,
             "max_outer": config.max_outer,

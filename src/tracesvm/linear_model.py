@@ -13,19 +13,20 @@ from .vectorize import FeatureMatrix
 
 @dataclass
 class LinearModel:
-    """Dense weight vector, scalar bias, and provenance metadata."""
+    """Dense 1-d weight vector (``dim`` is its length), scalar bias, and provenance metadata."""
 
     weights: np.ndarray
     bias: float
-    dim: int
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"weights shape {self.weights.shape} vs dim {self.dim}"
-            )
+        if self.weights.ndim != 1:
+            raise DimensionMismatchError(f"weights must be 1-d, got shape {self.weights.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[0]
 
 
 def decision_many(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:

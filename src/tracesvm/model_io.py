@@ -129,7 +129,7 @@ def load_model(path: Path | str) -> ModelArtifact:
         except ValueError:
             raise ValueError("config holds a non-finite number") from None
         metadata["trainer"] = doc.get("trainer")
-        model = LinearModel(weights=weights, bias=bias, dim=dim, metadata=metadata)
+        model = LinearModel(weights=weights, bias=bias, metadata=metadata)
     except (KeyError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
     if idf_values.shape != (dim,):

@@ -8,17 +8,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual_cd import DualConfig, train_dual_cd
+from .dual_cd import TRAINER_DUAL_CD, DualConfig, train_dual_cd
 from .errors import ConfigError, GridCellError, InsufficientDataError
 from .evaluation import confusion, f1_score, precision_score, recall_score
 from .ingest import SyscallTrace
 from .linear_model import predict_many
-from .sgd import SgdConfig, train_sgd
+from .sgd import TRAINER_SGD, SgdConfig, train_sgd
 from .util import round_half_up
 from .vectorize import FeatureMatrix
 
-TRAINER_SGD = "sgd"
-TRAINER_DUAL_CD = "dual-cd"
 TRAINERS = (TRAINER_SGD, TRAINER_DUAL_CD)
 
 # Decade ladders: alpha from 1e2 down to 1e-7, tol from 1e2 down to 1e-4
@@ -97,11 +95,15 @@ class GridSearchResult:
     best_alpha: float
     best_tol: float
     best_f1: float
-    trainer_kind: str
 
 
-def _cell_config(trainer_kind: str, base, alpha: float, tol: float):
-    if trainer_kind == TRAINER_SGD:
+def _check_base_config(base_config) -> None:
+    if not isinstance(base_config, (SgdConfig, DualConfig)):
+        raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
+
+
+def _cell_config(base, alpha: float, tol: float):
+    if isinstance(base, SgdConfig):
         return replace(base, alpha=alpha, tol=tol)
     # The dual problem is parameterized by the box bound C; alpha maps to
     # its reciprocal so both trainers share one grid axis.
@@ -109,15 +111,16 @@ def _cell_config(trainer_kind: str, base, alpha: float, tol: float):
 
 
 def train_cell(
-    trainer_kind: str,
     train_matrix: FeatureMatrix,
     train_labels: Sequence[int],
-    base_config,
+    base_config: SgdConfig | DualConfig,
     alpha: float,
     tol: float,
 ):
-    cfg = _cell_config(trainer_kind, base_config, alpha, tol)
-    if trainer_kind == TRAINER_SGD:
+    """Train ``base_config`` with its alpha (dual CD: C = 1/alpha) and tol replaced by the cell's."""
+    _check_base_config(base_config)
+    cfg = _cell_config(base_config, alpha, tol)
+    if isinstance(cfg, SgdConfig):
         return train_sgd(train_matrix, train_labels, cfg)
     return train_dual_cd(train_matrix, train_labels, cfg)
 
@@ -127,30 +130,25 @@ def grid_search(
     train_labels: Sequence[int],
     val_matrix: FeatureMatrix,
     val_labels: Sequence[int],
-    trainer_kind: str,
+    base_config: SgdConfig | DualConfig,
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
     tol_grid: Sequence[float] = DEFAULT_TOL_GRID,
-    base_config: SgdConfig | DualConfig | None = None,
 ) -> GridSearchResult:
     """Train every (alpha, tol) cell and score malware-positive F1 on validation.
 
-    Ties on F1 go to the smallest alpha, then the smallest tol.
+    The type of ``base_config``, ``SgdConfig`` or ``DualConfig``, picks the trainer; each
+    cell is ``train_cell``.  Ties on F1 go to the smallest alpha, then the smallest tol.
     """
-    if trainer_kind not in TRAINERS:
-        raise ConfigError(f"trainer_kind must be one of {TRAINERS}, got {trainer_kind!r}")
+    _check_base_config(base_config)
     if not alpha_grid or not tol_grid:
         raise ConfigError("alpha_grid and tol_grid must be non-empty")
-    if base_config is None:
-        base_config = SgdConfig() if trainer_kind == TRAINER_SGD else DualConfig()
 
     val_y = np.asarray(val_labels, dtype=np.int64)
     table: list[tuple[float, float, float]] = []
     for alpha in alpha_grid:
         for tol in tol_grid:
             try:
-                model = train_cell(
-                    trainer_kind, train_matrix, train_labels, base_config, alpha, tol
-                )
+                model = train_cell(train_matrix, train_labels, base_config, alpha, tol)
             except Exception as exc:
                 raise GridCellError(
                     f"training failed at grid cell alpha={alpha!r}, tol={tol!r}: {exc}"
@@ -166,7 +164,6 @@ def grid_search(
         best_alpha=best_alpha,
         best_tol=best_tol,
         best_f1=best_f1,
-        trainer_kind=trainer_kind,
     )
 
 

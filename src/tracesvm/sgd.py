@@ -45,6 +45,8 @@ from .errors import ConfigError, DegenerateLabelsError, LengthMismatchError
 from .linear_model import LinearModel
 from .vectorize import FeatureMatrix
 
+TRAINER_SGD = "sgd"
+
 PENALTY_L1 = "l1"
 PENALTY_L2 = "l2"
 PENALTY_ELASTICNET = "elasticnet"
@@ -225,9 +227,8 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
     return LinearModel(
         weights=w,
         bias=float(b),
-        dim=dim,
         metadata={
-            "trainer": "sgd",
+            "trainer": TRAINER_SGD,
             "penalty": config.penalty,
             "alpha": config.alpha,
             "phi": config.phi,

@@ -21,9 +21,10 @@ gets idf 0 and drops out of the tf-idf vectors entirely.  Rows are
 L2-normalized before training.
 
 A ``FeatureMatrix`` is CSR: ``indptr``, ``indices`` and ``data`` arrays,
-checked once when built.  Counting emits them directly, and tf-idf,
-normalization, both trainers and scoring work on them.  ``rows`` is a
-read-only view of them as one ``SparseVector`` per row, for inspection.
+checked once when built, plus the rows' labels when every trace has one.
+Counting emits the arrays directly, and tf-idf, normalization, both
+trainers and scoring work on them.  ``rows`` is a read-only view of them
+as one ``SparseVector`` per row, for inspection.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class IdfModel:
 
 @dataclass(eq=False)
 class FeatureMatrix:
-    """A corpus as CSR arrays, with row ids and optional labels.
+    """A corpus as CSR arrays, with optional per-row labels.
 
     Row i has columns ``indices[indptr[i]:indptr[i + 1]]``, strictly
     increasing and < dim, holding the finite nonzero values at the same
@@ -137,7 +138,6 @@ class FeatureMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    row_ids: list[str]
     labels: list[str] | None
     dim: int
 
@@ -153,8 +153,6 @@ class FeatureMatrix:
             raise ValueError("indptr must be non-decreasing")
         if self.dim < 0:
             raise ValueError("dim must be non-negative")
-        if len(self.row_ids) != len(self):
-            raise ValueError("row_ids must parallel rows")
         if self.labels is not None and len(self.labels) != len(self):
             raise ValueError("labels must parallel rows")
         if indices.size:
@@ -274,7 +272,7 @@ def _key_columns(
 
 
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:
-    """Raw n-gram occurrence counts per trace, carrying ids and labels through.
+    """Raw n-gram occurrence counts per trace, carrying labels through.
 
     N-grams absent from the vocabulary are ignored.
     """
@@ -287,8 +285,7 @@ def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMa
         indptr=np.searchsorted(cells, np.arange(len(corpus) + 1) * dim),
         indices=cells % dim,
         data=counts.astype(np.float64),
-        row_ids=[t.source_id for t in corpus],
-        labels=list(labels) if have_labels else None,  # type: ignore[arg-type]
+        labels=labels if have_labels else None,  # type: ignore[arg-type]
         dim=dim,
     )
 
@@ -318,7 +315,6 @@ def tfidf_transform(counts: FeatureMatrix, idf_model: IdfModel) -> FeatureMatrix
         indptr=kept_before[counts.indptr],
         indices=counts.indices[keep],
         data=values[keep],
-        row_ids=list(counts.row_ids),
         labels=counts.labels,
         dim=counts.dim,
     )
@@ -331,7 +327,6 @@ def normalize_matrix(m: FeatureMatrix) -> FeatureMatrix:
         indptr=m.indptr,
         indices=m.indices,
         data=m.data / np.repeat(norms, np.diff(m.indptr)),
-        row_ids=list(m.row_ids),
         labels=m.labels,
         dim=m.dim,
     )

@@ -130,13 +130,12 @@ def central_difference_gradient(f, x, h=1e-6):
 
 
 def csr_matrix(rows, dim, labels=None) -> FeatureMatrix:
-    """A FeatureMatrix from per-row (indices, values) lists, row ids r0, r1, ..."""
+    """A FeatureMatrix from per-row (indices, values) lists."""
     lengths = [len(indices) for indices, _ in rows]
     return FeatureMatrix(
         indptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
         indices=np.array([j for indices, _ in rows for j in indices], dtype=np.int64),
         data=np.array([v for _, values in rows for v in values], dtype=np.float64),
-        row_ids=[f"r{i}" for i in range(len(rows))],
         labels=labels,
         dim=dim,
     )

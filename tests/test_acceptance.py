@@ -240,11 +240,10 @@ def test_end_to_end_classification_quality(pipeline500):
             (TRAINER_DUAL_CD, DualConfig(seed=1)),
         ):
             grid = grid_search(
-                p["train_matrix"], p["train_y"], p["val_matrix"], p["val_y"],
-                kind, base_config=base,
+                p["train_matrix"], p["train_y"], p["val_matrix"], p["val_y"], base
             )
             best = train_cell(
-                kind, p["train_matrix"], p["train_y"], base, grid.best_alpha, grid.best_tol
+                p["train_matrix"], p["train_y"], base, grid.best_alpha, grid.best_tol
             )
             c = confusion(predict_many(best, p["val_matrix"]), p["val_y"])
             results[kind] = (accuracy_score(c), recall_score(c))
@@ -287,17 +286,14 @@ def test_grid_is_exhaustive_and_reproducible(pipeline500):
     started = time.perf_counter()
     p = pipeline500
     base = SgdConfig(seed=1)
-    result = grid_search(
-        p["train_matrix"], p["train_y"], p["val_matrix"], p["val_y"],
-        TRAINER_SGD, base_config=base,
-    )
+    result = grid_search(p["train_matrix"], p["train_y"], p["val_matrix"], p["val_y"], base)
     assert len(result.table) == 80
     assert result.best_f1 == max(row[2] for row in result.table)
     # re-running sampled cells standalone reproduces the recorded scores
     from tracesvm import f1_score, precision_score
 
     for alpha, tol, recorded_f1 in result.table[::13]:
-        model = train_cell(TRAINER_SGD, p["train_matrix"], p["train_y"], base, alpha, tol)
+        model = train_cell(p["train_matrix"], p["train_y"], base, alpha, tol)
         c = confusion(predict_many(model, p["val_matrix"]), p["val_y"])
         again = f1_score(precision_score(c), recall_score(c))
         assert again == recorded_f1

@@ -351,6 +351,20 @@ class TestGridSearch:
         assert "error: training failed at grid cell alpha=inf" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--tol", "--c"])
+    def test_flags_the_grid_overwrites_are_refused(self, corpus_dir, tmp_path, capsys, flag):
+        # Every cell sets alpha (C = 1/alpha for dual CD) and tol itself.
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "grid-search", "--manifest", str(corpus_dir / "manifest.csv"), flag, "1e-3",
+                    "--alpha-grid", "0.001", "--tol-grid", "0.01", "--output", str(tmp_path / "grid.csv"),
+                ]
+            )
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     @pytest.mark.parametrize("command", ["grid-search", "train"])
     def test_ngram_min_zero_exits_cleanly(self, corpus_dir, tmp_path, capsys, command):
         code = main(
@@ -393,6 +407,19 @@ class TestPreprocess:
             "ntqueryperformancecounter\nntprotectvirtualmemory\n"
         )
         assert not (out / "junk.txt").exists()
+
+    def test_inputs_sharing_a_stem_keep_the_first(self, tmp_path, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "a.log").write_text(FIG2_RAW)
+        (src / "a.txt").write_text("ntclose\n")
+        out = tmp_path / "processed"
+        assert main(["preprocess", str(src), "--output-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "processed 1/2 file(s)" in stdout
+        assert f"skipped {src / 'a.txt'}: its output a.txt is already written from {src / 'a.log'}" in stdout
+        assert [p.name for p in out.iterdir()] == ["a.txt"]
+        assert (out / "a.txt").read_text() == "ntqueryperformancecounter\nntprotectvirtualmemory\n"
 
     def test_empty_directory(self, tmp_path, capsys):
         src = tmp_path / "empty"

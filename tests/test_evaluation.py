@@ -212,10 +212,20 @@ class TestRocCurve:
 
 def tiny_model(weights):
     w = np.asarray(weights, dtype=np.float64)
-    return LinearModel(weights=w, bias=0.0, dim=w.shape[0], metadata={})
+    return LinearModel(weights=w, bias=0.0, metadata={})
 
 
 TINY_VOCAB = build_vocabulary([SyscallTrace("t", ("nta", "ntb", "ntc"))], 1, 1)
+
+
+class TestLinearModel:
+    def test_dim_is_the_weight_count(self):
+        assert tiny_model([0.1, 7.2, -3.0]).dim == 3
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), ()], ids=["matrix", "1x1", "scalar"])
+    def test_weights_that_are_not_1d_are_refused(self, shape):
+        with pytest.raises(DimensionMismatchError, match="1-d"):
+            LinearModel(weights=np.zeros(shape), bias=0.0)
 
 
 class TestTopFeatures:

@@ -469,7 +469,7 @@ def make_artifact(strings, weights, idf, n_min=1, n_max=3, bias=0.25, config=Non
     metadata = {"trainer": "sgd", **(config or {})}
     return ModelArtifact(
         model=LinearModel(
-            weights=np.array(weights, dtype=np.float64), bias=bias, dim=len(strings), metadata=metadata
+            weights=np.array(weights, dtype=np.float64), bias=bias, metadata=metadata
         ),
         vocabulary=vocabulary_of(strings, n_min, n_max),
         idf=IdfModel(idf=np.array(idf, dtype=np.float64), n_docs=7),

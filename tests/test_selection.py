@@ -100,14 +100,13 @@ class TestGridSearch:
 
     def test_full_default_grid_runs(self):
         m = matrix_from_dense(TOY_ROWS)
-        result = grid_search(m, TOY_Y, m, TOY_Y, TRAINER_SGD)
+        result = grid_search(m, TOY_Y, m, TOY_Y, SgdConfig())
         assert len(result.table) == 80
-        assert result.trainer_kind == TRAINER_SGD
 
     def test_best_cell_is_table_max_with_tie_rule(self):
         m = matrix_from_dense(TOY_ROWS)
         result = grid_search(
-            m, TOY_Y, m, TOY_Y, TRAINER_SGD,
+            m, TOY_Y, m, TOY_Y, SgdConfig(),
             alpha_grid=(1e-2, 1e-4), tol_grid=(1e-1, 1e-3),
         )
         best_f1 = max(row[2] for row in result.table)
@@ -118,7 +117,7 @@ class TestGridSearch:
     def test_table_in_grid_order(self):
         m = matrix_from_dense(TOY_ROWS)
         result = grid_search(
-            m, TOY_Y, m, TOY_Y, TRAINER_DUAL_CD,
+            m, TOY_Y, m, TOY_Y, DualConfig(),
             alpha_grid=(1.0, 0.1), tol_grid=(1e-2, 1e-3),
         )
         assert [(a, t) for a, t, _ in result.table] == [
@@ -126,17 +125,36 @@ class TestGridSearch:
         ]
 
     def test_dual_cell_maps_alpha_to_reciprocal_c(self):
-        cfg = _cell_config(TRAINER_DUAL_CD, DualConfig(), alpha=0.01, tol=1e-4)
+        cfg = _cell_config(DualConfig(), alpha=0.01, tol=1e-4)
         assert cfg.C == 100.0
         assert cfg.tol == 1e-4
-        sgd_cfg = _cell_config(TRAINER_SGD, SgdConfig(), alpha=0.01, tol=1e-4)
+        sgd_cfg = _cell_config(SgdConfig(), alpha=0.01, tol=1e-4)
         assert sgd_cfg.alpha == 0.01 and sgd_cfg.tol == 1e-4
+
+    def test_config_type_picks_the_trainer(self):
+        m = matrix_from_dense(TOY_ROWS)
+        dual = train_cell(m, TOY_Y, DualConfig(C=5.0, tol=1.0), alpha=0.01, tol=1e-4)
+        assert dual.metadata["trainer"] == TRAINER_DUAL_CD
+        assert (dual.metadata["C"], dual.metadata["tol"]) == (100.0, 1e-4)
+        sgd = train_cell(m, TOY_Y, SgdConfig(alpha=5.0, tol=1.0), alpha=0.01, tol=1e-4)
+        assert sgd.metadata["trainer"] == TRAINER_SGD
+        assert (sgd.metadata["alpha"], sgd.metadata["tol"]) == (0.01, 1e-4)
+
+    @pytest.mark.parametrize("base", ["sgd", None, SplitSpec()], ids=["str", "none", "split-spec"])
+    def test_base_config_of_another_type_is_refused(self, base):
+        m = matrix_from_dense(TOY_ROWS)
+        name = type(base).__name__
+        # ConfigError, not the GridCellError of a cell that ran.
+        with pytest.raises(ConfigError, match=name):
+            grid_search(m, TOY_Y, m, TOY_Y, base_config=base, alpha_grid=(0.1,), tol_grid=(1e-3,))
+        with pytest.raises(ConfigError, match=name):
+            train_cell(m, TOY_Y, base_config=base, alpha=0.1, tol=1e-3)
 
     def test_cells_reproduce_bitwise(self):
         m = matrix_from_dense(TOY_ROWS)
-        for kind, base in ((TRAINER_SGD, SgdConfig()), (TRAINER_DUAL_CD, DualConfig())):
-            a = train_cell(kind, m, TOY_Y, base, alpha=0.1, tol=1e-4)
-            b = train_cell(kind, m, TOY_Y, base, alpha=0.1, tol=1e-4)
+        for base in (SgdConfig(), DualConfig()):
+            a = train_cell(m, TOY_Y, base, alpha=0.1, tol=1e-4)
+            b = train_cell(m, TOY_Y, base, alpha=0.1, tol=1e-4)
             assert np.array_equal(a.weights, b.weights)
             assert a.bias == b.bias
 
@@ -144,7 +162,7 @@ class TestGridSearch:
         m = matrix_from_dense(TOY_ROWS)
         with pytest.raises(GridCellError, match="alpha=-1.0") as info:
             grid_search(
-                m, TOY_Y, m, TOY_Y, TRAINER_SGD,
+                m, TOY_Y, m, TOY_Y, SgdConfig(),
                 alpha_grid=(-1.0,), tol_grid=(1e-3,),
             )
         assert isinstance(info.value.__cause__, ConfigError)
@@ -154,12 +172,12 @@ class TestGridSearch:
         with pytest.raises(ConfigError):
             grid_search(m, TOY_Y, m, TOY_Y, "newton")
         with pytest.raises(ConfigError):
-            grid_search(m, TOY_Y, m, TOY_Y, TRAINER_SGD, alpha_grid=())
+            grid_search(m, TOY_Y, m, TOY_Y, SgdConfig(), alpha_grid=())
 
     def test_grid_csv(self, tmp_path):
         m = matrix_from_dense(TOY_ROWS)
         result = grid_search(
-            m, TOY_Y, m, TOY_Y, TRAINER_SGD, alpha_grid=(0.5,), tol_grid=(0.25,)
+            m, TOY_Y, m, TOY_Y, SgdConfig(), alpha_grid=(0.5,), tol_grid=(0.25,)
         )
         out = tmp_path / "grid.csv"
         write_grid_csv(result, out)

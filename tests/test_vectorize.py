@@ -192,7 +192,7 @@ class TestFeatureMatrix:
     ROWS = [([0, 2], [1.5, -2.0]), ([], []), ([1], [4.0])]
 
     def _build(self, indptr=(0, 2, 2, 3), indices=(0, 2, 1), data=(1.5, -2.0, 4.0), **kw):
-        fields = dict(row_ids=["a", "b", "c"], labels=None, dim=3) | kw
+        fields = dict(labels=None, dim=3) | kw
         return FeatureMatrix(indptr=indptr, indices=indices, data=data, **fields)
 
     def test_valid_matrix_and_row_views(self):
@@ -236,7 +236,7 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             self._build(data=(1.5, -2.0))
 
-    @pytest.mark.parametrize("field", ["row_ids", "labels"])
+    @pytest.mark.parametrize("field", ["labels"])
     @pytest.mark.parametrize("length", [2, 4])
     def test_wrong_length_ids_or_labels(self, field, length):
         with pytest.raises(ValueError):
@@ -399,7 +399,7 @@ class TestIntegerKeyedLookup:
             vocab, idf, _ = fit_transform(fit_corpus, n_min, n_max)
         except EmptyVocabularyError:
             return
-        model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, dim=len(vocab), metadata={})
+        model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, metadata={})
         artifact = ModelArtifact(model=model, vocabulary=vocab, idf=idf)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
@@ -430,7 +430,7 @@ class TestIntegerKeyedLookup:
         except EmptyVocabularyError:
             return
         weights = np.random.default_rng(seed).standard_normal(len(vocab))
-        model = LinearModel(weights=weights, bias=0.0, dim=len(vocab), metadata={})
+        model = LinearModel(weights=weights, bias=0.0, metadata={})
         ranked = top_features(model, vocab, len(vocab))
         n_range = range(n_min, n_max + 1)
         expected = {gram for calls in calls_lists for n in n_range for gram in extract_ngrams(calls, n)}
@@ -446,4 +446,3 @@ class TestExports:
         vocab = build_vocabulary(corpus, 1, 2)
         m = count_matrix(corpus, vocab)
         assert m.labels == ["malicious", "benign"]
-        assert m.row_ids == ["a", "b"]
