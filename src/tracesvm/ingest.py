@@ -1,10 +1,9 @@
 """Parsing of raw Windows Native API call logs into call-name sequences.
 
-A raw log is line-oriented text in which every system call occupies one
-line, e.g. ``NtCreateFile( FileHandle=0x12f0c4, ... ) => 0``.  Only the
-leading call name matters here: parameters, return values, continuation
-lines and informational lines such as ``Unload of DLL at ...`` are
-dropped.  Parsed traces keep call names lowercased, in log order.
+A raw log holds one system call per line, e.g. ``NtClose( Handle=0x1 ) => 0``,
+and its lines end at LF, CRLF or CR only.  A file is decoded once, as Latin-1,
+and each line's leading call name is kept, lowercased, in log order; the rest
+of the line, whose bytes outside ASCII never cost a call, is dropped.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyTraceError, ManifestError
@@ -22,11 +21,11 @@ LABEL_MALICIOUS = "malicious"
 VALID_LABELS = (LABEL_BENIGN, LABEL_MALICIOUS)
 
 # A call line starts, after optional indentation, with an Nt-prefixed
-# identifier either glued to its opening paren (raw NtTrace lines) or
-# standing alone on the line (processed one-name-per-line files).  Lowercase
-# "nt" is accepted next to "Nt" so that processed files re-parse to the same
-# sequence; any other casing ("NT", "nT") is not a call line.
-_CALL_RE = re.compile(r"[ \t]*((?:Nt|nt)[A-Za-z0-9_]*)(?:\(|[ \t\r]*$)")
+# identifier glued to its opening paren (raw NtTrace lines) or alone on the
+# line (processed files).  Lowercase "nt" is accepted so that processed files
+# re-parse the same; "NT" or "nT" is not a call line.  MULTILINE: findall over
+# LF-separated lines matches each line as match() matches it alone.
+_CALL_RE = re.compile(r"^[ \t]*((?:Nt|nt)[A-Za-z0-9_]*)(?:\(|[ \t\r]*$)", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,6 @@ class SyscallTrace:
 
     def __len__(self) -> int:
         return len(self.calls)
-
-    def with_label(self, label: str) -> SyscallTrace:
-        if label not in VALID_LABELS:
-            raise ManifestError(f"unknown label {label!r} (expected one of {VALID_LABELS})")
-        return replace(self, label=label)
 
 
 @dataclass(frozen=True)
@@ -64,45 +58,40 @@ def extract_call_name(line: str) -> str | None:
     return m.group(1).lower() if m else None
 
 
-def parse_trace(text: str, source_id: str) -> SyscallTrace:
-    """Parse a whole log into a SyscallTrace.
-
-    Raises EmptyTraceError when no line contains a call.
-    """
-    calls = []
-    for line in text.splitlines():
-        name = extract_call_name(line)
-        if name is not None:
-            calls.append(name)
+def _call_names(text: str, source_id: str) -> tuple[str, ...]:
+    calls = _CALL_RE.findall(text.replace("\r\n", "\n").replace("\r", "\n"))
     if not calls:
         raise EmptyTraceError(f"no system calls found in {source_id}")
-    return SyscallTrace(source_id=source_id, calls=tuple(calls))
+    return tuple([name.lower() for name in calls])
+
+
+def parse_trace(text: str, source_id: str) -> SyscallTrace:
+    """Parse a whole log, whose lines end at LF, CRLF or CR only, into a SyscallTrace.
+
+    Raises EmptyTraceError when no line holds a call.
+    """
+    return SyscallTrace(source_id=source_id, calls=_call_names(text, source_id))
 
 
 def read_trace_file(path: Path | str, label: str | None = None) -> SyscallTrace:
-    """Read and parse one log file.
+    """Read and parse one log file, with ``label`` (checked) if one is given.
 
-    The file is treated as ASCII-compatible text; a line that cannot be
-    decoded is skipped, the rest of the file is still used.
+    The bytes are decoded once as Latin-1, which cannot fail; call names are
+    ASCII.  Lines are split as ``parse_trace`` splits them.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    lines = []
-    for chunk in raw.splitlines():
-        try:
-            lines.append(chunk.decode("utf-8"))
-        except UnicodeDecodeError:
-            continue
-    trace = parse_trace("\n".join(lines), source_id=str(path))
-    return trace.with_label(label) if label is not None else trace
+    calls = _call_names(path.read_bytes().decode("latin-1"), str(path))
+    if label is not None and label not in VALID_LABELS:
+        raise ManifestError(f"unknown label {label!r} (expected one of {VALID_LABELS})")
+    return SyscallTrace(source_id=str(path), calls=calls, label=label)
 
 
 def read_manifest(path: Path | str) -> CorpusManifest:
     """Load a ``path,label`` CSV manifest.
 
     Relative trace paths are resolved against the manifest's directory.
-    Text that is not UTF-8 or not readable as CSV, and a path holding a NUL,
-    raise ManifestError naming the file and line.
+    Text that is not UTF-8 or not readable as CSV, a path holding a NUL, and
+    no entries raise ManifestError naming the file (and the line, if one).
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -138,18 +127,28 @@ def read_manifest(path: Path | str) -> CorpusManifest:
         seen.add(raw_path)
         p = Path(raw_path)
         entries.append((p if p.is_absolute() else path.parent / p, label))
+    if not entries:
+        raise ManifestError(f"{path}: no entries")
     return CorpusManifest(entries=tuple(entries))
 
 
 def write_manifest(entries: list[tuple[str, str]], path: Path | str) -> None:
-    """Write a ``path,label`` manifest (UTF-8, LF line endings)."""
+    """Write a ``path,label`` CSV manifest (UTF-8, LF) that reads back as ``entries``.
+
+    No entries, an unknown label, a duplicate path, and a path holding a NUL,
+    CR or LF or with whitespace at either end raise ManifestError.
+    """
     path = Path(path)
-    out = ["path,label"]
+    if not entries or len({p for p, _ in entries}) < len(entries):
+        raise ManifestError(f"{path}: no entries, or a duplicate path")
     for raw_path, label in entries:
         if label not in VALID_LABELS:
-            raise ManifestError(f"unknown label {label!r}")
-        out.append(f"{raw_path},{label}")
-    path.write_bytes(("\n".join(out) + "\n").encode("utf-8"))
+            raise ManifestError(f"{path}: unknown label {label!r}")
+        if raw_path != raw_path.strip() or any(c in raw_path for c in "\0\r\n"):
+            raise ManifestError(f"{path}: path {raw_path!r} would not read back unchanged")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("path", "label"), *entries])
+    path.write_bytes(out.getvalue().encode("utf-8"))
 
 
 def load_corpus(manifest: CorpusManifest) -> list[SyscallTrace]:

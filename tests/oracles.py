@@ -12,6 +12,9 @@ read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
 by unpacking its keys with ``struct``, and ``vocabulary_of`` packs strings
 into a vocabulary the same way; ``canonical_text`` and ``canonical_text_v1``
 are the v2 and v1 model files as one ``json.dumps`` call writes them.
+``per_line_calls`` is the line-by-line trace reader, with its own copy of
+the call-name pattern, that ``read_trace_file``'s one pass must agree with
+on every log whose lines are UTF-8 and break nowhere else.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
 import struct
 from typing import Sequence
 
@@ -28,6 +32,31 @@ from tracesvm.dual_cd import DualState
 from tracesvm.ingest import SyscallTrace
 from tracesvm.model_io import ModelArtifact
 from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
+
+_CALL_LINE = re.compile(r"[ \t]*((?:Nt|nt)[A-Za-z0-9_]*)(?:\(|[ \t\r]*$)")
+
+
+def per_line_calls(raw: bytes) -> tuple[str, ...]:
+    r"""Lowercased call names of a log, read one line at a time.
+
+    The bytes are split with ``bytes.splitlines``; each line is decoded as
+    UTF-8 and dropped when that fails; the decoded lines are joined with
+    LF and split again with ``str.splitlines``, which also breaks at
+    ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, U+0085, U+2028 and U+2029; and each
+    line is matched alone.  Empty when no line holds a call.
+    """
+    lines = []
+    for chunk in raw.splitlines():
+        try:
+            lines.append(chunk.decode("utf-8"))
+        except UnicodeDecodeError:
+            continue
+    calls = []
+    for line in "\n".join(lines).splitlines():
+        m = _CALL_LINE.match(line)
+        if m:
+            calls.append(m.group(1).lower())
+    return tuple(calls)
 
 
 def dense_tfidf_pipeline(corpus_calls, n_min, n_max):

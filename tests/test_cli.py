@@ -136,6 +136,15 @@ class TestTrain:
         assert code == 2
         assert "manifest.csv:2: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "grid-search"])
+    def test_manifest_without_entries_exits_cleanly(self, model_path, tmp_path, capsys, command):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(b"path,label\n")
+        flags = ["--model", str(model_path)] if command == "evaluate" else ["--output", str(tmp_path / "out")]
+        assert main([command, "--manifest", str(bad), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: no entries\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--t0", "nan")])
     def test_non_finite_sgd_setting_exits_cleanly(self, corpus_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "m.json"
@@ -420,6 +429,19 @@ class TestPreprocess:
         assert f"skipped {src / 'a.txt'}: its output a.txt is already written from {src / 'a.log'}" in stdout
         assert [p.name for p in out.iterdir()] == ["a.txt"]
         assert (out / "a.txt").read_text() == "ntqueryperformancecounter\nntprotectvirtualmemory\n"
+
+    def test_parameter_bytes_neither_drop_nor_add_calls(self, tmp_path, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "cp1252.log").write_bytes(b'NtCreateFile( ObjectAttributes="C:\\caf\xe9.txt" ) => 0\n')
+        (src / "ff.log").write_bytes(b'NtClose( Name="a\x0cNtOpenKeyEx(" ) => 0\n')
+        (src / "ls.log").write_bytes(b'NtClose( Name="a\xe2\x80\xa8NtOpenKeyEx(" ) => 0\n')
+        out = tmp_path / "processed"
+        assert main(["preprocess", str(src), "--output-dir", str(out)]) == 0
+        assert "processed 3/3 file(s)" in capsys.readouterr().out
+        assert (out / "cp1252.txt").read_bytes() == b"ntcreatefile\n"
+        assert (out / "ff.txt").read_bytes() == b"ntclose\n"
+        assert (out / "ls.txt").read_bytes() == b"ntclose\n"
 
     def test_empty_directory(self, tmp_path, capsys):
         src = tmp_path / "empty"

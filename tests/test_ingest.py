@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tracesvm import (
     CorpusManifest,
@@ -22,6 +22,8 @@ from tracesvm import (
     write_processed,
 )
 
+from oracles import per_line_calls
+
 RAW_EXCERPT = """\
 NtQueryPerformanceCounter( Counter=0xbcf6c8 [1.45779e+009], Freq=null ) => 0
 NtProtectVirtualMemory( ProcessHandle=-1, BaseAddress=0xbcf6f4 [0x77eae000], Size=0xbcf6f8 [4096], NewProtect=PAGE_EXECUTE_READWRITE, OldProtect=0xbcf6dc [PAGE_EXECUTE_WRITECOPY?]
@@ -36,6 +38,15 @@ Unload of DLL at 04FC0000
 NtQueryPerformanceCounter( Counter=0x4e9f9c8 [3.01683e+009], Freq=null ) => 0
 NtProtectVirtualMemory( ProcessHandle=-1, BaseAddress=0x4e9f9f4 [0x77eae000], Size=0x4e9f9f8
 """
+
+
+# Characters that str.splitlines breaks at and bytes.splitlines does not.
+NON_LF_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_BREAKS_IN_PARAMETERS = [c.encode("utf-8") for c in NON_LF_BREAKS]
+LOG_FRAGMENTS = st.sampled_from(
+    [b"Nt", b"nt", b"NT", b"Close", b"OpenKeyEx", b"_1", b"(", b")", b" ", b"\t", b"=", b"=> 0",
+     b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"Unload of DLL"]
+) | st.text(st.characters(blacklist_characters=NON_LF_BREAKS), max_size=3).map(str.encode)
 
 
 class TestExtractCallName:
@@ -123,13 +134,16 @@ class TestParseTrace:
         assert isinstance(trace, SyscallTrace)
         assert trace.calls and all(name.startswith("nt") for name in trace.calls)
 
-    def test_label_attachment(self):
+    def test_label_attachment(self, tmp_path):
         trace = parse_trace(RAW_EXCERPT, "excerpt")
         assert trace.label is None
-        labeled = trace.with_label("malicious")
+        p = tmp_path / "excerpt.log"
+        p.write_text(RAW_EXCERPT)
+        labeled = read_trace_file(p, label="malicious")
         assert labeled.label == "malicious"
+        assert labeled.calls == trace.calls
         with pytest.raises(ManifestError):
-            trace.with_label("suspicious")
+            read_trace_file(p, label="suspicious")
 
 
 class TestFiles:
@@ -142,6 +156,40 @@ class TestFiles:
         )
         trace = read_trace_file(p)
         assert trace.calls == ("ntclose", "ntcreatefile")
+
+    def test_bytes_outside_ascii_keep_the_call(self, tmp_path):
+        # A cp1252 file name in a parameter: the line is not UTF-8.
+        p = tmp_path / "cp1252.log"
+        p.write_bytes(
+            b"NtClose( Handle=0x1 ) => 0\n"
+            b'NtCreateFile( ObjectAttributes="C:\\caf\xe9.txt" ) => 0\n'
+            b"NtOpenKeyEx( Key=0x2 ) => 0\n"
+        )
+        assert read_trace_file(p).calls == ("ntclose", "ntcreatefile", "ntopenkeyex")
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS_IN_PARAMETERS, ids=lambda b: b.hex())
+    def test_lines_break_only_at_lf_and_cr(self, tmp_path, brk):
+        p = tmp_path / "param.log"
+        p.write_bytes(b'NtClose( Name="a' + brk + b'NtOpenKeyEx(" ) => 0\n')
+        assert read_trace_file(p).calls == ("ntclose",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LOG_FRAGMENTS, max_size=40).map(b"".join))
+    @example(b"NtClose(\r\n\r\nntopenkeyex \r\tNtFoo\n")
+    @example(b"\xc3\xa9NtClose(\nNtClose\xc3\xa9(\n Nt_1\t\r\n")
+    def test_one_pass_reads_what_the_per_line_reader_reads(self, raw):
+        # Where a line is not UTF-8 or holds another break, the readers differ by design.
+        text = raw.decode("utf-8", errors="replace")
+        assume("\ufffd" not in text and not set(text) & set(NON_LF_BREAKS))
+        expected = per_line_calls(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.log"
+            path.write_bytes(raw)
+            if not expected:
+                with pytest.raises(EmptyTraceError, match="no system calls found in .*fuzz.log"):
+                    read_trace_file(path)
+                return
+            assert read_trace_file(path).calls == expected
 
     def test_write_processed_round_trip(self, tmp_path):
         trace = parse_trace(RAW_EXCERPT, "excerpt")
@@ -205,6 +253,42 @@ class TestManifest:
         bad.write_text("file,class\nx.log,benign\n")
         with pytest.raises(ManifestError):
             read_manifest(bad)
+
+    @pytest.mark.parametrize("body", [b"", b"\n\n"], ids=["header-only", "blank-rows"])
+    def test_manifest_without_entries_rejected(self, tmp_path, body):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(b"path,label\n" + body)
+        with pytest.raises(ManifestError, match=f"^{bad}: no entries$"):
+            read_manifest(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=12), st.sampled_from(["benign", "malicious"])), max_size=6))
+    @example([("a,b.log", "benign")])
+    @example([('"q.log', "malicious"), ('a"b.log', "benign")])
+    @example([(" s.log", "benign")])
+    @example([("a\nb.log", "benign")])
+    @example([])
+    def test_written_manifest_reads_back_or_is_refused(self, entries):
+        raw_paths = [p for p, _ in entries]
+        refused = (
+            not entries
+            or len(set(raw_paths)) < len(raw_paths)
+            or any(p != p.strip() or set(p) & set("\0\r\n") for p in raw_paths)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.csv"
+            if refused:
+                with pytest.raises(ManifestError, match=f"^{path}: "):
+                    write_manifest(entries, path)
+                assert not path.exists()
+                return
+            write_manifest(entries, path)
+            assert read_manifest(path).entries == tuple((Path(tmp) / p, label) for p, label in entries)
+
+    def test_plain_paths_are_written_unquoted(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest([("trace_0000.txt", "malicious"), ("sub/b.log", "benign")], path)
+        assert path.read_bytes() == b"path,label\ntrace_0000.txt,malicious\nsub/b.log,benign\n"
 
     @pytest.mark.parametrize(
         "body",
