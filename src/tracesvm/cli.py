@@ -48,7 +48,7 @@ from .selection import (
     write_grid_csv,
 )
 from .sgd import PENALTIES, PENALTY_L2, SgdConfig, train_sgd
-from .synthetic import GeneratorConfig, generate_corpus
+from .synthetic import MANIFEST_NAME, GeneratorConfig, generate_corpus
 from .vectorize import fit_transform, transform
 
 
@@ -85,7 +85,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     src = Path(args.input)
     out_dir = Path(args.output_dir)
     if src.is_dir():
-        inputs = sorted(p for p in src.iterdir() if p.is_file())
+        inputs = sorted(p for p in src.iterdir() if p.is_file() and p.name != MANIFEST_NAME)
     elif src.exists():
         inputs = [src]
     else:
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="turn raw logs into one-call-per-line files")
-    p.add_argument("input", help="a raw log file or a directory of them")
+    p.add_argument("input", help=f"a raw log file or a directory of them (its {MANIFEST_NAME} is skipped)")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_preprocess)
 

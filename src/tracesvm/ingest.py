@@ -136,7 +136,9 @@ def write_manifest(entries: list[tuple[str, str]], path: Path | str) -> None:
     """Write a ``path,label`` CSV manifest (UTF-8, LF) that reads back as ``entries``.
 
     No entries, an unknown label, a duplicate path, and a path holding a NUL,
-    CR or LF or with whitespace at either end raise ManifestError.
+    CR or LF, with whitespace at either end or not encodable as UTF-8 (a lone
+    surrogate, as ``os.fsdecode`` gives for a non-UTF-8 file name) raise
+    ManifestError.
     """
     path = Path(path)
     if not entries or len({p for p, _ in entries}) < len(entries):
@@ -146,6 +148,10 @@ def write_manifest(entries: list[tuple[str, str]], path: Path | str) -> None:
             raise ManifestError(f"{path}: unknown label {label!r}")
         if raw_path != raw_path.strip() or any(c in raw_path for c in "\0\r\n"):
             raise ManifestError(f"{path}: path {raw_path!r} would not read back unchanged")
+        try:
+            raw_path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ManifestError(f"{path}: path {raw_path!r} is not encodable as UTF-8") from None
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([("path", "label"), *entries])
     path.write_bytes(out.getvalue().encode("utf-8"))

@@ -43,6 +43,8 @@ DEFAULT_MOTIFS = (
     ("ntdeviceiocontrolfile", "ntclose", "ntcreateevent") * 3 + ("ntdeviceiocontrolfile",),
 )
 
+# The manifest ``write_corpus`` puts beside the traces; ``preprocess`` skips it.
+MANIFEST_NAME = "manifest.csv"
 _MAX_REDRAWS = 1000
 # numpy's Generator.poisson refuses a rate above about 9.22e18.
 _MAX_MOTIF_RATE = 9.2e18
@@ -163,7 +165,7 @@ def write_corpus(
             body = "\n".join(trace.calls) + "\n"
         (out_dir / fname).write_bytes(body.encode("utf-8"))
         entries.append((fname, trace.label))
-    manifest_path = out_dir / "manifest.csv"
+    manifest_path = out_dir / MANIFEST_NAME
     write_manifest(entries, manifest_path)
     return manifest_path
 

@@ -5,15 +5,18 @@ vocabulary is the union of all n-grams for n in [n_min, n_max] across the
 corpus, with indices assigned in lexicographic order of those strings.
 
 A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order,
-each window becomes a key of n_max big-endian uint32 ids padded with 0, and
-one ``np.unique`` over the keys gives the vocabulary.  No call name may hold
-a character <= U+0020, so memcmp order on keys equals string order on the
-joined grams, a gram before its extensions.  Counting finds each window's
-column with ``np.searchsorted`` and each row's counts with one more
-``np.unique``, and builds no n-gram string.  N-gram strings are rendered
-only where they are printed, by ``_render_keys``.  This module knows no
-file format: ``model_io`` turns a model file's vocabulary into keys and
-checks them with ``_check_keys``.
+and a key is a gram's n_max big-endian uint32 ids padded with 0.  No call
+name may hold a character <= U+0020, so id-tuple order on keys equals
+string order on the joined grams, a gram before its extensions.  Windows
+are never compared as keys: ``_code_rounds`` ranks them on exact uint64
+codes, each round packing the last round's rank beside as many next ids
+as fit, so no code overflows and none collides.  The last round's ranks
+give the vocabulary.  Counting runs the same rounds over the vocabulary's
+keys, finds each window's column with one ``np.searchsorted`` per round
+and each row's counts with one more ``np.unique``, and builds no n-gram
+string.  N-gram strings are rendered only where they are printed, by
+``_render_keys``.  This module knows no file format: ``model_io`` turns a
+model file's vocabulary into keys and checks them with ``_check_keys``.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -72,7 +75,7 @@ class Vocabulary:
 
     ``alphabet`` is the sorted call names, and ``keys`` the n-grams as void
     scalars of n_max big-endian uint32 alphabet ids, 0 as padding (see
-    ``_window_keys``), strictly increasing.  Nothing is checked here:
+    ``_windows``), strictly increasing.  Nothing is checked here:
     ``build_vocabulary`` makes valid keys, and ``model_io`` checks a model
     file's with ``_check_keys``.
     """
@@ -188,22 +191,41 @@ class FeatureMatrix:
         return tuple(SparseVector(i, d, self.dim) for i, d in self.row_slices())
 
 
-def _window_keys(
-    corpus: Sequence[SyscallTrace], index: dict[str, int], n_min: int, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every window of n_min..n_max calls, as parallel (trace row, key) arrays.
+@dataclass(frozen=True, eq=False)
+class _IdRows:
+    """Rows of ``width`` ids cut from one flat uint32 sequence, 0 as padding.
 
-    A key is n_max big-endian uint32 call ids, index[name] per call and 0 as
-    padding, viewed as one void scalar; ids start at 1, so memcmp order on
-    keys is id-tuple order with a shorter gram before its extensions.  Calls
-    missing from ``index`` get an id above every indexed one, so a window
-    holding one matches no key built from ``index``.
+    Row i is the ``lens[i]`` ids from ``seq[step * starts[i]]`` on, then
+    zeros up to ``width``.  ``seq`` holds ``width`` ids from every
+    ``step``-th position, which ``_pack`` reads in one pass per id.
     """
-    key_dtype = np.dtype((np.void, 4 * n_max))
+
+    seq: np.ndarray
+    step: int
+    starts: np.ndarray
+    lens: np.ndarray
+    width: int
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def take(self, which: np.ndarray) -> "_IdRows":
+        """The rows an index or mask array selects, in its order."""
+        return _IdRows(self.seq, self.step, self.starts[which], self.lens[which], self.width)
+
+
+def _windows(
+    corpus: Sequence[SyscallTrace], index: dict[str, int], n_min: int, n_max: int
+) -> tuple[np.ndarray, _IdRows]:
+    """Every window of n_min..n_max calls, as parallel (trace row, ids) rows.
+
+    A window's ids are index[name] per call, then 0 up to n_max; ids start
+    at 1, so id-tuple order puts a shorter gram before its extensions.
+    Calls missing from ``index`` get the id len(index) + 1, above every
+    indexed one, so a window holding one matches no key built from ``index``.
+    """
     lengths = np.fromiter((len(t.calls) for t in corpus), dtype=np.int64, count=len(corpus))
     total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=key_dtype)
     unseen = len(index) + 1
     ids = np.fromiter(
         (index.get(c, unseen) for t in corpus for c in t.calls), dtype=np.uint32, count=total
@@ -211,18 +233,67 @@ def _window_keys(
     row_of = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
     # Each trace is followed by n_max zeros, so no window runs into the next.
     at = np.arange(total) + n_max * row_of
-    seq = np.zeros(total + n_max * len(corpus), dtype=">u4")
+    seq = np.zeros(total + n_max * len(corpus), dtype=np.uint32)
     seq[at] = ids
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # calls to trace end
-    view = np.lib.stride_tricks.sliding_window_view(seq, n_max)
-    rows, keys = [], []
-    for n in range(n_min, n_max + 1):
-        fits = left >= n
-        windows = view[at[fits]]
-        windows[:, n:] = 0
-        rows.append(row_of[fits])
-        keys.append(windows.view(key_dtype).ravel())
-    return np.concatenate(rows), np.concatenate(keys)
+    fits = [left >= n for n in range(n_min, n_max + 1)]
+    lens = np.repeat(np.arange(n_min, n_max + 1), [np.count_nonzero(f) for f in fits])
+    starts = np.concatenate([at[f] for f in fits])
+    return np.concatenate([row_of[f] for f in fits]), _IdRows(seq, 1, starts, lens, n_max)
+
+
+def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: int) -> np.ndarray:
+    """One uint64 code per row: ``rank``, then the row's ids start..stop-1, bits apiece.
+
+    The caller keeps rank < 2**(64 - bits * (stop - start)) and every id
+    < 2**bits, so no code overflows and code order is (rank, ids) order.
+    The ids are packed once per position of ``rows.seq`` and each row then
+    keeps as many as its length allows.  Every operand is unsigned: a signed
+    one would promote the codes to float64 on numpy 1.x.
+    """
+    seq, step, m = rows.seq, rows.step, stop - start
+    n_pos = max(0, (len(seq) - rows.width) // step + 1)  # 0 for an empty corpus or vocabulary
+    shift = np.uint64(bits)
+    code = np.zeros(n_pos, dtype=np.uint64)
+    for k in range(start, stop):
+        code <<= shift
+        code |= seq[k : k + step * (n_pos - 1) + 1 : step]
+    keep = np.clip(np.arange(rows.width + 1) - start, 0, m).tolist()  # ids kept per row length
+    masks = np.array([((1 << bits * j) - 1) << bits * (m - j) for j in keep], dtype=np.uint64)
+    code = code[rows.starts] & masks[rows.lens]
+    if rank is not None:
+        code |= rank.astype(np.uint64) << np.uint64(bits * m)
+    return code
+
+
+def _code_rounds(rows: _IdRows, bits: int):
+    """Rank ``rows`` in id-tuple order, a few ids per round.
+
+    Each round packs the previous round's rank and as many next ids as fit
+    beside it into one uint64 code (``_pack``), and yields ``(start, stop,
+    table, rank)``: ``table`` the sorted distinct codes and ``rank`` each
+    row's index in it.  So after the round ending at id ``stop``, ``rank``
+    orders the rows by their first ``stop`` ids, equal prefixes equal
+    ranks.  The rounds end once every id is read, or early, once the table
+    has one entry per row: the ranks then already order the rows, and ids
+    ``stop`` on are unread.
+    """
+    rank, rank_bits, stop = None, 0, 0
+    while stop < rows.width:
+        m = min((64 - rank_bits) // bits, rows.width - stop)
+        if m == 0:
+            raise ValueError(f"{rank_bits}-bit ranks leave no room for a {bits}-bit id")
+        start, stop = stop, stop + m
+        table, rank = np.unique(_pack(rank, rows, start, stop, bits), return_inverse=True)
+        yield start, stop, table, rank
+        if len(table) == len(rows):
+            return
+        rank_bits = (len(table) - 1).bit_length()
+
+
+def _id_bits(alphabet: Sequence[str]) -> int:
+    """Bits per id: room for every alphabet id and the unseen-call id above them."""
+    return (len(alphabet) + 1).bit_length()
 
 
 def _render_keys(alphabet: Sequence[str], keys: np.ndarray, n_max: int) -> tuple[str, ...]:
@@ -252,23 +323,56 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
         if _SEPARATOR.search(name):
             raise ConfigError(f"call name {name!r} contains a space or control character")
     index = {name: i for i, name in enumerate(alphabet, start=1)}
-    _, keys = _window_keys(corpus, index, n_min, n_max)
-    if keys.size == 0:
+    _, windows = _windows(corpus, index, n_min, n_max)
+    if len(windows) == 0:
         raise EmptyVocabularyError(
             f"no trace yields an n-gram for n in [{n_min}, {n_max}]"
         )
-    return Vocabulary(alphabet=tuple(alphabet), keys=np.unique(keys), n_min=n_min, n_max=n_max)
+    for _, _, table, rank in _code_rounds(windows, _id_bits(alphabet)):
+        pass
+    first = np.empty(len(table), dtype=np.int64)
+    first[rank] = np.arange(len(windows))
+    span = np.arange(n_max)
+    ids = windows.seq[windows.starts[first, None] + span] * (span < windows.lens[first, None])
+    keys = ids.astype(">u4").view(np.dtype((np.void, 4 * n_max))).ravel()
+    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min, n_max=n_max)
 
 
 def _key_columns(
     corpus: Sequence[SyscallTrace], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(trace row, column) of every window that is a vocabulary key.
+
+    The vocabulary's keys go through ``_code_rounds``; each window is packed
+    the same way and looked up in each round's table, and a window that
+    misses one is dropped.  A hit's last rank is its column.  If the rounds
+    stopped early, a hit's unread ids are compared with its column's.
+    """
     index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
-    rows, keys = _window_keys(corpus, index, vocab.n_min, vocab.n_max)
-    cols = np.searchsorted(vocab.keys, keys)
-    hit = cols < len(vocab.keys)
-    hit[hit] = vocab.keys[cols[hit]] == keys[hit]
-    return rows[hit], cols[hit]
+    rows, windows = _windows(corpus, index, vocab.n_min, vocab.n_max)
+    n_keys, n_max = len(vocab.keys), vocab.n_max
+    ids = vocab.keys.view(">u4").astype(np.uint32)
+    keys = _IdRows(ids, n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
+    bits = _id_bits(vocab.alphabet)
+    col, stop = None, 0
+    for start, stop, table, _ in _code_rounds(keys, bits):
+        code = _pack(col, windows, start, stop, bits)
+        if col is None:
+            # Searched in code order, each search starts where the last one
+            # ended, which is several times faster than in window order.  The
+            # later rounds' codes then rise with their first round's.
+            order = np.argsort(code)
+            code, rows, windows = code[order], rows[order], windows.take(order)
+        col = np.searchsorted(table, code)
+        hit = col < len(table)
+        hit[hit] = table[col[hit]] == code[hit]
+        rows, windows, col = rows[hit], windows.take(hit), col[hit]
+    hit = np.ones(len(col), dtype=bool)
+    matched = keys.take(col)
+    for start in range(stop, n_max, 64 // bits):
+        end = min(start + 64 // bits, n_max)
+        hit &= _pack(None, windows, start, end, bits) == _pack(None, matched, start, end, bits)
+    return rows[hit], col[hit]
 
 
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:

@@ -12,6 +12,8 @@ read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
 by unpacking its keys with ``struct``, and ``vocabulary_of`` packs strings
 into a vocabulary the same way; ``canonical_text`` and ``canonical_text_v1``
 are the v2 and v1 model files as one ``json.dumps`` call writes them.
+``void_vocabulary_keys`` and ``void_count_csr`` are the vectorizer's
+former lookup: one ``np.unique`` and one ``np.searchsorted`` over void keys.
 ``per_line_calls`` is the line-by-line trace reader, with its own copy of
 the call-name pattern, that ``read_trace_file``'s one pass must agree with
 on every log whose lines are UTF-8 and break nowhere else.
@@ -219,6 +221,59 @@ def vocabulary_of(strings: Sequence[str], n_min: int, n_max: int) -> Vocabulary:
         raw += struct.pack(f">{n_max}I", *ids, *[0] * (n_max - len(ids)))
     keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, 4 * n_max)))
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min, n_max=n_max)
+
+
+def void_window_keys(
+    corpus_calls: Sequence[Sequence[str]], alphabet: Sequence[str], n_min: int, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window of n_min..n_max calls as parallel (trace row, void key) arrays.
+
+    A key is n_max big-endian uint32 ids packed with struct: 1, 2, ... in
+    ``alphabet`` order, len(alphabet) + 1 for a name outside it, 0 as padding.
+    """
+    index = {name: i for i, name in enumerate(alphabet, start=1)}
+    rows, raw = [], bytearray()
+    for row, calls in enumerate(corpus_calls):
+        ids = [index.get(name, len(alphabet) + 1) for name in calls]
+        for n in range(n_min, n_max + 1):
+            for i in range(len(ids) - n + 1):
+                rows.append(row)
+                raw += struct.pack(f">{n_max}I", *ids[i : i + n], *[0] * (n_max - n))
+    keys = np.frombuffer(bytes(raw), dtype=np.dtype((np.void, 4 * n_max)))
+    return np.array(rows, dtype=np.int64), keys
+
+
+def void_vocabulary_keys(
+    corpus_calls: Sequence[Sequence[str]], n_min: int, n_max: int
+) -> np.ndarray:
+    """The vocabulary's keys as one ``np.unique`` over the windows' void keys."""
+    alphabet = sorted({name for calls in corpus_calls for name in calls})
+    return np.unique(void_window_keys(corpus_calls, alphabet, n_min, n_max)[1])
+
+
+def void_count_csr(
+    corpus_calls: Sequence[Sequence[str]], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the raw counts per trace.
+
+    Each window's column is found by ``np.searchsorted`` over the void keys
+    and an equality check.
+    """
+    rows, keys = void_window_keys(corpus_calls, vocab.alphabet, vocab.n_min, vocab.n_max)
+    cols = np.searchsorted(vocab.keys, keys)
+    hit = cols < len(vocab.keys)
+    hit[hit] = vocab.keys[cols[hit]] == keys[hit]
+    per_row = [dict() for _ in corpus_calls]
+    for row, col in zip(rows[hit].tolist(), cols[hit].tolist()):
+        per_row[row][col] = per_row[row].get(col, 0) + 1
+    indices = [col for counts in per_row for col in sorted(counts)]
+    data = [float(counts[col]) for counts in per_row for col in sorted(counts)]
+    indptr = np.cumsum([0] + [len(counts) for counts in per_row])
+    return (
+        indptr.astype(np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=np.float64),
+    )
 
 
 def canonical_text(artifact: ModelArtifact) -> str:

@@ -430,6 +430,18 @@ class TestPreprocess:
         assert [p.name for p in out.iterdir()] == ["a.txt"]
         assert (out / "a.txt").read_text() == "ntqueryperformancecounter\nntprotectvirtualmemory\n"
 
+    def test_generated_manifest_is_not_read_as_a_log(self, tmp_path, capsys):
+        raw = tmp_path / "rawc"
+        assert main(["gen-corpus", "--n-traces", "6", "--seed", "1", "--raw", "--output-dir", str(raw)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "processed"
+        assert main(["preprocess", str(raw), "--output-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == f"processed 6/6 file(s) into {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in raw.iterdir() if p.name != "manifest.csv"
+        )
+
     def test_parameter_bytes_neither_drop_nor_add_calls(self, tmp_path, capsys):
         src = tmp_path / "raw"
         src.mkdir()

@@ -46,7 +46,7 @@ LINE_BREAKS_IN_PARAMETERS = [c.encode("utf-8") for c in NON_LF_BREAKS]
 LOG_FRAGMENTS = st.sampled_from(
     [b"Nt", b"nt", b"NT", b"Close", b"OpenKeyEx", b"_1", b"(", b")", b" ", b"\t", b"=", b"=> 0",
      b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"Unload of DLL"]
-) | st.text(st.characters(blacklist_characters=NON_LF_BREAKS), max_size=3).map(str.encode)
+) | st.text(st.characters(codec="utf-8", blacklist_characters=NON_LF_BREAKS), max_size=3).map(str.encode)
 
 
 class TestExtractCallName:
@@ -284,6 +284,13 @@ class TestManifest:
                 return
             write_manifest(entries, path)
             assert read_manifest(path).entries == tuple((Path(tmp) / p, label) for p, label in entries)
+
+    def test_path_not_encodable_as_utf8_is_refused(self, tmp_path):
+        # os.fsdecode gives a lone surrogate for a non-UTF-8 file name.
+        path = tmp_path / "manifest.csv"
+        with pytest.raises(ManifestError, match=r"path 'a\\udcff\.log' is not encodable as UTF-8"):
+            write_manifest([("b.log", "malicious"), ("a\udcff.log", "benign")], path)
+        assert not path.exists()
 
     def test_plain_paths_are_written_unquoted(self, tmp_path):
         path = tmp_path / "manifest.csv"

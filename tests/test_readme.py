@@ -37,4 +37,4 @@ def test_command_line_blocks_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
     out = capsys.readouterr().out
-    assert "auc: " in out and "searched 80 cells" in out and "processed 20/21 file(s)" in out
+    assert "auc: " in out and "searched 80 cells" in out and "processed 20/20 file(s)" in out and "skipped" not in out

@@ -32,6 +32,8 @@ from tracesvm import (
     transform,
 )
 from tracesvm.model_io import _parse_v1_vocabulary
+from tracesvm.synthetic import GeneratorConfig, generate
+from tracesvm.vectorize import _code_rounds, _id_bits, _IdRows, _pack, _windows
 from oracles import (
     canonical_text_v1,
     count_vector,
@@ -44,6 +46,8 @@ from oracles import (
     pairs,
     same_rows,
     to_dense,
+    void_count_csr,
+    void_vocabulary_keys,
 )
 
 SEVEN_CALLS = (
@@ -446,3 +450,129 @@ class TestExports:
         vocab = build_vocabulary(corpus, 1, 2)
         m = count_matrix(corpus, vocab)
         assert m.labels == ["malicious", "benign"]
+
+
+def csr_arrays(m):
+    return m.indptr, m.indices, m.data
+
+
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def key_rounds(vocab):
+    """The ``_code_rounds`` that counting runs over ``vocab``'s keys."""
+    n_keys, width = len(vocab), vocab.n_max
+    ids = vocab.keys.view(">u4").astype(np.uint32)
+    keys = _IdRows(ids, width, np.arange(n_keys), np.full(n_keys, width), width)
+    return list(_code_rounds(keys, _id_bits(vocab.alphabet)))
+
+
+def window_rounds(corpus, vocab):
+    """The ``_code_rounds`` that ``build_vocabulary`` runs over the corpus's windows."""
+    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+    _, windows = _windows(corpus, index, vocab.n_min, vocab.n_max)
+    return list(_code_rounds(windows, _id_bits(vocab.alphabet)))
+
+
+# Alphabet sizes on both sides of 4-, 8- and 9-bit ids: an alphabet of k
+# names takes (k + 1).bit_length() bits, room for the unseen-call id k + 1.
+BIT_EDGES = [14, 15, 254, 255, 510, 511]
+
+
+@st.composite
+def coded_corpora(draw):
+    """(fit traces, evaluation traces, n_min, n_max) over an alphabet of 1-600 names.
+
+    One fit trace holds every name, so the alphabet is all of them; the
+    others repeat a few names, so windows share long prefixes.  The
+    evaluation traces add names outside the alphabet and fit traces with
+    one call changed.
+    """
+    size = draw(st.one_of(st.integers(1, 600), st.sampled_from(BIT_EDGES)))
+    names = [f"nt{i:03d}" for i in range(size)]
+    unseen = ["nt", "nt000x", f"nt{size // 2:03d}a", "ntz"]
+    n_min = draw(st.integers(1, 40))
+    n_max = draw(st.integers(n_min, 40))
+    pool = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    repeats = st.lists(st.sampled_from(pool), max_size=60)
+    fit = [draw(st.permutations(names))] + draw(st.lists(repeats, max_size=3))
+    evaluation = draw(st.lists(st.lists(st.sampled_from(pool + unseen), max_size=50), max_size=3))
+    for calls in fit:
+        if calls:
+            at = draw(st.integers(0, len(calls) - 1))
+            other = draw(st.sampled_from(names + unseen).filter(lambda name: name != calls[at]))
+            evaluation.append(calls[:at] + [other] + calls[at + 1 :])
+    return fit, evaluation + fit, n_min, n_max
+
+
+class TestIntegerCodes:
+    """The uint64 code rounds against the void-key lookup of ``tests/oracles.py``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coded_corpora())
+    def test_vocabulary_and_counts_match_void_keys(self, case):
+        fit, evaluation, n_min, n_max = case
+        expected_keys = void_vocabulary_keys(fit, n_min, n_max)
+        if len(expected_keys) == 0:
+            with pytest.raises(EmptyVocabularyError):
+                build_vocabulary(as_corpus(fit), n_min, n_max)
+            return
+        vocab = build_vocabulary(as_corpus(fit), n_min, n_max)
+        assert vocab.keys.tobytes() == expected_keys.tobytes()
+        for calls_lists in (fit, evaluation):
+            got = csr_arrays(count_matrix(as_corpus(calls_lists), vocab))
+            assert_same_arrays(got, void_count_csr(calls_lists, vocab))
+
+    def test_large_alphabet_takes_two_rounds(self):
+        # About 450 names, as real Nt traces have: 9-bit ids, 7 per first code.
+        names = tuple(f"ntcall{i:03d}" for i in range(444))
+        config = GeneratorConfig(
+            n_traces=20, trace_len_range=(30, 60), background_vocab=names, seed=4
+        )
+        fit, evaluation = generate(config), generate(GeneratorConfig(**{**vars(config), "seed": 5}))
+        vocab = build_vocabulary(fit, 8, 10)
+        assert len(vocab.alphabet) >= 300 and _id_bits(vocab.alphabet) == 9
+        assert len(window_rounds(fit, vocab)) == 2 and len(key_rounds(vocab)) == 2
+        calls = [t.calls for t in fit]
+        assert vocab.keys.tobytes() == void_vocabulary_keys(calls, 8, 10).tobytes()
+        for corpus in (fit, evaluation):
+            expected = void_count_csr([t.calls for t in corpus], vocab)
+            assert_same_arrays(csr_arrays(count_matrix(corpus, vocab)), expected)
+
+    def test_rounds_stop_early_and_unread_ids_are_compared(self):
+        names = SEVEN_CALLS[:5]
+        calls = list(np.random.default_rng(0).choice(names, 60))
+        fit = [trace(calls)]
+        vocab = build_vocabulary(fit, 30, 30)
+        # 3-bit ids, 21 per first code: distinct 21-call prefixes end the rounds.
+        (start, stop, table, _), = key_rounds(vocab)
+        assert (start, stop, len(table)) == (0, 21, len(vocab))
+        assert len(window_rounds(fit, vocab)) == 1
+        # The window differs from the first vocabulary gram in its last call only.
+        changed = calls[:29] + [next(c for c in names if c != calls[29])]
+        evaluation = [trace(changed), trace(calls[:30])]
+        counts = count_matrix(evaluation, vocab)
+        assert counts.nnz == 1 and counts.indptr.tolist() == [0, 0, 1]
+        assert_same_arrays(csr_arrays(counts), void_count_csr([changed, calls[:30]], vocab))
+
+    def test_every_code_is_uint64(self):
+        corpus = [trace(SEVEN_CALLS * 3)]
+        vocab = build_vocabulary(corpus, 2, 20)
+        rounds = window_rounds(corpus, vocab) + key_rounds(vocab)
+        assert all(table.dtype == np.uint64 for _, _, table, _ in rounds)
+        # A signed rank beside uint32 ids stays exact: 2**62 + ... is not a float64.
+        index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+        _, windows = _windows(corpus, index, 1, 1)
+        bits = _id_bits(vocab.alphabet)
+        code = _pack(np.full(len(windows), 2**60 + 1, dtype=np.int64), windows, 0, 1, bits)
+        expected = [((2**60 + 1) << bits) + index[c] for c in SEVEN_CALLS * 3]
+        assert code.dtype == np.uint64 and code.tolist() == expected
+
+    def test_ranks_that_leave_no_room_raise(self):
+        # 64-bit ids: after one round of two distinct codes no id fits beside the rank.
+        seq = np.array([1, 5, 2, 6, 2, 7], dtype=np.uint32)
+        rows = _IdRows(seq, 2, np.arange(3), np.full(3, 2), 2)
+        with pytest.raises(ValueError, match="1-bit ranks leave no room for a 64-bit id"):
+            list(_code_rounds(rows, 64))
