@@ -16,8 +16,9 @@ byte-identical.  Next to the small fields (``bias``, ``config``,
   uint32 indices of the nonzero weights;
 - ``weight_value``: the base64 of those weights as little-endian float64.
 
-Each large field is one string, so json's pure-Python ``indent`` encoder
-hardly touches it.  Format v1, which stored the n-gram strings, the idf
+Each large field is one string, which json's pure-Python ``indent`` encoder
+never sees: ``save_model`` streams the base64 into the file a chunk at a
+time, so saving holds no copy of the file's text.  Format v1, which stored the n-gram strings, the idf
 values and ``[index, value]`` weight pairs as JSON lists, is still read.
 Nothing writes v1.  This module owns both formats: ``_parse_v1_vocabulary``
 turns v1's strings into keys, ``_decode_v2_vocabulary`` reads v2's key
@@ -39,6 +40,7 @@ import base64
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,9 @@ from .vectorize import IdfModel, Vocabulary, _check_keys, _check_range
 FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _TOOL = "tracesvm/0.1.0"
+# Bytes base64-encoded at a time by save_model: a multiple of 3, so the
+# chunks' encodings join with no padding between them.
+_B64_CHUNK = 3 << 18
 
 
 @dataclass
@@ -61,10 +66,24 @@ class ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: Path | str) -> None:
-    """Write the v2 document; a non-finite number in ``config`` raises ValueError."""
+    """Write the v2 document; a non-finite number in ``config`` raises ValueError.
+
+    The text is ``json.dumps`` of the document, but the four base64 fields
+    are never held whole: the small fields are dumped with each large one
+    empty, and the file is written from that text with each large field's
+    base64 streamed into its empty quotes a chunk at a time.  Base64 needs no
+    JSON escape, so the bytes are those of one ``json.dumps``, and the
+    transient memory stays a chunk, not several copies of the file.
+    """
     model = artifact.model
     vocab = artifact.vocabulary
     nz = np.flatnonzero(model.weights)
+    packed = {
+        "vocabulary": vocab.keys,
+        "idf": artifact.idf.idf.astype("<f8"),
+        "weight_index": nz.astype("<u4"),
+        "weight_value": model.weights[nz].astype("<f8"),
+    }
     document = {
         "format_version": FORMAT_VERSION,
         "created_by": _TOOL,
@@ -75,18 +94,20 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
         "n_docs": artifact.idf.n_docs,
         "bias": model.bias,
         "alphabet": list(vocab.alphabet),
-        "vocabulary": _b64(vocab.keys.tobytes()),
-        "idf": _b64(artifact.idf.idf.astype("<f8").tobytes()),
-        "weight_index": _b64(nz.astype("<u4").tobytes()),
-        "weight_value": _b64(model.weights[nz].astype("<f8").tobytes()),
+        **dict.fromkeys(packed, ""),
     }
     text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+    # Only a top-level field starts a line with two spaces and a quote, so
+    # each split point is the one empty field of that name.
+    pieces = re.split('\n  "(%s)": ""' % "|".join(packed), text)
+    with open(path, "wb") as fh:
+        fh.write(pieces[0].encode("ascii"))
+        for name, rest in zip(pieces[1::2], pieces[2::2]):
+            fh.write(f'\n  "{name}": "'.encode("ascii"))
+            raw = np.ascontiguousarray(packed[name]).view(np.uint8)
+            for at in range(0, len(raw), _B64_CHUNK):
+                fh.write(base64.b64encode(raw[at : at + _B64_CHUNK]))
+            fh.write(b'"' + rest.encode("ascii"))
 
 
 def load_model(path: Path | str) -> ModelArtifact:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tracesvm import (
     SyscallTrace,
     TraceSvmError,
     VersionMismatchError,
+    Vocabulary,
     decision_many,
     fit_transform,
     load_model,
@@ -533,6 +535,54 @@ def test_save_refuses_a_non_finite_config_number(tmp_path, value):
 def test_trained_model_writes_the_canonical_text(v2_doc):
     path, _ = v2_doc
     assert path.read_bytes() == canonical_text(load_model(path)).encode("utf-8")
+
+
+def _large_artifact():
+    """100k 10-grams over 500 names: the vocabulary and idf span several base64 chunks."""
+    rng = np.random.default_rng(7)
+    ids = rng.integers(1, 501, size=(100_000, 10)).astype(">u4")
+    keys = np.unique(ids.view(np.dtype((np.void, 40))).ravel())
+    weights = np.where(rng.random(len(keys)) < 0.01, rng.normal(size=len(keys)), 0.0)
+    return ModelArtifact(
+        model=LinearModel(weights=weights, bias=0.5, metadata={"trainer": "sgd", "alpha": 1e-4}),
+        vocabulary=Vocabulary(alphabet=tuple(f"nt{i:03d}" for i in range(500)), keys=keys, n_min=10, n_max=10),
+        idf=IdfModel(idf=rng.random(len(keys)), n_docs=9),
+    )
+
+
+def test_large_model_is_written_as_one_json_dumps_with_little_transient_memory(tmp_path):
+    artifact = _large_artifact()
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        save_model(artifact, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model, vocab = artifact.model, artifact.vocabulary
+    nz = np.flatnonzero(model.weights)
+    document = {
+        "format_version": 2,
+        "created_by": "tracesvm/0.1.0",
+        "trainer": "sgd",
+        "config": {"alpha": 1e-4},
+        "ngram_min": 10,
+        "ngram_max": 10,
+        "n_docs": 9,
+        "bias": 0.5,
+        "alphabet": list(vocab.alphabet),
+        "vocabulary": base64.b64encode(vocab.keys.tobytes()).decode("ascii"),
+        "idf": base64.b64encode(artifact.idf.idf.astype("<f8").tobytes()).decode("ascii"),
+        "weight_index": base64.b64encode(nz.astype("<u4").tobytes()).decode("ascii"),
+        "weight_value": base64.b64encode(model.weights[nz].astype("<f8").tobytes()).decode("ascii"),
+    }
+    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+    # The base64 fields are streamed: no copy of the file's text is held.
+    assert peak < path.stat().st_size / 2
+    loaded = load_model(path)
+    assert loaded.vocabulary.keys.tobytes() == vocab.keys.tobytes()
+    assert loaded.idf.idf.tobytes() == artifact.idf.idf.tobytes()
 
 
 # --- fuzzing the load boundary ----------------------------------------------
