@@ -47,7 +47,6 @@ from .ingest import (
     LABEL_MALICIOUS,
     CorpusManifest,
     SyscallTrace,
-    extract_call_name,
     load_corpus,
     parse_trace,
     read_manifest,
@@ -72,8 +71,6 @@ from .selection import (
 )
 from .sgd import (
     SgdConfig,
-    hinge_loss,
-    learning_rate,
     objective,
     regularizer_value,
     train_sgd,

@@ -174,7 +174,7 @@ def top_features(model: LinearModel, vocab: Vocabulary, k: int) -> list[tuple[fl
     if k <= 0:
         return []
     order = np.argsort(-model.weights, kind="stable")[: min(k, model.dim)]
-    grams = _render_keys(vocab.alphabet, vocab.keys[order], vocab.n_max)
+    grams = _render_keys(vocab.alphabet, vocab.keys[order])
     return list(zip(model.weights[order].tolist(), grams))
 
 

@@ -47,17 +47,6 @@ class CorpusManifest:
     entries: tuple[tuple[Path, str], ...]
 
 
-def extract_call_name(line: str) -> str | None:
-    """Return the lowercased call name from one log line, or None.
-
-    Truncated parameter lists (the tail of the line is irrelevant) still
-    yield the name.  A line holding nothing but the identifier is a call
-    line too, so processed files round-trip; anything else yields None.
-    """
-    m = _CALL_RE.match(line)
-    return m.group(1).lower() if m else None
-
-
 def _call_names(text: str, source_id: str) -> tuple[str, ...]:
     calls = _CALL_RE.findall(text.replace("\r\n", "\n").replace("\r", "\n"))
     if not calls:

@@ -9,20 +9,24 @@ byte-identical.  Next to the small fields (``bias``, ``config``,
 ``ngram_max``, ``trainer``) the document holds:
 
 - ``alphabet``: the sorted call names;
-- ``vocabulary``: the base64 of the vocabulary's keys, ``ngram_max``
-  big-endian uint32 alphabet ids per n-gram (ids start at 1), padded with 0;
+- ``vocabulary``: the base64 of the vocabulary's key matrix row by row,
+  ``ngram_max`` big-endian uint32 alphabet ids per n-gram (ids start at 1),
+  padded with 0;
 - ``idf``: the base64 of one little-endian float64 per n-gram;
 - ``weight_index``: the base64 of the strictly increasing little-endian
   uint32 indices of the nonzero weights;
 - ``weight_value``: the base64 of those weights as little-endian float64.
 
 Each large field is one string, which json's pure-Python ``indent`` encoder
-never sees: ``save_model`` streams the base64 into the file a chunk at a
-time, so saving holds no copy of the file's text.  Format v1, which stored the n-gram strings, the idf
-values and ``[index, value]`` weight pairs as JSON lists, is still read.
-Nothing writes v1.  This module owns both formats: ``_parse_v1_vocabulary``
-turns v1's strings into keys, ``_decode_v2_vocabulary`` reads v2's key
-bytes as they are, and both end in ``vectorize._check_keys``.
+never sees: ``save_model`` converts each array to its file byte order and
+streams its base64 into the file a chunk at a time, so saving holds no copy
+of the file's text or of a whole array.  Format v1, which stored the n-gram
+strings, the idf values and ``[index, value]`` weight pairs as JSON lists,
+is still read.  Nothing writes v1.  This module owns both formats and is the
+only one that knows their byte order: ``_parse_v1_vocabulary`` turns v1's
+strings into the native uint32 key matrix, ``_decode_v2_vocabulary`` turns
+v2's big-endian key bytes into it, and both end in
+``vectorize._check_keys``.
 
 Loading is strict: anything but a v1 or v2 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
@@ -54,7 +58,8 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _TOOL = "tracesvm/0.1.0"
 # Bytes base64-encoded at a time by save_model: a multiple of 3, so the
-# chunks' encodings join with no padding between them.
+# chunks' encodings join with no padding between them, and of 8, so a chunk
+# holds whole items of every field.
 _B64_CHUNK = 3 << 18
 
 
@@ -71,18 +76,19 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
     The text is ``json.dumps`` of the document, but the four base64 fields
     are never held whole: the small fields are dumped with each large one
     empty, and the file is written from that text with each large field's
-    base64 streamed into its empty quotes a chunk at a time.  Base64 needs no
-    JSON escape, so the bytes are those of one ``json.dumps``, and the
-    transient memory stays a chunk, not several copies of the file.
+    array converted to its file dtype and base64-encoded into its empty
+    quotes a chunk at a time.  Base64 needs no JSON escape, so the bytes are
+    those of one ``json.dumps``, and the transient memory stays a chunk, not
+    several copies of the file or of an array.
     """
     model = artifact.model
     vocab = artifact.vocabulary
     nz = np.flatnonzero(model.weights)
-    packed = {
-        "vocabulary": vocab.keys,
-        "idf": artifact.idf.idf.astype("<f8"),
-        "weight_index": nz.astype("<u4"),
-        "weight_value": model.weights[nz].astype("<f8"),
+    packed = {  # each field's values, flat, and its dtype in the file
+        "vocabulary": (vocab.keys.ravel(), ">u4"),
+        "idf": (artifact.idf.idf, "<f8"),
+        "weight_index": (nz, "<u4"),
+        "weight_value": (model.weights[nz], "<f8"),
     }
     document = {
         "format_version": FORMAT_VERSION,
@@ -104,9 +110,10 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
         fh.write(pieces[0].encode("ascii"))
         for name, rest in zip(pieces[1::2], pieces[2::2]):
             fh.write(f'\n  "{name}": "'.encode("ascii"))
-            raw = np.ascontiguousarray(packed[name]).view(np.uint8)
-            for at in range(0, len(raw), _B64_CHUNK):
-                fh.write(base64.b64encode(raw[at : at + _B64_CHUNK]))
+            values, dtype = packed[name]
+            step = _B64_CHUNK // np.dtype(dtype).itemsize
+            for at in range(0, len(values), step):
+                fh.write(base64.b64encode(values[at : at + step].astype(dtype)))
             fh.write(b'"' + rest.encode("ascii"))
 
 
@@ -196,24 +203,23 @@ def _parse_v1_vocabulary(grams: list[str], n_min: int, n_max: int) -> Vocabulary
     names = " ".join(grams).split(" ") if grams else []
     alphabet = tuple(sorted(set(names)))
     index = {name: i for i, name in enumerate(alphabet, start=1)}
-    ids = np.zeros((len(grams), n_max), dtype=">u4")
+    keys = np.zeros((len(grams), n_max), dtype=np.uint32)
     row = np.repeat(np.arange(len(grams)), lengths)
     col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ids[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
-    keys = ids.view(np.dtype((np.void, 4 * n_max))).ravel()
-    _check_keys(alphabet, keys, n_min, n_max)
-    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min, n_max=n_max)
+    keys[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
+    _check_keys(alphabet, keys, n_min)
+    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
 def _decode_v2_vocabulary(alphabet: list[str], raw: bytes, n_min: int, n_max: int) -> Vocabulary:
-    """v2's key bytes, as ``keys.tobytes()`` gave them, as a checked vocabulary."""
+    """v2's big-endian key bytes, ``n_max`` ids per n-gram, as a checked vocabulary."""
     _check_range(n_min, n_max)
     width = 4 * n_max
     if len(raw) % width:
         raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
-    keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, width)))
-    _check_keys(alphabet, keys, n_min, n_max)
-    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min, n_max=n_max)
+    keys = np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
+    _check_keys(alphabet, keys, n_min)
+    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
 
 
 def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:

@@ -109,15 +109,6 @@ def regularizer_value(w: np.ndarray, penalty: str, phi: float = 0.5) -> float:
     return float(0.5 * l2c * np.sum(w * w) + l1c * np.sum(np.abs(w)))
 
 
-def learning_rate(t: int, alpha: float, t0: float) -> float:
-    """eta(t) = 1 / (alpha * (t0 + t)); decreasing in t."""
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
-    if t0 + t <= 0:
-        raise ConfigError(f"t0 + t must be > 0, got {t0} + {t}")
-    return 1.0 / (alpha * (t0 + t))
-
-
 def objective(
     w: np.ndarray,
     b: float,
@@ -189,7 +180,7 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
     for _ in range(config.epochs):
         for i in rng.permutation(len(y)):
             t += 1
-            eta = learning_rate(t, alpha, t0)
+            eta = 1.0 / (alpha * (t0 + t))
             xi, xv = rows[i]
             yi = y[i]
             factor = 1.0 - eta * alpha * l2c

@@ -22,6 +22,7 @@ from .ingest import (
     LABEL_MALICIOUS,
     SyscallTrace,
     write_manifest,
+    write_processed,
 )
 from .util import round_half_up
 
@@ -161,9 +162,9 @@ def write_corpus(
         fname = f"{trace.source_id}.txt"
         if raw:
             body = "\n".join(_raw_line(c) for c in trace.calls) + "\n"
+            (out_dir / fname).write_bytes(body.encode("utf-8"))
         else:
-            body = "\n".join(trace.calls) + "\n"
-        (out_dir / fname).write_bytes(body.encode("utf-8"))
+            write_processed(trace, out_dir / fname)
         entries.append((fname, trace.label))
     manifest_path = out_dir / MANIFEST_NAME
     write_manifest(entries, manifest_path)

@@ -5,18 +5,19 @@ vocabulary is the union of all n-grams for n in [n_min, n_max] across the
 corpus, with indices assigned in lexicographic order of those strings.
 
 A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order,
-and a key is a gram's n_max big-endian uint32 ids padded with 0.  No call
-name may hold a character <= U+0020, so id-tuple order on keys equals
-string order on the joined grams, a gram before its extensions.  Windows
-are never compared as keys: ``_code_rounds`` ranks them on exact uint64
-codes, each round packing the last round's rank beside as many next ids
-as fit, so no code overflows and none collides.  The last round's ranks
-give the vocabulary.  Counting runs the same rounds over the vocabulary's
-keys, finds each window's column with one ``np.searchsorted`` per round
-and each row's counts with one more ``np.unique``, and builds no n-gram
-string.  N-gram strings are rendered only where they are printed, by
-``_render_keys``.  This module knows no file format: ``model_io`` turns a
-model file's vocabulary into keys and checks them with ``_check_keys``.
+and a key is a row of a native (dim, n_max) uint32 matrix: a gram's ids
+padded with 0.  No call name may hold a character <= U+0020, so id-tuple
+order on keys equals string order on the joined grams, a gram before its
+extensions.  Windows are never compared as keys: ``_code_rounds`` ranks
+them on exact uint64 codes, each round packing the last round's rank
+beside as many next ids as fit, so no code overflows and none collides.
+The last round's ranks give the vocabulary.  Counting runs the same rounds
+over the vocabulary's keys, finds each window's column with one
+``np.searchsorted`` per round and each row's counts with one more
+``np.unique``, and builds no n-gram string.  N-gram strings are rendered only where they are printed, by
+``_render_keys``.  This module knows no file format or byte order:
+``model_io`` turns a model file's vocabulary into keys and checks them
+with ``_check_keys``.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -73,17 +74,21 @@ class SparseVector:
 class Vocabulary:
     """The sorted unique n-grams of a corpus; column j is the n-gram ``keys[j]``.
 
-    ``alphabet`` is the sorted call names, and ``keys`` the n-grams as void
-    scalars of n_max big-endian uint32 alphabet ids, 0 as padding (see
-    ``_windows``), strictly increasing.  Nothing is checked here:
-    ``build_vocabulary`` makes valid keys, and ``model_io`` checks a model
-    file's with ``_check_keys``.
+    ``alphabet`` is the sorted call names, and ``keys`` a C-contiguous,
+    native (dim, n_max) uint32 matrix: row j is n-gram j's alphabet ids, 0
+    as padding (see ``_windows``), and the rows strictly increase.  The
+    key width is ``n_max``.  Nothing is checked here: ``build_vocabulary``
+    makes valid keys, and ``model_io`` checks a model file's with
+    ``_check_keys``.
     """
 
     alphabet: tuple[str, ...]
     keys: np.ndarray
     n_min: int
-    n_max: int
+
+    @property
+    def n_max(self) -> int:
+        return self.keys.shape[1]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -94,27 +99,25 @@ def _check_range(n_min: int, n_max: int) -> None:
         raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_NGRAM}, got ({n_min}, {n_max})")
 
 
-def _check_keys(alphabet: Sequence[str], keys: np.ndarray, n_min: int, n_max: int) -> None:
+def _check_keys(alphabet: Sequence[str], keys: np.ndarray, n_min: int) -> None:
     """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
 
     The names must be sorted, unique, non-empty and free of characters
     <= U+0020, so that key order is string order; each key n_min to n_max
-    ids in 1..len(alphabet) and then only 0 padding; the keys strictly
-    increasing, compared row-wise on their ids because numpy cannot order
-    void scalars.
+    ids in 1..len(alphabet) and then only 0 padding; the rows strictly
+    increasing, each compared with the next at their first differing id.
     """
     if not all(map(operator.lt, alphabet, alphabet[1:])):
         raise ValueError("alphabet: call names must be sorted and unique")
     if not all(name and not _SEPARATOR.search(name) for name in alphabet):
         raise ValueError("alphabet: a call name is empty or holds a character <= U+0020")
-    ids = keys.view(">u4").reshape(-1, n_max).astype(np.uint32)
-    if ids.size and ids.max() > len(alphabet):
+    if keys.size and keys.max() > len(alphabet):
         raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
-    if np.any(ids[:, :n_min] == 0):
+    if np.any(keys[:, :n_min] == 0):
         raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
-    if np.any((ids[:, :-1] == 0) & (ids[:, 1:] != 0)):
+    if np.any((keys[:, :-1] == 0) & (keys[:, 1:] != 0)):
         raise ValueError("vocabulary: an n-gram has an id after its padding")
-    before, after = ids[:-1], ids[1:]
+    before, after = keys[:-1], keys[1:]
     differ = before != after
     rows, first = np.arange(len(differ)), differ.argmax(axis=1)
     if not np.all(differ[rows, first] & (before[rows, first] < after[rows, first])):
@@ -296,15 +299,14 @@ def _id_bits(alphabet: Sequence[str]) -> int:
     return (len(alphabet) + 1).bit_length()
 
 
-def _render_keys(alphabet: Sequence[str], keys: np.ndarray, n_max: int) -> tuple[str, ...]:
+def _render_keys(alphabet: Sequence[str], keys: np.ndarray) -> tuple[str, ...]:
     """The space-joined n-gram string of every key, in key order."""
-    ids = keys.view(">u4").reshape(-1, n_max)
     names = np.array(("",) + tuple(alphabet), dtype=object)
-    lengths = np.count_nonzero(ids, axis=1)
+    lengths = np.count_nonzero(keys, axis=1)
     grams = np.empty(len(keys), dtype=object)
     for n in np.unique(lengths).tolist():
         at = np.flatnonzero(lengths == n)
-        grams[at] = [" ".join(w) for w in names[ids[at, :n]].tolist()]
+        grams[at] = [" ".join(w) for w in names[keys[at, :n]].tolist()]
     return tuple(grams.tolist())
 
 
@@ -332,10 +334,12 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
         pass
     first = np.empty(len(table), dtype=np.int64)
     first[rank] = np.arange(len(windows))
-    span = np.arange(n_max)
-    ids = windows.seq[windows.starts[first, None] + span] * (span < windows.lens[first, None])
-    keys = ids.astype(">u4").view(np.dtype((np.void, 4 * n_max))).ravel()
-    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min, n_max=n_max)
+    starts, lens = windows.starts[first], windows.lens[first]
+    keys = np.empty((len(first), n_max), dtype=np.uint32)
+    for j in range(n_max):
+        keys[:, j] = windows.seq[starts + j]
+        keys[lens <= j, j] = 0
+    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
 
 
 def _key_columns(
@@ -351,8 +355,7 @@ def _key_columns(
     index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
     rows, windows = _windows(corpus, index, vocab.n_min, vocab.n_max)
     n_keys, n_max = len(vocab.keys), vocab.n_max
-    ids = vocab.keys.view(">u4").astype(np.uint32)
-    keys = _IdRows(ids, n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
+    keys = _IdRows(vocab.keys.ravel(), n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
     bits = _id_bits(vocab.alphabet)
     col, stop = None, 0
     for start, stop, table, _ in _code_rounds(keys, bits):

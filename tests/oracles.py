@@ -9,11 +9,13 @@ types as arguments; no trainer or vectorizer calls them.
 ``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
-by unpacking its keys with ``struct``, and ``vocabulary_of`` packs strings
-into a vocabulary the same way; ``canonical_text`` and ``canonical_text_v1``
-are the v2 and v1 model files as one ``json.dumps`` call writes them.
-``void_vocabulary_keys`` and ``void_count_csr`` are the vectorizer's
-former lookup: one ``np.unique`` and one ``np.searchsorted`` over void keys.
+from its key rows one id at a time, and ``vocabulary_of`` builds those rows
+from strings the same way; ``canonical_text`` and ``canonical_text_v1``
+are the v2 and v1 model files as one ``json.dumps`` call writes them, the
+v2 arrays packed with ``struct``.  ``void_vocabulary_keys`` and
+``void_count_csr`` are the vectorizer's former lookup: one ``np.unique``
+and one ``np.searchsorted`` over void keys of big-endian ids packed with
+``struct``.
 ``per_line_calls`` is the line-by-line trace reader, with its own copy of
 the call-name pattern, that ``read_trace_file``'s one pass must agree with
 on every log whose lines are UTF-8 and break nowhere else.
@@ -201,26 +203,20 @@ def same_rows(a: Sequence[SparseVector], b: Sequence[SparseVector]) -> bool:
 
 
 def grams(vocab: Vocabulary) -> list[str]:
-    """Each column's space-joined n-gram, its key's ids unpacked with struct."""
-    raw = vocab.keys.tobytes()
-    width = 4 * vocab.n_max
-    out = []
-    for start in range(0, len(raw), width):
-        ids = struct.unpack(f">{vocab.n_max}I", raw[start : start + width])
-        out.append(" ".join(vocab.alphabet[i - 1] for i in ids if i != 0))
-    return out
+    """Each column's space-joined n-gram, from its key row's nonzero ids."""
+    return [" ".join(vocab.alphabet[i - 1] for i in ids if i != 0) for ids in vocab.keys.tolist()]
 
 
 def vocabulary_of(strings: Sequence[str], n_min: int, n_max: int) -> Vocabulary:
-    """The vocabulary of sorted, unique n-gram strings, each key packed with struct."""
+    """The vocabulary of sorted, unique n-gram strings, each key row padded with 0."""
     alphabet = tuple(sorted({name for gram in strings for name in gram.split(" ")}))
     index = {name: i for i, name in enumerate(alphabet, start=1)}
-    raw = b""
+    rows = []
     for gram in strings:
         ids = [index[name] for name in gram.split(" ")]
-        raw += struct.pack(f">{n_max}I", *ids, *[0] * (n_max - len(ids)))
-    keys = np.frombuffer(bytearray(raw), dtype=np.dtype((np.void, 4 * n_max)))
-    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min, n_max=n_max)
+        rows.append(ids + [0] * (n_max - len(ids)))
+    keys = np.array(rows, dtype=np.uint32).reshape(len(rows), n_max)
+    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
 def void_window_keys(
@@ -256,13 +252,15 @@ def void_count_csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, indices, data) of the raw counts per trace.
 
-    Each window's column is found by ``np.searchsorted`` over the void keys
-    and an equality check.
+    Each window's column is found by ``np.searchsorted`` over the void keys,
+    the vocabulary's rows packed big-endian the same way, and an equality
+    check.
     """
     rows, keys = void_window_keys(corpus_calls, vocab.alphabet, vocab.n_min, vocab.n_max)
-    cols = np.searchsorted(vocab.keys, keys)
-    hit = cols < len(vocab.keys)
-    hit[hit] = vocab.keys[cols[hit]] == keys[hit]
+    table = np.frombuffer(vocab.keys.astype(">u4").tobytes(), dtype=np.dtype((np.void, 4 * vocab.n_max)))
+    cols = np.searchsorted(table, keys)
+    hit = cols < len(table)
+    hit[hit] = table[cols[hit]] == keys[hit]
     per_row = [dict() for _ in corpus_calls]
     for row, col in zip(rows[hit].tolist(), cols[hit].tolist()):
         per_row[row][col] = per_row[row].get(col, 0) + 1

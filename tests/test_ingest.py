@@ -13,7 +13,6 @@ from tracesvm import (
     EmptyTraceError,
     ManifestError,
     SyscallTrace,
-    extract_call_name,
     load_corpus,
     parse_trace,
     read_manifest,
@@ -49,51 +48,56 @@ LOG_FRAGMENTS = st.sampled_from(
 ) | st.text(st.characters(codec="utf-8", blacklist_characters=NON_LF_BREAKS), max_size=3).map(str.encode)
 
 
+def no_call_in(*lines):
+    for line in lines:
+        with pytest.raises(EmptyTraceError):
+            parse_trace(line, "line")
+
+
 class TestExtractCallName:
+    """One log line through ``parse_trace``: its call, or EmptyTraceError."""
+
     def test_basic_call_line(self):
         line = "NtCreateFile( FileHandle=0x12f0c4, DesiredAccess=GENERIC_READ ) => 0"
-        assert extract_call_name(line) == "ntcreatefile"
+        assert parse_trace(line, "line").calls == ("ntcreatefile",)
 
     def test_informational_line(self):
-        assert extract_call_name("Unload of DLL at 04ED0000") is None
+        no_call_in("Unload of DLL at 04ED0000")
 
     def test_blank_and_garbage(self):
-        assert extract_call_name("") is None
-        assert extract_call_name("   ") is None
-        assert extract_call_name("0x77eae000, Size=0xbcf6f8") is None
+        no_call_in("", "   ", "0x77eae000, Size=0xbcf6f8")
 
     def test_truncated_parameters_keep_the_name(self):
-        assert (
-            extract_call_name("NtProtectVirtualMemory( ProcessHandle=-1, BaseAddress=0xbcf6f4 [0x7702e000]?")
-            == "ntprotectvirtualmemory"
-        )
+        line = "NtProtectVirtualMemory( ProcessHandle=-1, BaseAddress=0xbcf6f4 [0x7702e000]?"
+        assert parse_trace(line, "line").calls == ("ntprotectvirtualmemory",)
 
     def test_leading_whitespace_ok(self):
-        assert extract_call_name("  \tNtClose( Handle=0x1 ) => 0") == "ntclose"
+        assert parse_trace("  \tNtClose( Handle=0x1 ) => 0", "line").calls == ("ntclose",)
 
     def test_space_before_paren_rejected(self):
-        assert extract_call_name("NtClose ( Handle=0x1 )") is None
+        no_call_in("NtClose ( Handle=0x1 )")
 
     def test_prefix_casing(self):
         # lowercase processed form re-parses; other casings are not calls
-        assert extract_call_name("ntclose(") == "ntclose"
-        assert extract_call_name("NTCLOSE(") is None
-        assert extract_call_name("nTClose(") is None
+        assert parse_trace("ntclose(", "line").calls == ("ntclose",)
+        no_call_in("NTCLOSE(", "nTClose(")
 
     def test_bare_prefix_edge(self):
-        assert extract_call_name("Nt(") == "nt"
+        assert parse_trace("Nt(", "line").calls == ("nt",)
 
     def test_name_alone_on_line_is_a_call(self):
         # processed files carry one bare name per line
-        assert extract_call_name("ntqueryperformancecounter") == "ntqueryperformancecounter"
-        assert extract_call_name("ntclose \t") == "ntclose"
-        assert extract_call_name("NTCLOSE") is None
-        assert extract_call_name("ntclose => 0") is None
+        assert parse_trace("ntqueryperformancecounter", "line").calls == ("ntqueryperformancecounter",)
+        assert parse_trace("ntclose \t", "line").calls == ("ntclose",)
+        no_call_in("NTCLOSE", "ntclose => 0")
 
     @given(st.text(max_size=80))
     def test_fuzz_output_invariants(self, line):
-        name = extract_call_name(line)
-        if name is not None:
+        try:
+            calls = parse_trace(line, "line").calls
+        except EmptyTraceError:
+            return
+        for name in calls:
             assert name.startswith("nt")
             assert name == name.lower()
             assert " " not in name

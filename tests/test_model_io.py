@@ -456,6 +456,12 @@ def test_v2_arrays_load_native_and_writable(v2_doc):
     for array in (artifact.idf.idf, artifact.model.weights, artifact.vocabulary.keys):
         assert array.flags.writeable
     assert artifact.idf.idf.dtype == np.float64 and artifact.idf.idf.dtype.isnative
+    v1_path = path.with_name("model_v1.json")
+    v1_path.write_text(canonical_text_v1(artifact))
+    for vocab in (artifact.vocabulary, load_model(v1_path).vocabulary):
+        keys = vocab.keys
+        assert keys.dtype == np.uint32 and keys.dtype.isnative and keys.flags.c_contiguous
+        assert keys.shape == (len(vocab), vocab.n_max) == (len(vocab), 2)
 
 
 # --- the writer against canonical_text --------------------------------------
@@ -540,12 +546,11 @@ def test_trained_model_writes_the_canonical_text(v2_doc):
 def _large_artifact():
     """100k 10-grams over 500 names: the vocabulary and idf span several base64 chunks."""
     rng = np.random.default_rng(7)
-    ids = rng.integers(1, 501, size=(100_000, 10)).astype(">u4")
-    keys = np.unique(ids.view(np.dtype((np.void, 40))).ravel())
+    keys = np.unique(rng.integers(1, 501, size=(100_000, 10)).astype(np.uint32), axis=0)
     weights = np.where(rng.random(len(keys)) < 0.01, rng.normal(size=len(keys)), 0.0)
     return ModelArtifact(
         model=LinearModel(weights=weights, bias=0.5, metadata={"trainer": "sgd", "alpha": 1e-4}),
-        vocabulary=Vocabulary(alphabet=tuple(f"nt{i:03d}" for i in range(500)), keys=keys, n_min=10, n_max=10),
+        vocabulary=Vocabulary(alphabet=tuple(f"nt{i:03d}" for i in range(500)), keys=keys, n_min=10),
         idf=IdfModel(idf=rng.random(len(keys)), n_docs=9),
     )
 
@@ -571,7 +576,7 @@ def test_large_model_is_written_as_one_json_dumps_with_little_transient_memory(t
         "n_docs": 9,
         "bias": 0.5,
         "alphabet": list(vocab.alphabet),
-        "vocabulary": base64.b64encode(vocab.keys.tobytes()).decode("ascii"),
+        "vocabulary": base64.b64encode(vocab.keys.astype(">u4").tobytes()).decode("ascii"),
         "idf": base64.b64encode(artifact.idf.idf.astype("<f8").tobytes()).decode("ascii"),
         "weight_index": base64.b64encode(nz.astype("<u4").tobytes()).decode("ascii"),
         "weight_value": base64.b64encode(model.weights[nz].astype("<f8").tobytes()).decode("ascii"),

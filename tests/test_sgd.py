@@ -12,14 +12,12 @@ from tracesvm import (
     LengthMismatchError,
     SgdConfig,
     SparseVector,
-    hinge_loss,
-    learning_rate,
     objective,
     regularizer_value,
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from tracesvm.sgd import _settle_l1
+from tracesvm.sgd import _settle_l1, hinge_loss
 from oracles import (
     central_difference_gradient,
     matrix_from_dense,
@@ -73,25 +71,27 @@ class TestRegularizers:
 
 
 class TestLearningRate:
-    def test_examples(self):
-        assert learning_rate(1, 1.0, 0.0) == 1.0
-        assert learning_rate(1, 2.0, 0.0) == 0.5
-        assert learning_rate(3, 2.0, 1.0) == 1.0 / 8.0
+    """Step t of ``train_sgd`` has eta(t) = 1 / (alpha * (t0 + t))."""
 
-    def test_decreasing_in_t(self):
-        rates = [learning_rate(t, 0.5, 2.0) for t in range(1, 50)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
+    def test_examples(self):
+        # Rows without features violate every margin, so each step moves the
+        # bias by 0.01 * eta(t) * y, in the order of the seeded permutations.
+        matrix = matrix_from_dense([[0.0], [0.0], [0.0]])
+        y = np.array([1, -1, 1])
+        for alpha, t0 in ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0)):
+            config = SgdConfig(alpha=alpha, t0=t0, epochs=3, tol=0.0, seed=4)
+            model = train_sgd(matrix, y, config)
+            rng = np.random.default_rng(config.seed)
+            epochs = model.metadata["epochs_run"]
+            order = np.concatenate([rng.permutation(len(y)) for _ in range(epochs)])
+            etas = [1.0 / (alpha * (t0 + t)) for t in range(1, len(order) + 1)]
+            expected = sum(0.01 * eta * y[i] for eta, i in zip(etas, order))
+            assert model.bias == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_default_t0_caps_first_step(self):
         for alpha in (1e-4, 0.5, 1.0, 3.0, 100.0):
             t0 = SgdConfig(alpha=alpha).resolved_t0()
-            assert learning_rate(1, alpha, t0) == pytest.approx(min(1.0, 1.0 / alpha))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            learning_rate(1, 0.0, 0.0)
-        with pytest.raises(ConfigError):
-            learning_rate(0, 1.0, 0.0)
+            assert 1.0 / (alpha * (t0 + 1)) == pytest.approx(min(1.0, 1.0 / alpha))
 
 
 class TestSgdStep:
