@@ -2,40 +2,58 @@
 
 The artifact bundles everything prediction needs: sparse weights, bias,
 vocabulary, idf values and the training configuration echo.  ``save_model``
-writes format v2, the text of ``json.dumps(document, sort_keys=True,
+writes format v3, the text of ``json.dumps(document, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, so that save -> load -> save is
 byte-identical.  Next to the small fields (``bias``, ``config``,
 ``created_by``, ``format_version``, ``n_docs``, ``ngram_min``,
-``ngram_max``, ``trainer``) the document holds:
+``ngram_max``, ``trainer``) the document holds ``alphabet``, the sorted
+call names, and seven base64 fields of little-endian arrays:
 
-- ``alphabet``: the sorted call names;
-- ``vocabulary``: the base64 of the vocabulary's key matrix row by row,
-  ``ngram_max`` big-endian uint32 alphabet ids per n-gram (ids start at 1),
-  padded with 0;
-- ``idf``: the base64 of one little-endian float64 per n-gram;
-- ``weight_index``: the base64 of the strictly increasing little-endian
-  uint32 indices of the nonzero weights;
-- ``weight_value``: the base64 of those weights as little-endian float64.
+- ``vocabulary_prefix``: for each n-gram of the sorted vocabulary, how many
+  leading alphabet ids (ids start at 1) it shares with the n-gram before it,
+  0 for the first;
+- ``vocabulary_suffix_len``: for each n-gram, how many ids it adds after
+  that prefix, always at least 1;
+- ``vocabulary_suffix``: those added ids, concatenated in n-gram order;
+- ``idf_table``: the distinct idf values as float64, in the order of their
+  bit patterns as uint64, so every value keeps its exact bits (``-0.0`` and
+  ``0.0`` are two entries);
+- ``idf_index``: each n-gram's position in ``idf_table``;
+- ``weight_index``: the strictly increasing uint32 indices of the nonzero
+  weights;
+- ``weight_value``: those weights as float64.
+
+Each integer field takes the narrowest of uint8, uint16 and uint32 that
+holds its largest possible value, which the loader knows before it reads
+the field: ``ngram_max`` for the prefix and suffix lengths,
+``len(alphabet)`` for the suffix ids, and the table's length less one for
+``idf_index``.  No width is stored.
 
 Each large field is one string, which json's pure-Python ``indent`` encoder
-never sees: ``save_model`` converts each array to its file byte order and
-streams its base64 into the file a chunk at a time, so saving holds no copy
-of the file's text or of a whole array.  Format v1, which stored the n-gram
-strings, the idf values and ``[index, value]`` weight pairs as JSON lists,
-is still read.  Nothing writes v1.  This module owns both formats and is the
-only one that knows their byte order: ``_parse_v1_vocabulary`` turns v1's
-strings into the native uint32 key matrix, ``_decode_v2_vocabulary`` turns
-v2's big-endian key bytes into it, and both end in
-``vectorize._check_keys``.
+never sees: ``save_model`` computes each array a chunk of rows at a time and
+streams its base64 into the file, so saving holds no copy of the file's text
+or of a whole array.  Formats v1, which stored the n-gram strings, the idf
+values and ``[index, value]`` weight pairs as JSON lists, and v2, which
+stored the key matrix as big-endian uint32 ids in ``vocabulary`` and one
+float64 per n-gram in ``idf``, are still read.  Nothing writes them.  This
+module owns the three formats and is the only one that knows their byte
+order: ``_parse_v1_vocabulary``, ``_decode_v2_vocabulary`` and
+``_decode_v3_vocabulary`` turn each into the native uint32 key matrix, and
+all end in ``vectorize._check_keys``.
 
-Loading is strict: anything but a v1 or v2 model document raises
+Loading is strict: anything but a v1, v2 or v3 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
-``format_version`` other than the integer 1 or 2).  That includes text that
-is not JSON or nests too deeply to decode, fields of the wrong JSON type
-(``true`` and ``false`` are not numbers), a ``config`` holding a non-finite
-number, non-finite idf or weight values and, in v2, invalid base64, byte
-lengths that do not fit the vocabulary size, and keys that are not a
-sorted vocabulary over the alphabet (see ``vectorize._check_keys``).
+``format_version`` other than the integer 1, 2 or 3).  That includes text
+that is not JSON or nests too deeply to decode, fields of the wrong JSON
+type (``true`` and ``false`` are not numbers), a ``config`` holding a
+non-finite number, non-finite idf or weight values, keys that are not a
+sorted vocabulary over the alphabet (see ``vectorize._check_keys``) and, in
+v2 and v3, invalid base64 and byte lengths that do not fit the vocabulary
+size or the item width.  In v3 the prefix and suffix lengths are checked
+before any key is built: the first prefix must be 0, no prefix may be longer
+than the n-gram before it, no n-gram longer than ``ngram_max``, and the
+suffix lengths must add up to the suffix's length; every ``idf_index`` entry
+must be below the table's length, and every table entry finite.
 """
 
 from __future__ import annotations
@@ -54,13 +72,14 @@ from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
 from .vectorize import IdfModel, Vocabulary, _check_keys, _check_range
 
-FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 _TOOL = "tracesvm/0.1.0"
-# Bytes base64-encoded at a time by save_model: a multiple of 3, so the
-# chunks' encodings join with no padding between them, and of 8, so a chunk
-# holds whole items of every field.
-_B64_CHUNK = 3 << 18
+# Bytes handled at a time by save_model: each field's array is built and
+# base64-encoded at most this many bytes at a time.  A multiple of 8 and of
+# 3, so a chunk of any fixed-width field holds whole items and its encoding
+# needs no padding; _write_b64 carries the odd bytes of other chunks over.
+_B64_CHUNK = 3 << 16
 
 
 @dataclass
@@ -71,24 +90,30 @@ class ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: Path | str) -> None:
-    """Write the v2 document; a non-finite number in ``config`` raises ValueError.
+    """Write the v3 document; a non-finite number in ``config`` raises ValueError.
 
-    The text is ``json.dumps`` of the document, but the four base64 fields
-    are never held whole: the small fields are dumped with each large one
-    empty, and the file is written from that text with each large field's
-    array converted to its file dtype and base64-encoded into its empty
-    quotes a chunk at a time.  Base64 needs no JSON escape, so the bytes are
-    those of one ``json.dumps``, and the transient memory stays a chunk, not
-    several copies of the file or of an array.
+    The text is ``json.dumps`` of the document, but the base64 fields are
+    never held whole: the small fields are dumped with each large one empty,
+    and the file is written from that text with each large field's array
+    built in its file dtype and base64-encoded into its empty quotes a chunk
+    at a time.  Base64 needs no JSON escape, so the bytes are those of one
+    ``json.dumps``, and the transient memory stays a few chunks, not a copy
+    of the file or of an array.
     """
     model = artifact.model
     vocab = artifact.vocabulary
     nz = np.flatnonzero(model.weights)
-    packed = {  # each field's values, flat, and its dtype in the file
-        "vocabulary": (vocab.keys.ravel(), ">u4"),
-        "idf": (artifact.idf.idf, "<f8"),
-        "weight_index": (nz, "<u4"),
-        "weight_value": (model.weights[nz], "<f8"),
+    bits = np.asarray(artifact.idf.idf, dtype="<f8").view("<u8")
+    table = np.unique(bits)
+    prefix, added = _front_coding(vocab.keys, _uint(vocab.n_max))
+    packed = {  # each field's values in their file dtype, a chunk at a time
+        "idf_index": (np.searchsorted(table, b).astype(_uint(len(table) - 1)) for b in _in_chunks(bits)),
+        "idf_table": _in_chunks(table.view("<f8")),
+        "vocabulary_prefix": _in_chunks(prefix),
+        "vocabulary_suffix": _suffixes(vocab.keys, prefix, _uint(len(vocab.alphabet))),
+        "vocabulary_suffix_len": _in_chunks(added),
+        "weight_index": (i.astype("<u4") for i in _in_chunks(nz)),
+        "weight_value": (model.weights[i].astype("<f8") for i in _in_chunks(nz)),
     }
     document = {
         "format_version": FORMAT_VERSION,
@@ -110,11 +135,62 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
         fh.write(pieces[0].encode("ascii"))
         for name, rest in zip(pieces[1::2], pieces[2::2]):
             fh.write(f'\n  "{name}": "'.encode("ascii"))
-            values, dtype = packed[name]
-            step = _B64_CHUNK // np.dtype(dtype).itemsize
-            for at in range(0, len(values), step):
-                fh.write(base64.b64encode(values[at : at + step].astype(dtype)))
+            _write_b64(fh, packed[name])
             fh.write(b'"' + rest.encode("ascii"))
+
+
+def _uint(largest: int) -> str:
+    """The narrowest little-endian unsigned dtype that holds ``largest``."""
+    return "<u1" if largest < 1 << 8 else "<u2" if largest < 1 << 16 else "<u4"
+
+
+def _in_chunks(values: np.ndarray):
+    """Slices of ``values`` of at most ``_B64_CHUNK`` bytes each."""
+    step = _B64_CHUNK // values.itemsize
+    return (values[at : at + step] for at in range(0, len(values), step))
+
+
+def _row_chunks(keys: np.ndarray):
+    """(first row, rows) for slices of the key rows of at most ``_B64_CHUNK`` bytes."""
+    step = max(1, _B64_CHUNK // (keys.itemsize * keys.shape[1]))
+    return ((at, keys[at : at + step]) for at in range(0, len(keys), step))
+
+
+def _front_coding(keys: np.ndarray, dtype: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each sorted key row's shared-prefix and suffix lengths, as ``dtype``.
+
+    The prefix counts a row's leading ids equal to those of the row before
+    it, 0 for the first row, and the suffix its nonzero ids after them.
+    Built a chunk of rows at a time, a chunk's first row compared with the
+    previous chunk's last.
+    """
+    prefix, added = np.empty((2, len(keys)), dtype=dtype)
+    for at, rows in _row_chunks(keys):
+        # Above the first row, an all-0 row: a key's first id is never 0.
+        above = keys[at - 1 : at - 1 + len(rows)] if at else np.concatenate((0 * rows[:1], rows[:-1]))
+        shared = np.argmin(rows == above, axis=1)
+        length = np.where(rows[:, -1] != 0, rows.shape[1], np.argmax(rows == 0, axis=1))
+        prefix[at : at + len(rows)] = shared
+        added[at : at + len(rows)] = length - shared
+    return prefix, added
+
+
+def _suffixes(keys: np.ndarray, prefix: np.ndarray, dtype: str):
+    """Each key row's nonzero ids after its shared prefix, as ``dtype``, a chunk of rows at a time."""
+    cols = np.arange(keys.shape[1])
+    for at, rows in _row_chunks(keys):
+        yield rows[(cols >= prefix[at : at + len(rows), None]) & (rows != 0)].astype(dtype)
+
+
+def _write_b64(fh, chunks) -> None:
+    """Write the base64 of the chunks' bytes joined, encoding a chunk at a time."""
+    rest = b""
+    for chunk in chunks:
+        data = rest + chunk.tobytes()
+        cut = len(data) - len(data) % 3
+        fh.write(base64.b64encode(memoryview(data)[:cut]))
+        rest = data[cut:]
+    fh.write(base64.b64encode(rest))
 
 
 def load_model(path: Path | str) -> ModelArtifact:
@@ -130,7 +206,7 @@ def load_model(path: Path | str) -> ModelArtifact:
     version = doc.get("format_version")
     if type(version) is not int or version not in _READABLE_VERSIONS:
         raise VersionMismatchError(
-            f"{path}: format_version {version!r} is not supported (expected 1 or 2)"
+            f"{path}: format_version {version!r} is not supported (expected 1, 2 or 3)"
         )
     try:
         n_min = _typed(doc["ngram_min"], "ngram_min", int)
@@ -141,8 +217,12 @@ def load_model(path: Path | str) -> ModelArtifact:
             weights = _parse_weights(_list_of(doc["weights"], "weights", list), len(vocab))
         else:
             alphabet = _list_of(doc["alphabet"], "alphabet", str)
-            vocab = _decode_v2_vocabulary(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
-            idf_values = _array(doc, "idf", "<f8", len(vocab))
+            if version == 2:
+                vocab = _decode_v2_vocabulary(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
+                idf_values = _array(doc, "idf", "<f8", len(vocab))
+            else:
+                vocab = _decode_v3_vocabulary(doc, alphabet, n_min, n_max)
+                idf_values = _decode_v3_idf(doc, len(vocab))
             index = _array(doc, "weight_index", "<u4")
             weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), len(vocab))
         dim = len(vocab)
@@ -220,6 +300,56 @@ def _decode_v2_vocabulary(alphabet: list[str], raw: bytes, n_min: int, n_max: in
     keys = np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
     _check_keys(alphabet, keys, n_min)
     return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
+
+
+def _decode_v3_vocabulary(doc: dict, alphabet: list[str], n_min: int, n_max: int) -> Vocabulary:
+    """v3's front-coded n-grams as a checked vocabulary.
+
+    N-gram i repeats the first ``prefix[i]`` ids of n-gram i - 1 and then
+    takes its next ``suffix_len[i]`` ids from the suffix.  The lengths are
+    checked before the key matrix is built, so that every n-gram's ids fall
+    in its own row.
+    """
+    _check_range(n_min, n_max)
+    # Narrow lengths are cast first: uint8 sums would wrap.
+    prefix = _array(doc, "vocabulary_prefix", _uint(n_max)).astype(np.intp)
+    added = _array(doc, "vocabulary_suffix_len", _uint(n_max), len(prefix)).astype(np.intp)
+    suffix = _array(doc, "vocabulary_suffix", _uint(len(alphabet)))
+    end = prefix + added
+    if prefix[:1].any():
+        raise ValueError("vocabulary_prefix: the first n-gram's prefix is not 0")
+    if np.any(prefix[1:] > end[:-1]):
+        raise ValueError("vocabulary_prefix: an n-gram shares more ids than the n-gram before it holds")
+    if np.any(end > n_max):
+        raise ValueError(f"vocabulary_suffix_len: an n-gram is longer than ngram_max {n_max}")
+    if added.sum() != len(suffix):
+        raise ValueError(
+            f"vocabulary_suffix holds {len(suffix)} ids, not the {added.sum()} of vocabulary_suffix_len"
+        )
+    dim = len(prefix)
+    keys = np.zeros((dim, n_max), dtype=np.uint32)
+    # Row i's suffix ids, which start at offset (cumsum(added) - added)[i] of
+    # the suffix, go to the flat cells from i * n_max + prefix[i] on.
+    first = np.arange(0, dim * n_max, n_max) + prefix - (np.cumsum(added) - added)
+    keys.ravel()[np.repeat(first, added) + np.arange(len(suffix))] = suffix
+    # A shared cell holds the value of the last row above whose prefix does
+    # not cover its column: fill each column down from the rows that set it.
+    for col in range(prefix.max(initial=0)):
+        own = np.flatnonzero(prefix <= col)
+        keys[:, col] = np.repeat(keys[own, col], np.diff(own, append=dim))
+    _check_keys(alphabet, keys, n_min)
+    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
+
+
+def _decode_v3_idf(doc: dict, dim: int) -> np.ndarray:
+    """Each n-gram's idf, looked up in the table of distinct values."""
+    table = _array(doc, "idf_table", "<f8")
+    index = _array(doc, "idf_index", _uint(len(table) - 1), dim)
+    if np.any(index >= len(table)):
+        raise ValueError(f"idf_index: an entry is not below the idf_table length {len(table)}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("idf_table holds a non-finite value")
+    return table[index]
 
 
 def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:

@@ -10,9 +10,11 @@ types as arguments; no trainer or vectorizer calls them.
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
 from its key rows one id at a time, and ``vocabulary_of`` builds those rows
-from strings the same way; ``canonical_text`` and ``canonical_text_v1``
-are the v2 and v1 model files as one ``json.dumps`` call writes them, the
-v2 arrays packed with ``struct``.  ``void_vocabulary_keys`` and
+from strings the same way; ``canonical_text``, ``canonical_text_v2`` and
+``canonical_text_v1`` are the v3, v2 and v1 model files as one
+``json.dumps`` call writes them, the arrays packed with ``struct``, and
+``front_code`` is v3's front coding of id lists, one list at a time.
+``void_vocabulary_keys`` and
 ``void_count_csr`` are the vectorizer's former lookup: one ``np.unique``
 and one ``np.searchsorted`` over void keys of big-endian ids packed with
 ``struct``.
@@ -275,7 +277,73 @@ def void_count_csr(
 
 
 def canonical_text(artifact: ModelArtifact) -> str:
-    """The v2 model file: one indented json.dumps, its arrays packed by struct.
+    """The v3 model file: one indented json.dumps, its arrays packed by struct.
+
+    Each n-gram's ids are looked up in the alphabet from its string, as
+    ``grams`` renders it, and front-coded against the n-gram before it.  The
+    idf table is the sorted set of the values' bit patterns as uint64.  Each
+    integer array takes the narrowest of ``B``, ``H`` and ``I`` that holds
+    its largest possible value: ``ngram_max`` for the lengths, the alphabet
+    size for the ids and the table's last position for the idf index.
+    """
+    model, vocab = artifact.model, artifact.vocabulary
+    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+    ids = [[index[name] for name in gram.split(" ")] for gram in grams(vocab)]
+    prefix, suffix_len, suffix = front_code(ids)
+    bits = [struct.unpack("<Q", struct.pack("<d", float(v)))[0] for v in artifact.idf.idf]
+    table = sorted(set(bits))
+    position = {b: i for i, b in enumerate(table)}
+    nz = [j for j, w in enumerate(model.weights) if w != 0]
+    document = {
+        "format_version": 3,
+        "created_by": "tracesvm/0.1.0",
+        "trainer": model.metadata.get("trainer"),
+        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
+        "ngram_min": vocab.n_min,
+        "ngram_max": vocab.n_max,
+        "n_docs": artifact.idf.n_docs,
+        "bias": model.bias,
+        "alphabet": list(vocab.alphabet),
+        "vocabulary_prefix": _b64(_pack_uints(prefix, vocab.n_max)),
+        "vocabulary_suffix_len": _b64(_pack_uints(suffix_len, vocab.n_max)),
+        "vocabulary_suffix": _b64(_pack_uints(suffix, len(vocab.alphabet))),
+        "idf_table": _b64(struct.pack(f"<{len(table)}Q", *table)),
+        "idf_index": _b64(_pack_uints([position[b] for b in bits], len(table) - 1)),
+        "weight_index": _b64(struct.pack(f"<{len(nz)}I", *nz)),
+        "weight_value": _b64(struct.pack(f"<{len(nz)}d", *[float(model.weights[j]) for j in nz])),
+    }
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def front_code(grams_ids: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """(prefix, suffix_len, suffix) of id lists, in order.
+
+    ``prefix`` counts each list's leading ids equal to those of the list
+    before it, 0 for the first; ``suffix_len`` its ids after them; and
+    ``suffix`` those ids, concatenated.
+    """
+    prefix, suffix_len, suffix = [], [], []
+    previous: Sequence[int] = ()
+    for ids in grams_ids:
+        shared = 0
+        while shared < min(len(ids), len(previous)) and ids[shared] == previous[shared]:
+            shared += 1
+        prefix.append(shared)
+        suffix_len.append(len(ids) - shared)
+        suffix.extend(ids[shared:])
+        previous = ids
+    return prefix, suffix_len, suffix
+
+
+def _pack_uints(values: Sequence[int], largest: int) -> bytes:
+    """Little-endian, as uint8, uint16 or uint32: the first that holds ``largest``."""
+    code = "B" if largest <= 0xFF else "H" if largest <= 0xFFFF else "I"
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
+def canonical_text_v2(artifact: ModelArtifact) -> str:
+    """The v2 model file, which nothing writes any more: one indented
+    json.dumps, its arrays packed by struct.
 
     Each n-gram's ids are looked up in the alphabet from its string, as
     ``grams`` renders it, and packed again.

@@ -206,9 +206,10 @@ class TestModelFile:
         doc = json.loads(model_path.read_text())
         assert set(doc) == {
             "format_version", "created_by", "trainer", "config", "ngram_min", "ngram_max",
-            "alphabet", "vocabulary", "idf", "n_docs", "weight_index", "weight_value", "bias",
+            "alphabet", "vocabulary_prefix", "vocabulary_suffix", "vocabulary_suffix_len",
+            "idf_table", "idf_index", "n_docs", "weight_index", "weight_value", "bias",
         }
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
 
     def test_corrupted_model_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -230,14 +231,14 @@ class TestModelFile:
 
     def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        doc["format_version"] = 3
+        doc["format_version"] = 4
         future = tmp_path / "future.json"
         future.write_text(json.dumps(doc))
         code = main(
             ["evaluate", "--model", str(future), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
-        assert "format_version 3" in capsys.readouterr().err
+        assert "format_version 4" in capsys.readouterr().err
 
 
 class TestEvaluate:

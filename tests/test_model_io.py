@@ -1,8 +1,13 @@
 """The model file: the writer against its oracle, and strict loading, where
 every corrupt field raises ModelFormatError.
 
-``train`` writes format v2.  Format v1 is still read; its documents here come
-from ``canonical_text_v1``, as the writer that made them is gone.
+``train`` writes format v3.  Formats v1 and v2 are still read; their
+documents here come from ``canonical_text_v1`` and ``canonical_text_v2``, as
+the writers that made them are gone, and from ``data/model_v2.json``, which
+the last v2 writer saved.  v3's integer fields take the narrowest width that
+holds their largest possible value: the round trips at each width's edge
+cover uint8, uint16 and uint32, and the fault suite's wide document has all
+four at uint16.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import canonical_text, canonical_text_v1, grams, vocabulary_of
+from oracles import canonical_text, canonical_text_v1, canonical_text_v2, front_code, grams, vocabulary_of
 from tracesvm import (
+    GeneratorConfig,
     IdfModel,
     LinearModel,
     ModelArtifact,
@@ -30,6 +36,7 @@ from tracesvm import (
     Vocabulary,
     decision_many,
     fit_transform,
+    generate,
     load_model,
     save_model,
     train_sgd,
@@ -52,11 +59,21 @@ def trained():
 
 
 @pytest.fixture(scope="module")
-def v2_doc(tmp_path_factory, trained):
+def v3_doc(tmp_path_factory, trained):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(trained, path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
+    assert len(unpack(doc, "weight_index")) >= 3
+    return path, doc
+
+
+@pytest.fixture(scope="module")
+def v2_doc(tmp_path_factory, trained):
+    """A v2 model file."""
+    path = tmp_path_factory.mktemp("model") / "model_v2.json"
+    path.write_text(canonical_text_v2(trained))
+    doc = json.loads(path.read_text())
     assert len(unpack(doc, "weight_index")) >= 3
     return path, doc
 
@@ -77,27 +94,50 @@ def write_doc(tmp_path, doc):
     return path
 
 
-# The dtypes of the v2 arrays; the vocabulary is one row of ids per n-gram.
-DTYPES = {"vocabulary": ">u4", "idf": "<f8", "weight_index": "<u4", "weight_value": "<f8"}
+# The dtypes of the v2 and v3 arrays; v2's vocabulary is one row of ids per
+# n-gram.  Each of v3's integer fields is as wide as its largest possible
+# value needs: ngram_max for the lengths, the alphabet size for the ids and
+# the table's last position for the idf index.
+DTYPES = {"vocabulary": ">u4", "idf": "<f8", "idf_table": "<f8", "weight_index": "<u4", "weight_value": "<f8"}
+
+
+def dtype_of(doc, key):
+    if key in DTYPES:
+        return DTYPES[key]
+    largest = {
+        "vocabulary_prefix": lambda: doc["ngram_max"],
+        "vocabulary_suffix_len": lambda: doc["ngram_max"],
+        "vocabulary_suffix": lambda: len(doc["alphabet"]),
+        "idf_index": lambda: len(unpack(doc, "idf_table")) - 1,
+    }[key]()
+    return "<u1" if largest <= 0xFF else "<u2" if largest <= 0xFFFF else "<u4"
 
 
 def unpack(doc, key):
-    values = np.frombuffer(base64.b64decode(doc[key]), dtype=DTYPES[key]).copy()
+    values = np.frombuffer(base64.b64decode(doc[key]), dtype=dtype_of(doc, key)).copy()
     return values.reshape(-1, doc["ngram_max"]) if key == "vocabulary" else values
 
 
-def pack(values, key):
-    return base64.b64encode(np.asarray(values, dtype=DTYPES[key]).tobytes()).decode("ascii")
+def pack(values, key, doc=None):
+    return base64.b64encode(np.asarray(values, dtype=dtype_of(doc, key)).tobytes()).decode("ascii")
 
 
-def test_save_load_save_is_byte_identical(v2_doc, tmp_path):
-    path, _ = v2_doc
+def test_save_load_save_is_byte_identical(v3_doc, tmp_path):
+    path, _ = v3_doc
     out = tmp_path / "resaved.json"
     save_model(load_model(path), out)
     assert out.read_bytes() == path.read_bytes()
 
 
-def test_unedited_document_loads(model_doc, v2_doc, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_file_resaves_as_the_v3_file(model_doc, v2_doc, v3_doc, tmp_path, version):
+    path, _ = model_doc if version == 1 else v2_doc
+    out = tmp_path / "resaved.json"
+    save_model(load_model(path), out)
+    assert out.read_bytes() == v3_doc[0].read_bytes()
+
+
+def test_unedited_document_loads(model_doc, v2_doc, v3_doc, tmp_path):
     _, doc = model_doc
     artifact = load_model(write_doc(tmp_path, doc))
     assert artifact.model.dim == len(doc["vocabulary"])
@@ -105,6 +145,10 @@ def test_unedited_document_loads(model_doc, v2_doc, tmp_path):
     _, doc = v2_doc
     artifact = load_model(write_doc(tmp_path, doc))
     assert artifact.model.dim == len(unpack(doc, "vocabulary")) == len(unpack(doc, "idf"))
+    assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_value"))
+    _, doc = v3_doc
+    artifact = load_model(write_doc(tmp_path, doc))
+    assert artifact.model.dim == len(unpack(doc, "vocabulary_prefix")) == len(unpack(doc, "idf_index"))
     assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_value"))
 
 
@@ -122,6 +166,34 @@ def test_v1_file_loads_and_scores_as_its_source(trained, model_doc):
     expected = decision_many(trained.model, transform(corpus, trained.vocabulary, trained.idf))
     scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
     assert scores.tobytes() == expected.tobytes()
+
+
+def test_committed_v2_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
+    """``data/model_v2.json`` is the v2 writer's file for 8 generated traces of
+    10-14 calls (generator seed 21), n-grams of 2-3 calls and SGD with alpha
+    1e-3 for 5 epochs."""
+    path = Path(__file__).parent / "data" / "model_v2.json"
+    assert json.loads(path.read_text())["format_version"] == 2
+    loaded = load_model(path)
+    assert canonical_text_v2(loaded) == path.read_text()
+    out = tmp_path / "model.json"
+    save_model(loaded, out)
+    assert out.read_text() == canonical_text(loaded)
+    resaved = load_model(out)
+    assert resaved.vocabulary.alphabet == loaded.vocabulary.alphabet
+    assert resaved.vocabulary.n_min == loaded.vocabulary.n_min
+    assert resaved.vocabulary.keys.shape == loaded.vocabulary.keys.shape
+    assert resaved.vocabulary.keys.tobytes() == loaded.vocabulary.keys.tobytes()
+    assert resaved.idf.idf.tobytes() == loaded.idf.idf.tobytes() and resaved.idf.n_docs == loaded.idf.n_docs
+    assert resaved.model.weights.tobytes() == loaded.model.weights.tobytes()
+    assert resaved.model.bias == loaded.model.bias and resaved.model.metadata == loaded.model.metadata
+    for seed in (21, 22):  # the training corpus, then a fresh one
+        corpus = generate(GeneratorConfig(n_traces=8, trace_len_range=(10, 14), seed=seed))
+        scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
+        again = decision_many(resaved.model, transform(corpus, resaved.vocabulary, resaved.idf))
+        assert again.tobytes() == scores.tobytes()
+        if seed == 21:
+            assert [s >= 0 for s in scores] == [t.label == "malicious" for t in corpus]
 
 
 def edit_weights(doc, edit):
@@ -433,35 +505,347 @@ def test_v2_bad_small_field_rejected(v2_doc, tmp_path, field, value):
         load_edited(tmp_path, doc, **{field: value})
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize(
     "value", [float("inf"), float("-inf"), float("nan"), [1.0, float("inf")]], ids=["inf", "-inf", "nan", "nested"]
 )
-def test_non_finite_config_number_rejected(model_doc, v2_doc, tmp_path, version, value):
-    _, doc = model_doc if version == 1 else v2_doc
+def test_non_finite_config_number_rejected(model_doc, v2_doc, v3_doc, tmp_path, version, value):
+    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc}[version]
     with pytest.raises(ModelFormatError, match="config holds a non-finite number"):
         load_edited(tmp_path, doc, config={**doc["config"], "alpha": value})
 
 
-@pytest.mark.parametrize("version", [True, 2.0, 3, 0])
+# A v2 document that claims format 3 lacks v3's fields: ModelFormatError.
+@pytest.mark.parametrize("version", [True, 2.0, 4, 0])
 def test_v2_format_version_must_be_the_integer_two(v2_doc, tmp_path, version):
     _, doc = v2_doc
     with pytest.raises(VersionMismatchError):
         load_edited(tmp_path, doc, format_version=version)
 
 
-def test_v2_arrays_load_native_and_writable(v2_doc):
+def test_v2_arrays_load_native_and_writable(v2_doc, v3_doc):
     path, _ = v2_doc
     artifact = load_model(path)
-    for array in (artifact.idf.idf, artifact.model.weights, artifact.vocabulary.keys):
-        assert array.flags.writeable
-    assert artifact.idf.idf.dtype == np.float64 and artifact.idf.idf.dtype.isnative
     v1_path = path.with_name("model_v1.json")
     v1_path.write_text(canonical_text_v1(artifact))
-    for vocab in (artifact.vocabulary, load_model(v1_path).vocabulary):
+    for loaded in (artifact, load_model(v1_path), load_model(v3_doc[0])):
+        for array in (loaded.idf.idf, loaded.model.weights, loaded.vocabulary.keys):
+            assert array.flags.writeable
+        assert loaded.idf.idf.dtype == np.float64 and loaded.idf.idf.dtype.isnative
+        vocab = loaded.vocabulary
         keys = vocab.keys
         assert keys.dtype == np.uint32 and keys.dtype.isnative and keys.flags.c_contiguous
         assert keys.shape == (len(vocab), vocab.n_max) == (len(vocab), 2)
+
+
+# --- v3 load faults, one test each -----------------------------------------
+
+ARRAYS_V3 = (
+    "idf_index", "idf_table", "vocabulary_prefix", "vocabulary_suffix",
+    "vocabulary_suffix_len", "weight_index", "weight_value",
+)
+# v3's integer fields, each as wide as the value that bounds it.
+NARROW_V3 = ("idf_index", "vocabulary_prefix", "vocabulary_suffix", "vocabulary_suffix_len")
+
+
+@pytest.fixture(scope="module")
+def wide_doc(tmp_path_factory):
+    """A v3 file whose integer fields are all uint16: 300 names, ngram_max 256
+    and 301 distinct idf values."""
+    names = _grams(300)
+    strings = [names[0], f"{names[0]} {names[1]}", *names[1:]]
+    artifact = make_artifact(
+        strings, [k % 3 - 1.0 for k in range(301)], [k / 8 for k in range(301)], n_max=256
+    )
+    path = tmp_path_factory.mktemp("model") / "wide.json"
+    save_model(artifact, path)
+    doc = json.loads(path.read_text())
+    assert {dtype_of(doc, field) for field in NARROW_V3} == {"<u2"}
+    return path, doc
+
+
+@pytest.mark.parametrize("field", ARRAYS_V3)
+@pytest.mark.parametrize("value", [[1, 2], 12, None], ids=["list", "number", "null"])
+def test_v3_array_that_is_not_a_string_rejected(v3_doc, tmp_path, field, value):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match=rf"{field}\b must be str"):
+        load_edited(tmp_path, doc, **{field: value})
+
+
+@pytest.mark.parametrize("field", ARRAYS_V3)
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda t: t[:-1], lambda t: "!" + t[1:], lambda t: t[:4] + "\n" + t[4:], lambda t: "\u00e9" + t[1:]],
+    ids=["bad-padding", "bad-character", "newline", "non-ascii"],
+)
+def test_v3_array_that_is_not_base64_rejected(v3_doc, tmp_path, field, mangle):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match=f"{field} is not valid base64"):
+        load_edited(tmp_path, doc, **{field: mangle(doc[field])})
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("idf_index", lambda b: b + b"\0"),
+        ("idf_table", lambda b: b[:-1]),
+        ("vocabulary_prefix", lambda b: b + b"\0"),
+        ("vocabulary_suffix", lambda b: b[:-1]),
+        ("vocabulary_suffix_len", lambda b: b + b"\0"),
+        ("weight_index", lambda b: b + b"\0\0"),
+        ("weight_value", lambda b: b[:-4]),
+    ],
+    ids=[
+        "idf_index-odd-byte", "idf_table-item-short", "prefix-odd-byte", "suffix-odd-byte",
+        "suffix_len-odd-byte", "weight_index-part-item", "weight_value-part-item",
+    ],
+)
+def test_v3_byte_length_not_whole_items_rejected(wide_doc, tmp_path, field, edit):
+    _, doc = wide_doc
+    with pytest.raises(ModelFormatError, match=rf"{field}\b holds \d+ bytes, not"):
+        load_edited(tmp_path, doc, **_with_bytes(doc, field, edit))
+
+
+@pytest.mark.parametrize(
+    "field, edit, named",
+    [
+        ("idf_index", lambda b: b[:-1], "idf_index"),
+        ("idf_index", lambda b: b + b"\0", "idf_index"),
+        ("vocabulary_suffix_len", lambda b: b[:-1], "vocabulary_suffix_len"),
+        # One prefix more is found as suffix lengths of the wrong count.
+        ("vocabulary_prefix", lambda b: b + b"\0", "vocabulary_suffix_len"),
+        ("weight_value", lambda b: b[:-8], "weight_value"),
+    ],
+    ids=["idf_index-short", "idf_index-extra", "suffix_len-short", "prefix-extra", "weight_value-short"],
+)
+def test_v3_item_count_mismatch_rejected(v3_doc, tmp_path, field, edit, named):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match=rf"{named}\b holds \d+ bytes, not \d+ items"):
+        load_edited(tmp_path, doc, **_with_bytes(doc, field, edit))
+
+
+def _front_coding_edit(doc, edit):
+    """The v3 vocabulary fields after ``edit(prefix, suffix_len, suffixes)``
+    of the per-n-gram lists, ``suffixes`` holding each n-gram's own ids."""
+    prefix = unpack(doc, "vocabulary_prefix").tolist()
+    added = unpack(doc, "vocabulary_suffix_len").tolist()
+    ids = unpack(doc, "vocabulary_suffix").tolist()
+    starts = np.cumsum([0, *added]).tolist()
+    suffixes = [ids[a:b] for a, b in zip(starts, starts[1:])]
+    edit(prefix, added, suffixes)
+    return {
+        "vocabulary_prefix": pack(prefix, "vocabulary_prefix", doc),
+        "vocabulary_suffix_len": pack(added, "vocabulary_suffix_len", doc),
+        "vocabulary_suffix": pack([i for s in suffixes for i in s], "vocabulary_suffix", doc),
+    }
+
+
+def _share_one_id_more(prefix, added, suffixes):
+    # The first n-gram that extends the one before it takes one id less of
+    # its own and claims one more of the previous n-gram's, which has none.
+    i = next(i for i in range(1, len(prefix)) if prefix[i] == prefix[i - 1] + added[i - 1])
+    prefix[i] += 1
+    added[i] -= 1
+    suffixes[i] = suffixes[i][1:]
+
+
+def _one_id_past_ngram_max(prefix, added, suffixes):
+    # An n-gram of ngram_max ids, not the last, gets one more; the lengths
+    # still add up, and the next n-gram's prefix still fits.
+    i = next(i for i in range(len(prefix) - 1) if prefix[i] + added[i] == 2)
+    added[i] += 1
+    suffixes[i] = [*suffixes[i], 1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p, n, s: p.__setitem__(0, 1), "vocabulary_prefix: the first n-gram's prefix is not 0"),
+        (_share_one_id_more, "vocabulary_prefix: an n-gram shares more ids than the n-gram before it holds"),
+        (_one_id_past_ngram_max, "vocabulary_suffix_len: an n-gram is longer than ngram_max 2"),
+    ],
+    ids=["first-prefix-not-zero", "prefix-longer-than-previous", "longer-than-ngram_max"],
+)
+def test_v3_bad_front_coding_rejected(v3_doc, tmp_path, edit, message):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match=message):
+        load_edited(tmp_path, doc, **_front_coding_edit(doc, edit))
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda b: b + b"\x01", lambda b: b[:-1]], ids=["extra-id", "missing-id"]
+)
+def test_v3_suffix_of_the_wrong_length_rejected(v3_doc, tmp_path, edit):
+    _, doc = v3_doc
+    message = r"vocabulary_suffix holds \d+ ids, not the \d+ of vocabulary_suffix_len"
+    with pytest.raises(ModelFormatError, match=message):
+        load_edited(tmp_path, doc, **_with_bytes(doc, "vocabulary_suffix", edit))
+
+
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("value", ["table-length", 255])
+def test_v3_idf_index_past_the_table_rejected(v3_doc, tmp_path, position, value):
+    _, doc = v3_doc
+    index = unpack(doc, "idf_index")
+    index[position] = len(unpack(doc, "idf_table")) if value == "table-length" else value
+    with pytest.raises(ModelFormatError, match="idf_index: an entry is not below the idf_table length"):
+        load_edited(tmp_path, doc, idf_index=pack(index, "idf_index", doc))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["used", "unused"])
+def test_v3_non_finite_idf_table_entry_rejected(v3_doc, tmp_path, value, where):
+    _, doc = v3_doc
+    table = unpack(doc, "idf_table")
+    if where == "used":
+        table[0] = value
+    else:  # an entry no n-gram's index points at
+        table = np.append(table, value)
+    with pytest.raises(ModelFormatError, match="idf_table holds a non-finite value"):
+        load_edited(tmp_path, doc, idf_table=pack(table, "idf_table"))
+
+
+def _keys_edit(v3_doc, edit, n_max=2):
+    """The v3 vocabulary fields of the file's keys, widened to ``n_max``
+    columns, after ``edit(keys)``, front-coded by the oracle."""
+    path, doc = v3_doc
+    loaded = load_model(path).vocabulary.keys
+    keys = np.zeros((len(loaded), n_max), dtype=np.uint32)
+    keys[:, : loaded.shape[1]] = loaded
+    edit(keys)
+    prefix, added, suffix = front_code([_ids(row) for row in keys.tolist()])
+    widths = {**doc, "ngram_max": n_max}
+    return {
+        "vocabulary_prefix": pack(prefix, "vocabulary_prefix", widths),
+        "vocabulary_suffix_len": pack(added, "vocabulary_suffix_len", widths),
+        "vocabulary_suffix": pack(suffix, "vocabulary_suffix", widths),
+    }
+
+
+def _ids(row):
+    """A key row's ids up to its last nonzero one."""
+    while row and row[-1] == 0:
+        row = row[:-1]
+    return row
+
+
+def test_v3_id_above_the_alphabet_rejected(v3_doc, tmp_path):
+    _, doc = v3_doc
+    edit = _keys_edit(v3_doc, lambda keys: keys.__setitem__((-1, 0), len(doc["alphabet"]) + 1))
+    with pytest.raises(ModelFormatError, match="above the alphabet size"):
+        load_edited(tmp_path, doc, **edit)
+
+
+def test_v3_gram_shorter_than_ngram_min_rejected(v3_doc, tmp_path):
+    _, doc = v3_doc
+    assert doc["ngram_min"] == 1
+    # Every gram of length 1 is now shorter than ngram_min 2; so is an all-0 key.
+    with pytest.raises(ModelFormatError, match="shorter than ngram_min"):
+        load_edited(tmp_path, doc, ngram_min=2)
+    with pytest.raises(ModelFormatError, match="shorter than ngram_min"):
+        load_edited(tmp_path, doc, **_keys_edit(v3_doc, lambda keys: keys.__setitem__(0, 0)))
+
+
+def test_v3_id_after_padding_rejected(v3_doc, tmp_path):
+    _, doc = v3_doc
+
+    def edit(keys):
+        (row,) = np.flatnonzero(keys[:, 1] == 0)[-1:]  # the last unigram
+        keys[row, 2] = 1  # a unigram, then 0, then an id
+
+    fields = {"ngram_max": 3, **_keys_edit(v3_doc, edit, n_max=3)}
+    with pytest.raises(ModelFormatError, match="after its padding"):
+        load_edited(tmp_path, doc, **fields)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda keys: keys.__setitem__(slice(0, 2), keys[1::-1].copy()),
+        lambda keys: keys.__setitem__(1, keys[0]),
+    ],
+    ids=["swapped", "duplicated"],
+)
+def test_v3_keys_not_strictly_increasing_rejected(v3_doc, tmp_path, edit):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match="sorted and unique"):
+        load_edited(tmp_path, doc, **_keys_edit(v3_doc, edit))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda a: a[::-1],
+        lambda a: [a[0], *a],
+        lambda a: ["", *a],
+        lambda a: [*a, "nt z"],
+        lambda a: [*a, "ntz\x1f"],
+        lambda a: [*a, 7],
+    ],
+    ids=["unsorted", "duplicate", "empty-name", "space-in-name", "control-character", "not-a-string"],
+)
+def test_v3_bad_alphabet_rejected(v3_doc, tmp_path, edit):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError, match="alphabet"):
+        load_edited(tmp_path, doc, alphabet=edit(list(doc["alphabet"])))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda i, dim: i.__setitem__(slice(0, 2), i[1::-1].copy()),
+        lambda i, dim: i.__setitem__(1, i[0]),
+        lambda i, dim: i.__setitem__(-1, dim),
+        lambda i, dim: i.__setitem__(-1, 2**32 - 1),
+    ],
+    ids=["unsorted", "duplicated", "index-equal-to-dim", "index-max-uint32"],
+)
+def test_v3_bad_weight_index_rejected(v3_doc, tmp_path, edit):
+    _, doc = v3_doc
+    index = unpack(doc, "weight_index")
+    edit(index, len(unpack(doc, "idf_index")))
+    with pytest.raises(ModelFormatError, match="weight indices"):
+        load_edited(tmp_path, doc, weight_index=pack(index, "weight_index"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_v3_non_finite_weight_rejected(v3_doc, tmp_path, value):
+    _, doc = v3_doc
+    values = unpack(doc, "weight_value")
+    values[1] = value
+    with pytest.raises(ModelFormatError, match="weight values"):
+        load_edited(tmp_path, doc, weight_value=pack(values, "weight_value"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bias", float("nan")),
+        ("bias", True),
+        ("n_docs", 0),
+        ("n_docs", 2.0),
+        ("config", [["alpha", 0.01]]),
+        ("ngram_min", 0),
+        ("ngram_min", 3),
+        ("ngram_max", 1001),
+        ("ngram_min", True),
+    ],
+    ids=[
+        "bias-nan", "bias-true", "n_docs-zero", "n_docs-float", "config-pairs",
+        "ngram_min-zero", "ngram_min-above-max", "ngram_max-above-limit", "ngram_min-true",
+    ],
+)
+def test_v3_bad_small_field_rejected(v3_doc, tmp_path, field, value):
+    _, doc = v3_doc
+    with pytest.raises(ModelFormatError):
+        load_edited(tmp_path, doc, **{field: value})
+
+
+@pytest.mark.parametrize("version", [True, 3.0, 4, 0])
+def test_v3_format_version_must_be_the_integer_three(v3_doc, tmp_path, version):
+    _, doc = v3_doc
+    with pytest.raises(VersionMismatchError):
+        load_edited(tmp_path, doc, format_version=version)
 
 
 # --- the writer against canonical_text --------------------------------------
@@ -503,7 +887,7 @@ def artifacts(draw):
 
 
 def _grams(n):
-    return [f"nt{i:02d}" for i in range(n)]
+    return [f"nt{i:03d}" for i in range(n)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -513,6 +897,12 @@ def _grams(n):
 @example(make_artifact(_grams(9), [0.0] * 9, [1e16] * 9))
 @example(make_artifact(_grams(3), [1.0] * 3, [2.0] * 3))
 @example(make_artifact(_grams(0), [], []))
+# The idf table keeps bits: -0.0 beside 0.0, and subnormals.
+@example(make_artifact(_grams(2), [1.0, 0.0], [0.0, -0.0]))
+@example(make_artifact(_grams(4), [1.0] * 4, [5e-324, -5e-324, 1e-310, 5e-324]))
+# 256 distinct idf values index as uint8, 257 as uint16.
+@example(make_artifact(_grams(256), [0.5] * 256, [i / 4 for i in range(256)]))
+@example(make_artifact(_grams(257), [0.5] * 257, [i / 4 for i in range(257)]))
 def test_save_writes_the_canonical_text(artifact):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -521,10 +911,12 @@ def test_save_writes_the_canonical_text(artifact):
         loaded = load_model(path)
         save_model(loaded, path)
         assert path.read_bytes() == canonical_text(artifact).encode("utf-8")
-        # The v1 text of the same artifact loads to the same strings and bits.
+        # The v1 and v2 texts of the same artifact load to the same strings and bits.
         path.write_text(canonical_text_v1(artifact))
         from_v1 = load_model(path)
-    for other in (loaded, from_v1):
+        path.write_text(canonical_text_v2(artifact))
+        from_v2 = load_model(path)
+    for other in (loaded, from_v1, from_v2):
         assert other.vocabulary.alphabet == artifact.vocabulary.alphabet
         assert other.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
         assert other.idf.idf.tobytes() == artifact.idf.idf.tobytes()
@@ -538,9 +930,60 @@ def test_save_refuses_a_non_finite_config_number(tmp_path, value):
         save_model(artifact, tmp_path / "model.json")
 
 
-def test_trained_model_writes_the_canonical_text(v2_doc):
-    path, _ = v2_doc
+def test_trained_model_writes_the_canonical_text(v3_doc):
+    path, _ = v3_doc
     assert path.read_bytes() == canonical_text(load_model(path)).encode("utf-8")
+
+
+def _edge_artifact(n_names, n_max, n_idf):
+    """Unigrams of every name but the second, the first name 2 to n_max times
+    over, the second n_max times, and ``n_idf`` distinct idf values."""
+    names = [f"nt{i:05d}" for i in range(n_names)]
+    strings = [" ".join(names[:1] * k) for k in range(1, n_max + 1)]
+    strings += [" ".join(names[1:2] * n_max), *names[2:]]
+    dim = len(strings)
+    weights, idf = [k % 3 - 1.0 for k in range(dim)], [k % n_idf / 4 for k in range(dim)]
+    return make_artifact(strings, weights, idf, n_max=n_max)
+
+
+@pytest.mark.parametrize(
+    "n_names, n_max, n_idf, widths",
+    [
+        (255, 2, 5, (1, 1, 1)),
+        (256, 2, 5, (1, 2, 1)),
+        (65535, 2, 5, (1, 2, 1)),
+        (65536, 2, 5, (1, 4, 1)),
+        (3, 255, 5, (1, 1, 1)),
+        (3, 256, 5, (2, 1, 1)),
+        (300, 2, 256, (1, 2, 1)),
+        (300, 2, 257, (1, 2, 2)),
+    ],
+    ids=[
+        "255-names", "256-names", "65535-names", "65536-names",
+        "ngram_max-255", "ngram_max-256", "256-idf-values", "257-idf-values",
+    ],
+)
+def test_round_trip_at_each_width_edge(tmp_path, n_names, n_max, n_idf, widths):
+    """Byte widths of (prefix and suffix lengths, suffix ids, idf index)."""
+    artifact = _edge_artifact(n_names, n_max, n_idf)
+    path = tmp_path / "model.json"
+    save_model(artifact, path)
+    text = path.read_bytes()
+    assert text == canonical_text(artifact).encode("utf-8")
+    doc = json.loads(text)
+    dim = len(artifact.vocabulary)
+    n_ids = dim + n_max - 1  # one own id a row, and n_max for the second name's row
+    lengths, ids, index = widths
+    size = {field: len(base64.b64decode(doc[field])) for field in (*NARROW_V3, "idf_table")}
+    assert size["vocabulary_prefix"] == size["vocabulary_suffix_len"] == dim * lengths
+    assert size["vocabulary_suffix"] == n_ids * ids
+    assert size["idf_index"] == dim * index and size["idf_table"] == 8 * n_idf
+    loaded = load_model(path)
+    save_model(loaded, path)
+    assert path.read_bytes() == text
+    assert loaded.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
+    assert loaded.idf.idf.tobytes() == artifact.idf.idf.tobytes()
+    assert loaded.model.weights.tobytes() == artifact.model.weights.tobytes()
 
 
 def _large_artifact():
@@ -564,29 +1007,11 @@ def test_large_model_is_written_as_one_json_dumps_with_little_transient_memory(t
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    model, vocab = artifact.model, artifact.vocabulary
-    nz = np.flatnonzero(model.weights)
-    document = {
-        "format_version": 2,
-        "created_by": "tracesvm/0.1.0",
-        "trainer": "sgd",
-        "config": {"alpha": 1e-4},
-        "ngram_min": 10,
-        "ngram_max": 10,
-        "n_docs": 9,
-        "bias": 0.5,
-        "alphabet": list(vocab.alphabet),
-        "vocabulary": base64.b64encode(vocab.keys.astype(">u4").tobytes()).decode("ascii"),
-        "idf": base64.b64encode(artifact.idf.idf.astype("<f8").tobytes()).decode("ascii"),
-        "weight_index": base64.b64encode(nz.astype("<u4").tobytes()).decode("ascii"),
-        "weight_value": base64.b64encode(model.weights[nz].astype("<f8").tobytes()).decode("ascii"),
-    }
-    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    assert path.read_bytes() == text.encode("utf-8")
+    assert path.read_bytes() == canonical_text(artifact).encode("utf-8")
     # The base64 fields are streamed: no copy of the file's text is held.
     assert peak < path.stat().st_size / 2
     loaded = load_model(path)
-    assert loaded.vocabulary.keys.tobytes() == vocab.keys.tobytes()
+    assert loaded.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
     assert loaded.idf.idf.tobytes() == artifact.idf.idf.tobytes()
 
 
@@ -655,5 +1080,33 @@ V2_VALUES = JSON_VALUES | st.binary(max_size=64).map(lambda b: base64.b64encode(
 def test_any_value_of_one_v2_field_loads_or_raises_a_tracesvm_error(v2_doc, field, value):
     _, doc = v2_doc
     assert set(doc) == set(FIELDS_V2)
+    with tempfile.TemporaryDirectory() as tmp:
+        load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
+
+
+FIELDS_V3 = (
+    "alphabet", "bias", "config", "created_by", "format_version", "idf_index", "idf_table",
+    "n_docs", "ngram_max", "ngram_min", "trainer", "vocabulary_prefix", "vocabulary_suffix",
+    "vocabulary_suffix_len", "weight_index", "weight_value",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 10**6), cut=st.integers(0, 40), data=st.binary(max_size=40))
+def test_any_bytes_in_a_v3_file_load_or_raise_a_tracesvm_error(v3_doc, start, cut, data):
+    path, _ = v3_doc
+    text = path.read_bytes()
+    start %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "model.json"
+        edited.write_bytes(text[:start] + data + text[start + cut :])
+        load_or_raise(edited)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS_V3), value=V2_VALUES)
+def test_any_value_of_one_v3_field_loads_or_raises_a_tracesvm_error(v3_doc, field, value):
+    _, doc = v3_doc
+    assert set(doc) == set(FIELDS_V3)
     with tempfile.TemporaryDirectory() as tmp:
         load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
