@@ -82,6 +82,12 @@ class EvaluationReport:
     average: ClassScores
 
 
+def _class_scores(c: ConfusionCounts) -> ClassScores:
+    """Scores of the class that ``c`` counts as positive."""
+    precision, recall = precision_score(c), recall_score(c)
+    return ClassScores(precision, recall, f1_score(precision, recall), support=c.tp + c.fn)
+
+
 def classification_report(
     predictions: Sequence[int],
     truths: Sequence[int],
@@ -89,20 +95,9 @@ def classification_report(
 ) -> EvaluationReport:
     """Benign and malware scores with a support-weighted (or macro) average."""
     c = confusion(predictions, truths)
-    mal = ClassScores(
-        precision=precision_score(c),
-        recall=recall_score(c),
-        f1=f1_score(precision_score(c), recall_score(c)),
-        support=c.tp + c.fn,
-    )
+    mal = _class_scores(c)
     # Benign scores are the same computation with the roles flipped.
-    flipped = ConfusionCounts(tp=c.tn, fp=c.fn, tn=c.tp, fn=c.fp)
-    ben = ClassScores(
-        precision=precision_score(flipped),
-        recall=recall_score(flipped),
-        f1=f1_score(precision_score(flipped), recall_score(flipped)),
-        support=flipped.tp + flipped.fn,
-    )
+    ben = _class_scores(ConfusionCounts(tp=c.tn, fp=c.fn, tn=c.tp, fn=c.fp))
     total = ben.support + mal.support
     if macro:
         wb = wm = 0.5

@@ -37,9 +37,10 @@ values and ``[index, value]`` weight pairs as JSON lists, and v2, which
 stored the key matrix as big-endian uint32 ids in ``vocabulary`` and one
 float64 per n-gram in ``idf``, are still read.  Nothing writes them.  This
 module owns the three formats and is the only one that knows their byte
-order: ``_parse_v1_vocabulary``, ``_decode_v2_vocabulary`` and
-``_decode_v3_vocabulary`` turn each into the native uint32 key matrix, and
-all end in ``vectorize._check_keys``.
+order: ``_v1_keys``, ``_v2_keys`` and ``_v3_keys`` turn each into the
+native uint32 key matrix, and ``_read_vocabulary`` checks the n-gram range
+before any of them and the keys after, with ``_check_keys``, which owns
+the rules a file's keys must keep.
 
 Loading is strict: anything but a v1, v2 or v3 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
@@ -47,7 +48,7 @@ Loading is strict: anything but a v1, v2 or v3 model document raises
 that is not JSON or nests too deeply to decode, fields of the wrong JSON
 type (``true`` and ``false`` are not numbers), a ``config`` holding a
 non-finite number, non-finite idf or weight values, keys that are not a
-sorted vocabulary over the alphabet (see ``vectorize._check_keys``) and, in
+sorted vocabulary over the alphabet (see ``_check_keys``) and, in
 v2 and v3, invalid base64 and byte lengths that do not fit the vocabulary
 size or the item width.  In v3 the prefix and suffix lengths are checked
 before any key is built: the first prefix must be 0, no prefix may be longer
@@ -70,7 +71,7 @@ import numpy as np
 
 from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
-from .vectorize import IdfModel, Vocabulary, _check_keys, _check_range
+from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map
 
 FORMAT_VERSION = 3
 _READABLE_VERSIONS = (1, 2, 3)
@@ -105,13 +106,13 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
     nz = np.flatnonzero(model.weights)
     bits = np.asarray(artifact.idf.idf, dtype="<f8").view("<u8")
     table = np.unique(bits)
-    prefix, added = _front_coding(vocab.keys, _uint(vocab.n_max))
+    prefix = _shared_prefix(vocab.keys)
     packed = {  # each field's values in their file dtype, a chunk at a time
         "idf_index": (np.searchsorted(table, b).astype(_uint(len(table) - 1)) for b in _in_chunks(bits)),
         "idf_table": _in_chunks(table.view("<f8")),
         "vocabulary_prefix": _in_chunks(prefix),
         "vocabulary_suffix": _suffixes(vocab.keys, prefix, _uint(len(vocab.alphabet))),
-        "vocabulary_suffix_len": _in_chunks(added),
+        "vocabulary_suffix_len": _suffix_lengths(vocab.keys, prefix),
         "weight_index": (i.astype("<u4") for i in _in_chunks(nz)),
         "weight_value": (model.weights[i].astype("<f8") for i in _in_chunks(nz)),
     }
@@ -156,23 +157,24 @@ def _row_chunks(keys: np.ndarray):
     return ((at, keys[at : at + step]) for at in range(0, len(keys), step))
 
 
-def _front_coding(keys: np.ndarray, dtype: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each sorted key row's shared-prefix and suffix lengths, as ``dtype``.
+def _shared_prefix(keys: np.ndarray) -> np.ndarray:
+    """How many leading ids each key row shares with the row before it, in v3's dtype.
 
-    The prefix counts a row's leading ids equal to those of the row before
-    it, 0 for the first row, and the suffix its nonzero ids after them.
-    Built a chunk of rows at a time, a chunk's first row compared with the
-    previous chunk's last.
+    0 for the first row and for a row equal to the one before.  Built a chunk
+    of rows at a time, a chunk's first row compared with the previous chunk's last.
     """
-    prefix, added = np.empty((2, len(keys)), dtype=dtype)
+    prefix = np.empty(len(keys), dtype=_uint(keys.shape[1]))
     for at, rows in _row_chunks(keys):
-        # Above the first row, an all-0 row: a key's first id is never 0.
+        # Above the first row, an all-0 row.
         above = keys[at - 1 : at - 1 + len(rows)] if at else np.concatenate((0 * rows[:1], rows[:-1]))
-        shared = np.argmin(rows == above, axis=1)
-        length = np.where(rows[:, -1] != 0, rows.shape[1], np.argmax(rows == 0, axis=1))
-        prefix[at : at + len(rows)] = shared
-        added[at : at + len(rows)] = length - shared
-    return prefix, added
+        prefix[at : at + len(rows)] = np.argmin(rows == above, axis=1)
+    return prefix
+
+
+def _suffix_lengths(keys: np.ndarray, prefix: np.ndarray):
+    """Each key row's count of nonzero ids after its shared prefix, a chunk of rows at a time."""
+    for at, rows in _row_chunks(keys):
+        yield (np.count_nonzero(rows, axis=1) - prefix[at : at + len(rows)]).astype(prefix.dtype)
 
 
 def _suffixes(keys: np.ndarray, prefix: np.ndarray, dtype: str):
@@ -209,23 +211,15 @@ def load_model(path: Path | str) -> ModelArtifact:
             f"{path}: format_version {version!r} is not supported (expected 1, 2 or 3)"
         )
     try:
-        n_min = _typed(doc["ngram_min"], "ngram_min", int)
-        n_max = _typed(doc["ngram_max"], "ngram_max", int)
-        if version == 1:
-            vocab = _parse_v1_vocabulary(_list_of(doc["vocabulary"], "vocabulary", str), n_min, n_max)
-            idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
-            weights = _parse_weights(_list_of(doc["weights"], "weights", list), len(vocab))
-        else:
-            alphabet = _list_of(doc["alphabet"], "alphabet", str)
-            if version == 2:
-                vocab = _decode_v2_vocabulary(alphabet, _unb64(doc, "vocabulary"), n_min, n_max)
-                idf_values = _array(doc, "idf", "<f8", len(vocab))
-            else:
-                vocab = _decode_v3_vocabulary(doc, alphabet, n_min, n_max)
-                idf_values = _decode_v3_idf(doc, len(vocab))
-            index = _array(doc, "weight_index", "<u4")
-            weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), len(vocab))
+        vocab = _read_vocabulary(doc, version)
         dim = len(vocab)
+        if version == 1:
+            idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
+            weights = _parse_weights(_list_of(doc["weights"], "weights", list), dim)
+        else:
+            idf_values = _array(doc, "idf", "<f8", dim) if version == 2 else _decode_v3_idf(doc, dim)
+            index = _array(doc, "weight_index", "<u4")
+            weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), dim)
         n_docs = _typed(doc["n_docs"], "n_docs", int)
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, got {n_docs}")
@@ -274,43 +268,69 @@ def _unb64(doc: dict, key: str) -> bytes:
         raise ValueError(f"{key} is not valid base64: {exc}") from None
 
 
-def _parse_v1_vocabulary(grams: list[str], n_min: int, n_max: int) -> Vocabulary:
-    """v1's sorted, unique space-joined n-gram strings as a checked vocabulary."""
+def _read_vocabulary(doc: dict, version: int) -> Vocabulary:
+    """The document's vocabulary: the n-gram range checked, its version's keys read, then checked."""
+    n_min = _typed(doc["ngram_min"], "ngram_min", int)
+    n_max = _typed(doc["ngram_max"], "ngram_max", int)
     _check_range(n_min, n_max)
-    lengths = np.fromiter(map(str.count, grams, itertools.repeat(" ")), np.int64, len(grams)) + 1
-    if lengths.size and not n_min <= lengths.min() <= lengths.max() <= n_max:
-        raise ValueError(f"vocabulary: every n-gram must have {n_min} to {n_max} tokens")
-    names = " ".join(grams).split(" ") if grams else []
-    alphabet = tuple(sorted(set(names)))
-    index = {name: i for i, name in enumerate(alphabet, start=1)}
-    keys = np.zeros((len(grams), n_max), dtype=np.uint32)
-    row = np.repeat(np.arange(len(grams)), lengths)
-    col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    keys[row, col] = np.fromiter(map(index.__getitem__, names), dtype=np.uint32, count=len(names))
+    if version == 1:
+        alphabet, keys = _v1_keys(_list_of(doc["vocabulary"], "vocabulary", str), n_max)
+    else:
+        alphabet = tuple(_list_of(doc["alphabet"], "alphabet", str))
+        keys = _v2_keys(_unb64(doc, "vocabulary"), n_max) if version == 2 else _v3_keys(doc, alphabet, n_max)
     _check_keys(alphabet, keys, n_min)
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
-def _decode_v2_vocabulary(alphabet: list[str], raw: bytes, n_min: int, n_max: int) -> Vocabulary:
-    """v2's big-endian key bytes, ``n_max`` ids per n-gram, as a checked vocabulary."""
-    _check_range(n_min, n_max)
+def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int) -> None:
+    """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
+
+    The names must keep the call-name rule (``_check_alphabet``); each key
+    n_min to n_max ids in 1..len(alphabet), then only 0 padding; each row
+    above the one before at the end of the prefix they share (``_shared_prefix``).
+    """
+    _check_alphabet(alphabet)
+    if keys.size and keys.max() > len(alphabet):
+        raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
+    if np.any(keys[:, :n_min] == 0):
+        raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
+    if np.any((keys[:, :-1] == 0) & (keys[:, 1:] != 0)):
+        raise ValueError("vocabulary: an n-gram has an id after its padding")
+    rows, at = np.arange(1, len(keys)), _shared_prefix(keys)[1:]
+    if np.any(keys[rows, at] <= keys[rows - 1, at]):
+        raise ValueError("vocabulary: n-grams must be sorted and unique")
+
+
+def _v1_keys(grams: list[str], n_max: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """v1's space-joined n-gram strings as (alphabet, keys), the alphabet every name they hold."""
+    lengths = np.fromiter(map(str.count, grams, itertools.repeat(" ")), np.int64, len(grams)) + 1
+    if lengths.max(initial=0) > n_max:
+        raise ValueError(f"vocabulary: an n-gram is longer than ngram_max {n_max}")
+    names = " ".join(grams).split(" ") if grams else []
+    alphabet = tuple(sorted(set(names)))
+    keys = np.zeros((len(grams), n_max), dtype=np.uint32)
+    row = np.repeat(np.arange(len(grams)), lengths)
+    col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keys[row, col] = np.fromiter(map(_id_map(alphabet).__getitem__, names), dtype=np.uint32, count=len(names))
+    return alphabet, keys
+
+
+def _v2_keys(raw: bytes, n_max: int) -> np.ndarray:
+    """v2's big-endian key bytes, ``n_max`` ids per n-gram, as keys."""
     width = 4 * n_max
     if len(raw) % width:
         raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
-    keys = np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
-    _check_keys(alphabet, keys, n_min)
-    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
+    return np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
 
 
-def _decode_v3_vocabulary(doc: dict, alphabet: list[str], n_min: int, n_max: int) -> Vocabulary:
-    """v3's front-coded n-grams as a checked vocabulary.
+def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> np.ndarray:
+    """v3's front-coded n-grams as keys.
 
     N-gram i repeats the first ``prefix[i]`` ids of n-gram i - 1 and then
     takes its next ``suffix_len[i]`` ids from the suffix.  The lengths are
     checked before the key matrix is built, so that every n-gram's ids fall
     in its own row.
     """
-    _check_range(n_min, n_max)
     # Narrow lengths are cast first: uint8 sums would wrap.
     prefix = _array(doc, "vocabulary_prefix", _uint(n_max)).astype(np.intp)
     added = _array(doc, "vocabulary_suffix_len", _uint(n_max), len(prefix)).astype(np.intp)
@@ -337,8 +357,7 @@ def _decode_v3_vocabulary(doc: dict, alphabet: list[str], n_min: int, n_max: int
     for col in range(prefix.max(initial=0)):
         own = np.flatnonzero(prefix <= col)
         keys[:, col] = np.repeat(keys[own, col], np.diff(own, append=dim))
-    _check_keys(alphabet, keys, n_min)
-    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
+    return keys
 
 
 def _decode_v3_idf(doc: dict, dim: int) -> np.ndarray:

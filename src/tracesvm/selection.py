@@ -97,19 +97,6 @@ class GridSearchResult:
     best_f1: float
 
 
-def _check_base_config(base_config) -> None:
-    if not isinstance(base_config, (SgdConfig, DualConfig)):
-        raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
-
-
-def _cell_config(base, alpha: float, tol: float):
-    if isinstance(base, SgdConfig):
-        return replace(base, alpha=alpha, tol=tol)
-    # The dual problem is parameterized by the box bound C; alpha maps to
-    # its reciprocal so both trainers share one grid axis.
-    return replace(base, C=1.0 / alpha, tol=tol)
-
-
 def train_cell(
     train_matrix: FeatureMatrix,
     train_labels: Sequence[int],
@@ -118,11 +105,13 @@ def train_cell(
     tol: float,
 ):
     """Train ``base_config`` with its alpha (dual CD: C = 1/alpha) and tol replaced by the cell's."""
-    _check_base_config(base_config)
-    cfg = _cell_config(base_config, alpha, tol)
-    if isinstance(cfg, SgdConfig):
-        return train_sgd(train_matrix, train_labels, cfg)
-    return train_dual_cd(train_matrix, train_labels, cfg)
+    if isinstance(base_config, SgdConfig):
+        return train_sgd(train_matrix, train_labels, replace(base_config, alpha=alpha, tol=tol))
+    if isinstance(base_config, DualConfig):
+        # The dual problem is parameterized by the box bound C; alpha maps to
+        # its reciprocal so both trainers share one grid axis.
+        return train_dual_cd(train_matrix, train_labels, replace(base_config, C=1.0 / alpha, tol=tol))
+    raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
 
 
 def grid_search(
@@ -139,7 +128,9 @@ def grid_search(
     The type of ``base_config``, ``SgdConfig`` or ``DualConfig``, picks the trainer; each
     cell is ``train_cell``.  Ties on F1 go to the smallest alpha, then the smallest tol.
     """
-    _check_base_config(base_config)
+    if not isinstance(base_config, (SgdConfig, DualConfig)):
+        # train_cell's refusal, raised before a cell can wrap it in a GridCellError.
+        raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
     if not alpha_grid or not tol_grid:
         raise ConfigError("alpha_grid and tol_grid must be non-empty")
 

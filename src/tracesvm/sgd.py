@@ -23,7 +23,13 @@ sign(w) and eta(t) = 1 / (alpha * (t0 + t)), step t on example (x, y) does:
    if w_j > 0 and u - q_j if w_j < 0, and stops at 0.  Every nonzero weight
    is settled the same way after each epoch.  The penalty never flips a
    sign, l1 weights reach exactly 0, and a step costs O(nnz(x)).  For pure
-   l1 this equals applying the penalty to every weight at every step.
+   l1 this equals applying the penalty to every weight at every step; for
+   elasticnet, only where every row holds every feature, as an absent
+   weight's l1 shrink comes after the l2 shrinks of the steps between.  On
+   8 x 4 problems with a third of the entries 0 (5 epochs, 12 seeds, phi 0
+   to 0.99), the largest gap to that eager rule was 1.1e-3 at alpha 0.01
+   and 1.8e-5 at alpha 0.001 (tests hold it to 3e-3 and 5e-5), and 0.22 at
+   alpha 0.1, where the pending shrink changes which margins are violated.
 3. Hinge step, if y * (w . x + b) < 1: w <- w + eta * y * x and
    b <- b + 0.01 * eta * y.
 

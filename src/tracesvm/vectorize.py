@@ -4,20 +4,22 @@ An n-gram is a space-joined window of n consecutive call names.  The
 vocabulary is the union of all n-grams for n in [n_min, n_max] across the
 corpus, with indices assigned in lexicographic order of those strings.
 
-A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order,
-and a key is a row of a native (dim, n_max) uint32 matrix: a gram's ids
-padded with 0.  No call name may hold a character <= U+0020, so id-tuple
-order on keys equals string order on the joined grams, a gram before its
-extensions.  Windows are never compared as keys: ``_code_rounds`` ranks
-them on exact uint64 codes, each round packing the last round's rank
-beside as many next ids as fit, so no code overflows and none collides.
-The last round's ranks give the vocabulary.  Counting runs the same rounds
-over the vocabulary's keys, finds each window's column with one
-``np.searchsorted`` per round and each row's counts with one more
-``np.unique``, and builds no n-gram string.  N-gram strings are rendered only where they are printed, by
-``_render_keys``.  This module knows no file format or byte order:
-``model_io`` turns a model file's vocabulary into keys and checks them
-with ``_check_keys``.
+A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order
+(``_id_map``), and a key is a row of a native (dim, n_max) uint32 matrix: a
+gram's ids padded with 0.  A call name must be non-empty and hold no
+character <= U+0020 (``_check_alphabet``), so id-tuple order on keys equals
+string order on the joined grams, a gram before its extensions.  Windows
+are never compared as keys: ``_code_rounds`` ranks them on exact uint64
+codes, each round packing the last round's rank beside as many next ids as
+fit, so no code overflows and none collides.  The last round's ranks give
+the vocabulary.  Counting runs the same rounds over the vocabulary's keys,
+finds each window's column with one ``np.searchsorted`` per round and each
+row's counts with one more ``np.unique``, and builds no n-gram string.
+N-gram strings are rendered only where they are printed, by
+``_render_keys``.  This module owns the call-name rule, the id map and the
+n-gram range (``_check_range``) and knows no file format or byte order:
+``model_io`` reads a model file's keys and checks them with its own
+``_check_keys``.
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -78,8 +80,7 @@ class Vocabulary:
     native (dim, n_max) uint32 matrix: row j is n-gram j's alphabet ids, 0
     as padding (see ``_windows``), and the rows strictly increase.  The
     key width is ``n_max``.  Nothing is checked here: ``build_vocabulary``
-    makes valid keys, and ``model_io`` checks a model file's with
-    ``_check_keys``.
+    makes valid keys, and ``model_io._check_keys`` checks a model file's.
     """
 
     alphabet: tuple[str, ...]
@@ -99,29 +100,22 @@ def _check_range(n_min: int, n_max: int) -> None:
         raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_NGRAM}, got ({n_min}, {n_max})")
 
 
-def _check_keys(alphabet: Sequence[str], keys: np.ndarray, n_min: int) -> None:
-    """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
+def _check_alphabet(alphabet: Sequence[str]) -> None:
+    """Raise ValueError unless the call names are sorted, unique, non-empty and free of characters <= U+0020.
 
-    The names must be sorted, unique, non-empty and free of characters
-    <= U+0020, so that key order is string order; each key n_min to n_max
-    ids in 1..len(alphabet) and then only 0 padding; the rows strictly
-    increasing, each compared with the next at their first differing id.
+    Such a name would make a joined gram ambiguous and break the equality
+    of id order and string order that the keys rely on.
     """
     if not all(map(operator.lt, alphabet, alphabet[1:])):
         raise ValueError("alphabet: call names must be sorted and unique")
-    if not all(name and not _SEPARATOR.search(name) for name in alphabet):
-        raise ValueError("alphabet: a call name is empty or holds a character <= U+0020")
-    if keys.size and keys.max() > len(alphabet):
-        raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
-    if np.any(keys[:, :n_min] == 0):
-        raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
-    if np.any((keys[:, :-1] == 0) & (keys[:, 1:] != 0)):
-        raise ValueError("vocabulary: an n-gram has an id after its padding")
-    before, after = keys[:-1], keys[1:]
-    differ = before != after
-    rows, first = np.arange(len(differ)), differ.argmax(axis=1)
-    if not np.all(differ[rows, first] & (before[rows, first] < after[rows, first])):
-        raise ValueError("vocabulary: n-grams must be sorted and unique")
+    for name in alphabet:
+        if not name or _SEPARATOR.search(name):
+            raise ValueError(f"alphabet: call name {name!r} is empty or holds a character <= U+0020")
+
+
+def _id_map(alphabet: Sequence[str]) -> dict[str, int]:
+    """Each call name's id: 1, 2, ... in alphabet order, 0 being padding."""
+    return {name: i for i, name in enumerate(alphabet, start=1)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,20 +306,15 @@ def _render_keys(alphabet: Sequence[str], keys: np.ndarray) -> tuple[str, ...]:
 
 def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> Vocabulary:
     """Union of all n-grams for n in [n_min, n_max], indexed lexicographically."""
+    alphabet = tuple(sorted({c for t in corpus for c in t.calls}))
     try:
         _check_range(n_min, n_max)
+        _check_alphabet(alphabet)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not corpus:
         raise ValueError("corpus is empty")
-    alphabet = sorted({c for t in corpus for c in t.calls})
-    for name in alphabet:
-        # Such a name would make a joined gram ambiguous and break the
-        # equality of id order and string order that the keys rely on.
-        if _SEPARATOR.search(name):
-            raise ConfigError(f"call name {name!r} contains a space or control character")
-    index = {name: i for i, name in enumerate(alphabet, start=1)}
-    _, windows = _windows(corpus, index, n_min, n_max)
+    _, windows = _windows(corpus, _id_map(alphabet), n_min, n_max)
     if len(windows) == 0:
         raise EmptyVocabularyError(
             f"no trace yields an n-gram for n in [{n_min}, {n_max}]"
@@ -339,7 +328,7 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
     for j in range(n_max):
         keys[:, j] = windows.seq[starts + j]
         keys[lens <= j, j] = 0
-    return Vocabulary(alphabet=tuple(alphabet), keys=keys, n_min=n_min)
+    return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
 def _key_columns(
@@ -352,8 +341,7 @@ def _key_columns(
     misses one is dropped.  A hit's last rank is its column.  If the rounds
     stopped early, a hit's unread ids are compared with its column's.
     """
-    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
-    rows, windows = _windows(corpus, index, vocab.n_min, vocab.n_max)
+    rows, windows = _windows(corpus, _id_map(vocab.alphabet), vocab.n_min, vocab.n_max)
     n_keys, n_max = len(vocab.keys), vocab.n_max
     keys = _IdRows(vocab.keys.ravel(), n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
     bits = _id_bits(vocab.alphabet)

@@ -5,7 +5,8 @@ formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, one
 SGD subgradient step, one dual coordinate update) take the package's own
 types as arguments; no trainer or vectorizer calls them.
-``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 path.
+``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 and
+elastic-net paths.
 ``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
@@ -467,19 +468,22 @@ def sgd_step(
     return w_new, b_new
 
 
-def sgd_cumulative_l1(rows_dense, labels, alpha, t0, epochs, seed):
-    """Pure-l1 SGD that applies the cumulative penalty to every weight at every step.
+def sgd_cumulative_l1(rows_dense, labels, alpha, t0, epochs, seed, phi=None):
+    """SGD that applies the l2 shrink and the cumulative l1 penalty to every weight at every step.
 
-    Step t: eta = 1 / (alpha * (t0 + t)); u, the l1 shrink any weight could
-    have had, grows by eta * alpha / 2 (l1's R carries 1/2); then every
-    weight gets the shrink it is still owed, w_j > 0 becoming
-    max(0, w_j - (u + q_j)) and w_j < 0 becoming min(0, w_j + (u - q_j)),
-    where q_j is the signed sum of the shrinks w_j has had; then the hinge
-    step on the example, the bias moving 0.01 * eta * y.  After each epoch
-    every weight gets its due once more.  The permutations are
-    ``train_sgd``'s for the same seed; exactly ``epochs`` epochs run.
-    Returns (w, b).
+    ``phi`` None is pure l1, whose R carries 1/2: no l2 shrink, and l1
+    coefficient 1/2.  A number is elastic net: l2 coefficient phi and l1
+    coefficient 1 - phi.  Step t: eta = 1 / (alpha * (t0 + t)); every
+    weight is multiplied by 1 - eta * alpha * l2; u, the l1 shrink any
+    weight could have had, grows by eta * alpha * l1; then every weight gets
+    the shrink it is still owed, w_j > 0 becoming max(0, w_j - (u + q_j))
+    and w_j < 0 becoming min(0, w_j + (u - q_j)), where q_j is the signed
+    sum of the shrinks w_j has had; then the hinge step on the example, the
+    bias moving 0.01 * eta * y.  After each epoch every weight gets its due
+    once more.  The permutations are ``train_sgd``'s for the same seed;
+    exactly ``epochs`` epochs run.  Returns (w, b).
     """
+    l2, l1 = (0.0, 0.5) if phi is None else (phi, 1.0 - phi)
     rows = [[float(x) for x in row] for row in rows_dense]
     dim = len(rows[0])
     w = [0.0] * dim
@@ -500,7 +504,9 @@ def sgd_cumulative_l1(rows_dense, labels, alpha, t0, epochs, seed):
         for i in rng.permutation(len(rows)):
             t += 1
             eta = 1.0 / (alpha * (t0 + t))
-            u += eta * alpha * 0.5
+            if l2:
+                w = [(1.0 - eta * alpha * l2) * z for z in w]
+            u += eta * alpha * l1
             settle()
             score = b
             for x, wj in zip(rows[i], w):

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import canonical_text, canonical_text_v1, canonical_text_v2, front_code, grams, vocabulary_of
 from tracesvm import (
+    ConfigError,
     GeneratorConfig,
     IdfModel,
     LinearModel,
@@ -34,6 +35,7 @@ from tracesvm import (
     TraceSvmError,
     VersionMismatchError,
     Vocabulary,
+    build_vocabulary,
     decision_many,
     fit_transform,
     generate,
@@ -788,6 +790,32 @@ def test_v3_bad_alphabet_rejected(v3_doc, tmp_path, edit):
     _, doc = v3_doc
     with pytest.raises(ModelFormatError, match="alphabet"):
         load_edited(tmp_path, doc, alphabet=edit(list(doc["alphabet"])))
+
+
+# Call names drawn from any characters, weighted toward the edges of the
+# rule: empty names, U+0000-U+0020 and the first characters above them,
+# and non-ASCII ones, among them U+0085, U+00A0 and U+2028.
+CALL_NAMES = st.text(
+    st.characters(max_codepoint=0x2FFF) | st.sampled_from("\x00\t\x1f !\x7f\x85\xa0\xe9\u2028"), max_size=3
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=st.lists(CALL_NAMES, min_size=1, max_size=6))
+def test_every_vocabulary_the_fit_accepts_saves_and_loads(calls):
+    try:
+        vocab = build_vocabulary([SyscallTrace("t", tuple(calls), "benign")], 1, 2)
+    except ConfigError:
+        assert any(not name or min(name) <= " " for name in calls)
+        return
+    assert all(name and min(name) > " " for name in calls)
+    model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, metadata={"trainer": "sgd"})
+    artifact = ModelArtifact(model=model, vocabulary=vocab, idf=IdfModel(idf=np.ones(len(vocab)), n_docs=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(artifact, Path(tmp) / "model.json")
+        loaded = load_model(Path(tmp) / "model.json").vocabulary
+    assert loaded.alphabet == vocab.alphabet
+    assert loaded.keys.dtype == vocab.keys.dtype and np.array_equal(loaded.keys, vocab.keys)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from tracesvm import (
     train_test_split,
     write_grid_csv,
 )
-from tracesvm.selection import TRAINER_DUAL_CD, TRAINER_SGD, _cell_config
+from tracesvm.selection import TRAINER_DUAL_CD, TRAINER_SGD
 from oracles import matrix_from_dense
 
 TOY_ROWS = [[1.0, 0.0], [0.8, 0.0], [0.0, 1.0], [0.0, 0.7]]
@@ -123,13 +123,6 @@ class TestGridSearch:
         assert [(a, t) for a, t, _ in result.table] == [
             (1.0, 1e-2), (1.0, 1e-3), (0.1, 1e-2), (0.1, 1e-3)
         ]
-
-    def test_dual_cell_maps_alpha_to_reciprocal_c(self):
-        cfg = _cell_config(DualConfig(), alpha=0.01, tol=1e-4)
-        assert cfg.C == 100.0
-        assert cfg.tol == 1e-4
-        sgd_cfg = _cell_config(SgdConfig(), alpha=0.01, tol=1e-4)
-        assert sgd_cfg.alpha == 0.01 and sgd_cfg.tol == 1e-4
 
     def test_config_type_picks_the_trainer(self):
         m = matrix_from_dense(TOY_ROWS)

@@ -31,7 +31,7 @@ from tracesvm import (
     top_features,
     transform,
 )
-from tracesvm.model_io import _parse_v1_vocabulary
+from tracesvm.model_io import _read_vocabulary
 from tracesvm.synthetic import GeneratorConfig, generate
 from tracesvm.vectorize import _code_rounds, _id_bits, _IdRows, _pack, _windows
 from oracles import (
@@ -49,6 +49,12 @@ from oracles import (
     void_count_csr,
     void_vocabulary_keys,
 )
+
+
+def _parse_v1_vocabulary(grams, n_min, n_max):
+    """A v1 document's n-gram strings through the loader's vocabulary path."""
+    return _read_vocabulary({"vocabulary": grams, "ngram_min": n_min, "ngram_max": n_max}, 1)
+
 
 SEVEN_CALLS = (
     "ntclose",
@@ -126,8 +132,13 @@ class TestVocabulary:
         with pytest.raises(ConfigError):
             build_vocabulary([trace(["ntclose", name])], 1, 2)
 
-    # The string-vocabulary tests check model_io's v1 parser, which turns a
-    # v1 model file's n-gram strings into keys.
+    def test_empty_call_name_rejected_at_fit(self):
+        # An empty name would fit a model whose saved file does not load.
+        with pytest.raises(ConfigError, match="empty"):
+            fit_transform([trace(["", "nta", "ntb"])], 1, 2)
+
+    # The string-vocabulary tests check the vocabulary of a v1 model file as
+    # model_io loads it: its n-gram strings turned into keys, then checked.
 
     def test_string_vocabulary_must_be_sorted_and_unique(self):
         with pytest.raises(ValueError):
