@@ -2,12 +2,12 @@
 
 The artifact bundles everything prediction needs: sparse weights, bias,
 vocabulary, idf values and the training configuration echo.  ``save_model``
-writes format v3, the text of ``json.dumps(document, sort_keys=True,
+writes format v4, the text of ``json.dumps(document, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, so that save -> load -> save is
 byte-identical.  Next to the small fields (``bias``, ``config``,
 ``created_by``, ``format_version``, ``n_docs``, ``ngram_min``,
 ``ngram_max``, ``trainer``) the document holds ``alphabet``, the sorted
-call names, and seven base64 fields of little-endian arrays:
+call names, and eight base64 fields of little-endian arrays:
 
 - ``vocabulary_prefix``: for each n-gram of the sorted vocabulary, how many
   leading alphabet ids (ids start at 1) it shares with the n-gram before it,
@@ -19,42 +19,58 @@ call names, and seven base64 fields of little-endian arrays:
   bit patterns as uint64, so every value keeps its exact bits (``-0.0`` and
   ``0.0`` are two entries);
 - ``idf_index``: each n-gram's position in ``idf_table``;
-- ``weight_index``: the strictly increasing uint32 indices of the nonzero
-  weights;
-- ``weight_value``: those weights as float64.
+- ``weight_bitmap``: one bit per n-gram, set where its weight is nonzero,
+  ``ceil(dim / 8)`` bytes with bit k of byte j for n-gram 8j + k (numpy's
+  ``packbits`` with ``bitorder="little"``), the bits past the last n-gram 0;
+  a ``-0.0`` weight counts as zero and loads as ``0.0``;
+- ``weight_table``: the distinct nonzero weights as float64, in the order of
+  their bit patterns as uint64, as ``idf_table`` (``_value_table`` writes
+  both and ``_table_values`` reads both);
+- ``weight_index``: each nonzero weight's position in ``weight_table``, in
+  n-gram order.
 
 Each integer field takes the narrowest of uint8, uint16 and uint32 that
 holds its largest possible value, which the loader knows before it reads
 the field: ``ngram_max`` for the prefix and suffix lengths,
-``len(alphabet)`` for the suffix ids, and the table's length less one for
-``idf_index``.  No width is stored.
+``len(alphabet)`` for the suffix ids, and its table's length less one for
+``idf_index`` and ``weight_index``.  No width is stored.  A trained model's
+weights take few distinct values, as n-grams of one trace that share a
+tf-idf value end with the same weight: on the benchmark's pipeline-long
+corpus (202k n-grams, 142k nonzero weights, about 1.5k distinct) the file
+is 1.7 MB, where v3's column indices and float64 values made it 3.6 MB.
 
 Each large field is one string, which json's pure-Python ``indent`` encoder
 never sees: ``save_model`` computes each array a chunk of rows at a time and
 streams its base64 into the file, so saving holds no copy of the file's text
 or of a whole array.  Formats v1, which stored the n-gram strings, the idf
-values and ``[index, value]`` weight pairs as JSON lists, and v2, which
-stored the key matrix as big-endian uint32 ids in ``vocabulary`` and one
-float64 per n-gram in ``idf``, are still read.  Nothing writes them.  This
-module owns the three formats and is the only one that knows their byte
-order: ``_v1_keys``, ``_v2_keys`` and ``_v3_keys`` turn each into the
-native uint32 key matrix, and ``_read_vocabulary`` checks the n-gram range
-before any of them and the keys after, with ``_check_keys``, which owns
-the rules a file's keys must keep.
+values and ``[index, value]`` weight pairs as JSON lists, v2, which stored
+the key matrix as big-endian uint32 ids in ``vocabulary`` and one float64
+per n-gram in ``idf``, and v3, which is v4 with the nonzero weights as
+their uint32 columns in ``weight_index`` and their float64 values in
+``weight_value`` (as v2 has them), are still read.  Nothing writes them.
+This module owns the four formats and is the only one that knows their byte
+order: ``_v1_keys``, ``_v2_keys`` and ``_v3_keys`` (for v3 and v4) turn
+each into the native uint32 key matrix, and ``_read_vocabulary`` checks the
+n-gram range before any of them and the keys after, with ``_check_keys``,
+which owns the rules a file's keys must keep.
 
-Loading is strict: anything but a v1, v2 or v3 model document raises
+Loading is strict: anything but a v1, v2, v3 or v4 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
-``format_version`` other than the integer 1, 2 or 3).  That includes text
-that is not JSON or nests too deeply to decode, fields of the wrong JSON
-type (``true`` and ``false`` are not numbers), a ``config`` holding a
+``format_version`` other than the integer 1, 2, 3 or 4).  That includes
+text that is not JSON or nests too deeply to decode, fields of the wrong
+JSON type (``true`` and ``false`` are not numbers), a ``config`` holding a
 non-finite number, non-finite idf or weight values, keys that are not a
-sorted vocabulary over the alphabet (see ``_check_keys``) and, in
-v2 and v3, invalid base64 and byte lengths that do not fit the vocabulary
-size or the item width.  In v3 the prefix and suffix lengths are checked
-before any key is built: the first prefix must be 0, no prefix may be longer
-than the n-gram before it, no n-gram longer than ``ngram_max``, and the
-suffix lengths must add up to the suffix's length; every ``idf_index`` entry
-must be below the table's length, and every table entry finite.
+sorted vocabulary over the alphabet (see ``_check_keys``) and, from v2 on,
+invalid base64 and byte lengths that do not fit the vocabulary size or the
+item width.  From v3 on the prefix and suffix lengths are checked before
+any key is built: the first prefix must be 0, no prefix may be longer than
+the n-gram before it, no n-gram longer than ``ngram_max``, and the suffix
+lengths must add up to the suffix's length; every ``idf_index`` entry must
+be below the table's length, and every table entry finite, used or not.  In
+v4 ``weight_bitmap`` must be ``ceil(dim / 8)`` bytes with no bit set past
+the last n-gram, ``weight_index`` must hold one entry per set bit, each
+below the table's length, and every ``weight_table`` entry must be finite
+and nonzero, used or not.
 """
 
 from __future__ import annotations
@@ -73,8 +89,8 @@ from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
 from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map
 
-FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, 4)
 _TOOL = "tracesvm/0.1.0"
 # Bytes handled at a time by save_model: each field's array is built and
 # base64-encoded at most this many bytes at a time.  A multiple of 8 and of
@@ -91,7 +107,7 @@ class ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: Path | str) -> None:
-    """Write the v3 document; a non-finite number in ``config`` raises ValueError.
+    """Write the v4 document; a non-finite number in ``config`` raises ValueError.
 
     The text is ``json.dumps`` of the document, but the base64 fields are
     never held whole: the small fields are dumped with each large one empty,
@@ -103,18 +119,19 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
     """
     model = artifact.model
     vocab = artifact.vocabulary
-    nz = np.flatnonzero(model.weights)
-    bits = np.asarray(artifact.idf.idf, dtype="<f8").view("<u8")
-    table = np.unique(bits)
+    nonzero = model.weights != 0
+    idf_table, idf_index = _value_table(artifact.idf.idf)
+    weight_table, weight_index = _value_table(model.weights[nonzero])
     prefix = _shared_prefix(vocab.keys)
     packed = {  # each field's values in their file dtype, a chunk at a time
-        "idf_index": (np.searchsorted(table, b).astype(_uint(len(table) - 1)) for b in _in_chunks(bits)),
-        "idf_table": _in_chunks(table.view("<f8")),
+        "idf_index": idf_index,
+        "idf_table": idf_table,
         "vocabulary_prefix": _in_chunks(prefix),
         "vocabulary_suffix": _suffixes(vocab.keys, prefix, _uint(len(vocab.alphabet))),
         "vocabulary_suffix_len": _suffix_lengths(vocab.keys, prefix),
-        "weight_index": (i.astype("<u4") for i in _in_chunks(nz)),
-        "weight_value": (model.weights[i].astype("<f8") for i in _in_chunks(nz)),
+        "weight_bitmap": _in_chunks(np.packbits(nonzero, bitorder="little")),
+        "weight_index": weight_index,
+        "weight_table": weight_table,
     }
     document = {
         "format_version": FORMAT_VERSION,
@@ -138,6 +155,20 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
             fh.write(f'\n  "{name}": "'.encode("ascii"))
             _write_b64(fh, packed[name])
             fh.write(b'"' + rest.encode("ascii"))
+
+
+def _value_table(values: np.ndarray):
+    """The table and index fields of ``values``, each a chunk at a time.
+
+    The table holds the distinct values as ``<f8`` in the order of their bit
+    patterns as ``<u8``, so ``-0.0`` and ``0.0`` are two entries; the index,
+    each value's position in it, in the narrowest dtype that holds the
+    table's last one.
+    """
+    bits = np.asarray(values, dtype="<f8").view("<u8")
+    table = np.unique(bits)
+    dtype = _uint(len(table) - 1)
+    return _in_chunks(table.view("<f8")), (np.searchsorted(table, b).astype(dtype) for b in _in_chunks(bits))
 
 
 def _uint(largest: int) -> str:
@@ -208,7 +239,7 @@ def load_model(path: Path | str) -> ModelArtifact:
     version = doc.get("format_version")
     if type(version) is not int or version not in _READABLE_VERSIONS:
         raise VersionMismatchError(
-            f"{path}: format_version {version!r} is not supported (expected 1, 2 or 3)"
+            f"{path}: format_version {version!r} is not supported (expected 1, 2, 3 or 4)"
         )
     try:
         vocab = _read_vocabulary(doc, version)
@@ -217,9 +248,12 @@ def load_model(path: Path | str) -> ModelArtifact:
             idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
             weights = _parse_weights(_list_of(doc["weights"], "weights", list), dim)
         else:
-            idf_values = _array(doc, "idf", "<f8", dim) if version == 2 else _decode_v3_idf(doc, dim)
-            index = _array(doc, "weight_index", "<u4")
-            weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), dim)
+            idf_values = _array(doc, "idf", "<f8", dim) if version == 2 else _table_values(doc, "idf", dim)
+            if version == 4:
+                weights = _v4_weights(doc, dim)
+            else:
+                index = _array(doc, "weight_index", "<u4")
+                weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), dim)
         n_docs = _typed(doc["n_docs"], "n_docs", int)
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, got {n_docs}")
@@ -360,15 +394,33 @@ def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> np.ndarray:
     return keys
 
 
-def _decode_v3_idf(doc: dict, dim: int) -> np.ndarray:
-    """Each n-gram's idf, looked up in the table of distinct values."""
-    table = _array(doc, "idf_table", "<f8")
-    index = _array(doc, "idf_index", _uint(len(table) - 1), dim)
+def _table_values(doc: dict, name: str, count: int, nonzero: bool = False) -> np.ndarray:
+    """The ``count`` values that ``{name}_index`` looks up in ``{name}_table``.
+
+    Every index entry must be below the table's length, and every table
+    entry, used or not, finite, and also nonzero if ``nonzero``.
+    """
+    table = _array(doc, f"{name}_table", "<f8")
+    index = _array(doc, f"{name}_index", _uint(len(table) - 1), count)
     if np.any(index >= len(table)):
-        raise ValueError(f"idf_index: an entry is not below the idf_table length {len(table)}")
+        raise ValueError(f"{name}_index: an entry is not below the {name}_table length {len(table)}")
     if not np.all(np.isfinite(table)):
-        raise ValueError("idf_table holds a non-finite value")
+        raise ValueError(f"{name}_table holds a non-finite value")
+    if nonzero and not np.all(table):
+        raise ValueError(f"{name}_table holds a zero")
     return table[index]
+
+
+def _v4_weights(doc: dict, dim: int) -> np.ndarray:
+    """v4's dense weights: the table's values at the bitmap's set bits, in
+    column order, and +0.0 at the others."""
+    bits = np.unpackbits(_array(doc, "weight_bitmap", "<u1", -(-dim // 8)), bitorder="little")
+    if bits[dim:].any():
+        raise ValueError(f"weight_bitmap: a bit at or past the vocabulary size {dim} is set")
+    nonzero = bits[:dim].astype(bool)
+    weights = np.zeros(dim)
+    weights[nonzero] = _table_values(doc, "weight", np.count_nonzero(nonzero), nonzero=True)
+    return weights
 
 
 def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:

@@ -13,6 +13,7 @@ are never compared as keys: ``_code_rounds`` ranks them on exact uint64
 codes, each round packing the last round's rank beside as many next ids as
 fit, so no code overflows and none collides.  The last round's ranks give
 the vocabulary.  Counting runs the same rounds over the vocabulary's keys,
+which are sorted, so their codes are ranked without a sort (``_ranks``); it
 finds each window's column with one ``np.searchsorted`` per round and each
 row's counts with one more ``np.unique``, and builds no n-gram string.
 N-gram strings are rendered only where they are printed, by
@@ -263,7 +264,7 @@ def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: i
     return code
 
 
-def _code_rounds(rows: _IdRows, bits: int):
+def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
     """Rank ``rows`` in id-tuple order, a few ids per round.
 
     Each round packs the previous round's rank and as many next ids as fit
@@ -273,7 +274,9 @@ def _code_rounds(rows: _IdRows, bits: int):
     orders the rows by their first ``stop`` ids, equal prefixes equal
     ranks.  The rounds end once every id is read, or early, once the table
     has one entry per row: the ranks then already order the rows, and ids
-    ``stop`` on are unread.
+    ``stop`` on are unread.  ``ordered`` rows are already in increasing
+    id-tuple order, as a vocabulary's keys are, so every round's codes
+    rise with the rows and ``_ranks`` needs no sort.
     """
     rank, rank_bits, stop = None, 0, 0
     while stop < rows.width:
@@ -281,11 +284,19 @@ def _code_rounds(rows: _IdRows, bits: int):
         if m == 0:
             raise ValueError(f"{rank_bits}-bit ranks leave no room for a {bits}-bit id")
         start, stop = stop, stop + m
-        table, rank = np.unique(_pack(rank, rows, start, stop, bits), return_inverse=True)
+        code = _pack(rank, rows, start, stop, bits)
+        table, rank = _ranks(code) if ordered else np.unique(code, return_inverse=True)
         yield start, stop, table, rank
         if len(table) == len(rows):
             return
         rank_bits = (len(table) - 1).bit_length()
+
+
+def _ranks(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(code, return_inverse=True)`` of non-decreasing codes, from their first differences."""
+    new = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    return code[new], np.cumsum(new, dtype=np.intp) - 1
 
 
 def _id_bits(alphabet: Sequence[str]) -> int:
@@ -346,7 +357,7 @@ def _key_columns(
     keys = _IdRows(vocab.keys.ravel(), n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
     bits = _id_bits(vocab.alphabet)
     col, stop = None, 0
-    for start, stop, table, _ in _code_rounds(keys, bits):
+    for start, stop, table, _ in _code_rounds(keys, bits, ordered=True):
         code = _pack(col, windows, start, stop, bits)
         if col is None:
             # Searched in code order, each search starts where the last one

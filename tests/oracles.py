@@ -11,10 +11,11 @@ elastic-net paths.
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
 from its key rows one id at a time, and ``vocabulary_of`` builds those rows
-from strings the same way; ``canonical_text``, ``canonical_text_v2`` and
-``canonical_text_v1`` are the v3, v2 and v1 model files as one
-``json.dumps`` call writes them, the arrays packed with ``struct``, and
-``front_code`` is v3's front coding of id lists, one list at a time.
+from strings the same way; ``canonical_text``, ``canonical_text_v3``,
+``canonical_text_v2`` and ``canonical_text_v1`` are the v4, v3, v2 and v1
+model files as one ``json.dumps`` call writes them, the arrays packed with
+``struct``, and ``front_code`` is the front coding of id lists that v3 and
+v4 share, one list at a time.
 ``void_vocabulary_keys`` and
 ``void_count_csr`` are the vectorizer's former lookup: one ``np.unique``
 and one ``np.searchsorted`` over void keys of big-endian ids packed with
@@ -278,6 +279,53 @@ def void_count_csr(
 
 
 def canonical_text(artifact: ModelArtifact) -> str:
+    """The v4 model file: one indented json.dumps, its arrays packed by struct.
+
+    The vocabulary and idf fields are v3's (``canonical_text_v3``).  Bit k
+    of ``weight_bitmap``'s byte j is set when weight 8j + k is nonzero;
+    ``-0.0`` counts as zero.  The weight table is the sorted set of the
+    nonzero weights' bit patterns as uint64, and ``weight_index`` each
+    nonzero weight's position in it, in column order, in the narrowest of
+    ``B``, ``H`` and ``I`` that holds the table's last position.
+    """
+    model, vocab = artifact.model, artifact.vocabulary
+    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
+    ids = [[index[name] for name in gram.split(" ")] for gram in grams(vocab)]
+    prefix, suffix_len, suffix = front_code(ids)
+    idf_bits = [struct.unpack("<Q", struct.pack("<d", float(v)))[0] for v in artifact.idf.idf]
+    idf_table = sorted(set(idf_bits))
+    idf_position = {b: i for i, b in enumerate(idf_table)}
+    weights = [float(w) for w in model.weights]
+    bitmap = bytearray((len(weights) + 7) // 8)
+    for j, w in enumerate(weights):
+        if w != 0:
+            bitmap[j // 8] |= 1 << (j % 8)
+    bits = [struct.unpack("<Q", struct.pack("<d", w))[0] for w in weights if w != 0]
+    table = sorted(set(bits))
+    position = {b: i for i, b in enumerate(table)}
+    document = {
+        "format_version": 4,
+        "created_by": "tracesvm/0.1.0",
+        "trainer": model.metadata.get("trainer"),
+        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
+        "ngram_min": vocab.n_min,
+        "ngram_max": vocab.n_max,
+        "n_docs": artifact.idf.n_docs,
+        "bias": model.bias,
+        "alphabet": list(vocab.alphabet),
+        "vocabulary_prefix": _b64(_pack_uints(prefix, vocab.n_max)),
+        "vocabulary_suffix_len": _b64(_pack_uints(suffix_len, vocab.n_max)),
+        "vocabulary_suffix": _b64(_pack_uints(suffix, len(vocab.alphabet))),
+        "idf_table": _b64(struct.pack(f"<{len(idf_table)}Q", *idf_table)),
+        "idf_index": _b64(_pack_uints([idf_position[b] for b in idf_bits], len(idf_table) - 1)),
+        "weight_bitmap": _b64(bytes(bitmap)),
+        "weight_table": _b64(struct.pack(f"<{len(table)}Q", *table)),
+        "weight_index": _b64(_pack_uints([position[b] for b in bits], len(table) - 1)),
+    }
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def canonical_text_v3(artifact: ModelArtifact) -> str:
     """The v3 model file: one indented json.dumps, its arrays packed by struct.
 
     Each n-gram's ids are looked up in the alphabet from its string, as

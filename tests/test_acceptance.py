@@ -361,7 +361,7 @@ def test_cli_byte_reproducibility_and_model_round_trip(tmp_path):
     save_model(load_model(model_path), resaved)
     assert resaved.read_bytes() == model_path.read_bytes()
     doc = json.loads(model_path.read_text())
-    assert doc["format_version"] == 3
+    assert doc["format_version"] == 4
     n_files = len(artifacts["a"])
     print(
         f"PASS determinism and persistence: {n_files} artifact files byte-identical "

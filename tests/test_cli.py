@@ -207,9 +207,9 @@ class TestModelFile:
         assert set(doc) == {
             "format_version", "created_by", "trainer", "config", "ngram_min", "ngram_max",
             "alphabet", "vocabulary_prefix", "vocabulary_suffix", "vocabulary_suffix_len",
-            "idf_table", "idf_index", "n_docs", "weight_index", "weight_value", "bias",
+            "idf_table", "idf_index", "n_docs", "weight_bitmap", "weight_index", "weight_table", "bias",
         }
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
 
     def test_corrupted_model_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -231,14 +231,14 @@ class TestModelFile:
 
     def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        doc["format_version"] = 4
+        doc["format_version"] = 5
         future = tmp_path / "future.json"
         future.write_text(json.dumps(doc))
         code = main(
             ["evaluate", "--model", str(future), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
-        assert "format_version 4" in capsys.readouterr().err
+        assert "format_version 5" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -388,6 +388,17 @@ class TestGridSearch:
 
 
 class TestTopFeatures:
+    def test_v3_file_and_its_v4_resave_print_the_same(self, tmp_path, capsys):
+        v3 = Path(__file__).parent / "data" / "model_v3.json"
+        v4 = tmp_path / "model.json"
+        save_model(load_model(v3), v4)
+        outputs = []
+        for path in (v3, v4):
+            assert main(["top-features", "--model", str(path), "-k", "1000"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == len(load_model(v3).vocabulary)
+
     def test_prints_ranked_grams(self, model_path, capsys):
         code = main(["top-features", "--model", str(model_path), "-k", "3"])
         assert code == 0

@@ -1,13 +1,14 @@
 """The model file: the writer against its oracle, and strict loading, where
 every corrupt field raises ModelFormatError.
 
-``train`` writes format v3.  Formats v1 and v2 are still read; their
-documents here come from ``canonical_text_v1`` and ``canonical_text_v2``, as
-the writers that made them are gone, and from ``data/model_v2.json``, which
-the last v2 writer saved.  v3's integer fields take the narrowest width that
+``train`` writes format v4.  Formats v1, v2 and v3 are still read; their
+documents here come from ``canonical_text_v1``, ``canonical_text_v2`` and
+``canonical_text_v3``, as the writers that made them are gone, and from
+``data/model_v2.json`` and ``data/model_v3.json``, which the last v2 and v3
+writers saved.  v3's and v4's integer fields take the narrowest width that
 holds their largest possible value: the round trips at each width's edge
 cover uint8, uint16 and uint32, and the fault suite's wide document has all
-four at uint16.
+four of v3's at uint16.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import canonical_text, canonical_text_v1, canonical_text_v2, front_code, grams, vocabulary_of
+from oracles import (
+    canonical_text,
+    canonical_text_v1,
+    canonical_text_v2,
+    canonical_text_v3,
+    front_code,
+    grams,
+    vocabulary_of,
+)
 from tracesvm import (
     ConfigError,
     GeneratorConfig,
@@ -61,9 +70,20 @@ def trained():
 
 
 @pytest.fixture(scope="module")
-def v3_doc(tmp_path_factory, trained):
+def v4_doc(tmp_path_factory, trained):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(trained, path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 4
+    assert len(unpack(doc, "weight_index")) >= 3
+    return path, doc
+
+
+@pytest.fixture(scope="module")
+def v3_doc(tmp_path_factory, trained):
+    """A v3 model file."""
+    path = tmp_path_factory.mktemp("model") / "model_v3.json"
+    path.write_text(canonical_text_v3(trained))
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 3
     assert len(unpack(doc, "weight_index")) >= 3
@@ -96,11 +116,15 @@ def write_doc(tmp_path, doc):
     return path
 
 
-# The dtypes of the v2 and v3 arrays; v2's vocabulary is one row of ids per
-# n-gram.  Each of v3's integer fields is as wide as its largest possible
-# value needs: ngram_max for the lengths, the alphabet size for the ids and
-# the table's last position for the idf index.
-DTYPES = {"vocabulary": ">u4", "idf": "<f8", "idf_table": "<f8", "weight_index": "<u4", "weight_value": "<f8"}
+# The dtypes of the v2, v3 and v4 arrays; v2's vocabulary is one row of ids
+# per n-gram.  Each of v3's and v4's integer fields is as wide as its largest
+# possible value needs: ngram_max for the lengths, the alphabet size for the
+# ids and the table's last position for an index into a table.  v2's and
+# v3's weight_index holds columns as uint32; v4's, positions in weight_table.
+DTYPES = {
+    "vocabulary": ">u4", "idf": "<f8", "idf_table": "<f8", "weight_bitmap": "<u1",
+    "weight_table": "<f8", "weight_value": "<f8",
+}
 
 
 def dtype_of(doc, key):
@@ -111,6 +135,7 @@ def dtype_of(doc, key):
         "vocabulary_suffix_len": lambda: doc["ngram_max"],
         "vocabulary_suffix": lambda: len(doc["alphabet"]),
         "idf_index": lambda: len(unpack(doc, "idf_table")) - 1,
+        "weight_index": lambda: len(unpack(doc, "weight_table")) - 1 if "weight_table" in (doc or {}) else 2**32 - 1,
     }[key]()
     return "<u1" if largest <= 0xFF else "<u2" if largest <= 0xFFFF else "<u4"
 
@@ -124,22 +149,22 @@ def pack(values, key, doc=None):
     return base64.b64encode(np.asarray(values, dtype=dtype_of(doc, key)).tobytes()).decode("ascii")
 
 
-def test_save_load_save_is_byte_identical(v3_doc, tmp_path):
-    path, _ = v3_doc
+def test_save_load_save_is_byte_identical(v4_doc, tmp_path):
+    path, _ = v4_doc
     out = tmp_path / "resaved.json"
     save_model(load_model(path), out)
     assert out.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_older_file_resaves_as_the_v3_file(model_doc, v2_doc, v3_doc, tmp_path, version):
-    path, _ = model_doc if version == 1 else v2_doc
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_older_file_resaves_as_the_v4_file(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version):
+    path, _ = {1: model_doc, 2: v2_doc, 3: v3_doc}[version]
     out = tmp_path / "resaved.json"
     save_model(load_model(path), out)
-    assert out.read_bytes() == v3_doc[0].read_bytes()
+    assert out.read_bytes() == v4_doc[0].read_bytes()
 
 
-def test_unedited_document_loads(model_doc, v2_doc, v3_doc, tmp_path):
+def test_unedited_document_loads(model_doc, v2_doc, v3_doc, v4_doc, tmp_path):
     _, doc = model_doc
     artifact = load_model(write_doc(tmp_path, doc))
     assert artifact.model.dim == len(doc["vocabulary"])
@@ -152,6 +177,10 @@ def test_unedited_document_loads(model_doc, v2_doc, v3_doc, tmp_path):
     artifact = load_model(write_doc(tmp_path, doc))
     assert artifact.model.dim == len(unpack(doc, "vocabulary_prefix")) == len(unpack(doc, "idf_index"))
     assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_value"))
+    _, doc = v4_doc
+    artifact = load_model(write_doc(tmp_path, doc))
+    assert artifact.model.dim == len(unpack(doc, "vocabulary_prefix")) == len(unpack(doc, "idf_index"))
+    assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_index"))
 
 
 def test_v1_file_loads_and_scores_as_its_source(trained, model_doc):
@@ -196,6 +225,35 @@ def test_committed_v2_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
         assert again.tobytes() == scores.tobytes()
         if seed == 21:
             assert [s >= 0 for s in scores] == [t.label == "malicious" for t in corpus]
+
+
+def test_committed_v3_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
+    """``data/model_v3.json`` is the v3 writer's file for the training run
+    of ``data/model_v2.json``."""
+    path = Path(__file__).parent / "data" / "model_v3.json"
+    assert json.loads(path.read_text())["format_version"] == 3
+    loaded = load_model(path)
+    assert canonical_text_v3(loaded) == path.read_text()
+    out = tmp_path / "model.json"
+    save_model(loaded, out)
+    assert out.read_text() == canonical_text(loaded)
+    resaved = load_model(out)
+    assert resaved.vocabulary.alphabet == loaded.vocabulary.alphabet
+    assert resaved.vocabulary.n_min == loaded.vocabulary.n_min
+    assert resaved.vocabulary.keys.tobytes() == loaded.vocabulary.keys.tobytes()
+    assert resaved.idf.idf.tobytes() == loaded.idf.idf.tobytes() and resaved.idf.n_docs == loaded.idf.n_docs
+    assert resaved.model.weights.tobytes() == loaded.model.weights.tobytes()
+    assert resaved.model.bias == loaded.model.bias and resaved.model.metadata == loaded.model.metadata
+    again = tmp_path / "again.json"
+    save_model(resaved, again)
+    assert again.read_bytes() == out.read_bytes()
+    v2 = load_model(path.with_name("model_v2.json"))
+    assert v2.model.weights.tobytes() == loaded.model.weights.tobytes()
+    for seed in (21, 22):  # the training corpus, then a fresh one
+        corpus = generate(GeneratorConfig(n_traces=8, trace_len_range=(10, 14), seed=seed))
+        scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
+        from_v4 = decision_many(resaved.model, transform(corpus, resaved.vocabulary, resaved.idf))
+        assert from_v4.tobytes() == scores.tobytes()
 
 
 def edit_weights(doc, edit):
@@ -507,30 +565,30 @@ def test_v2_bad_small_field_rejected(v2_doc, tmp_path, field, value):
         load_edited(tmp_path, doc, **{field: value})
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "value", [float("inf"), float("-inf"), float("nan"), [1.0, float("inf")]], ids=["inf", "-inf", "nan", "nested"]
 )
-def test_non_finite_config_number_rejected(model_doc, v2_doc, v3_doc, tmp_path, version, value):
-    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc}[version]
+def test_non_finite_config_number_rejected(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, value):
+    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
     with pytest.raises(ModelFormatError, match="config holds a non-finite number"):
         load_edited(tmp_path, doc, config={**doc["config"], "alpha": value})
 
 
-# A v2 document that claims format 3 lacks v3's fields: ModelFormatError.
-@pytest.mark.parametrize("version", [True, 2.0, 4, 0])
+# A v2 document that claims format 3 or 4 lacks their fields: ModelFormatError.
+@pytest.mark.parametrize("version", [True, 2.0, 5, 0])
 def test_v2_format_version_must_be_the_integer_two(v2_doc, tmp_path, version):
     _, doc = v2_doc
     with pytest.raises(VersionMismatchError):
         load_edited(tmp_path, doc, format_version=version)
 
 
-def test_v2_arrays_load_native_and_writable(v2_doc, v3_doc):
+def test_v2_arrays_load_native_and_writable(v2_doc, v3_doc, v4_doc):
     path, _ = v2_doc
     artifact = load_model(path)
     v1_path = path.with_name("model_v1.json")
     v1_path.write_text(canonical_text_v1(artifact))
-    for loaded in (artifact, load_model(v1_path), load_model(v3_doc[0])):
+    for loaded in (artifact, load_model(v1_path), load_model(v3_doc[0]), load_model(v4_doc[0])):
         for array in (loaded.idf.idf, loaded.model.weights, loaded.vocabulary.keys):
             assert array.flags.writeable
         assert loaded.idf.idf.dtype == np.float64 and loaded.idf.idf.dtype.isnative
@@ -560,7 +618,7 @@ def wide_doc(tmp_path_factory):
         strings, [k % 3 - 1.0 for k in range(301)], [k / 8 for k in range(301)], n_max=256
     )
     path = tmp_path_factory.mktemp("model") / "wide.json"
-    save_model(artifact, path)
+    path.write_text(canonical_text_v3(artifact))
     doc = json.loads(path.read_text())
     assert {dtype_of(doc, field) for field in NARROW_V3} == {"<u2"}
     return path, doc
@@ -869,9 +927,108 @@ def test_v3_bad_small_field_rejected(v3_doc, tmp_path, field, value):
         load_edited(tmp_path, doc, **{field: value})
 
 
-@pytest.mark.parametrize("version", [True, 3.0, 4, 0])
+# A v3 document that claims format 4 lacks v4's fields: ModelFormatError.
+@pytest.mark.parametrize("version", [True, 3.0, 5, 0])
 def test_v3_format_version_must_be_the_integer_three(v3_doc, tmp_path, version):
     _, doc = v3_doc
+    with pytest.raises(VersionMismatchError):
+        load_edited(tmp_path, doc, format_version=version)
+
+
+# --- v4 load faults, one test each -----------------------------------------
+
+# v4's weight fields; the rest are v3's, which the v3 faults above cover.
+ARRAYS_V4 = ("weight_bitmap", "weight_index", "weight_table")
+
+
+@pytest.mark.parametrize("field", ARRAYS_V4)
+@pytest.mark.parametrize("value", [[1, 2], 12, None], ids=["list", "number", "null"])
+def test_v4_array_that_is_not_a_string_rejected(v4_doc, tmp_path, field, value):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match=rf"{field}\b must be str"):
+        load_edited(tmp_path, doc, **{field: value})
+
+
+@pytest.mark.parametrize("field", ARRAYS_V4)
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda t: t[:-1], lambda t: "!" + t[1:], lambda t: t[:4] + "\n" + t[4:], lambda t: "\u00e9" + t[1:]],
+    ids=["bad-padding", "bad-character", "newline", "non-ascii"],
+)
+def test_v4_array_that_is_not_base64_rejected(v4_doc, tmp_path, field, mangle):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match=f"{field} is not valid base64"):
+        load_edited(tmp_path, doc, **{field: mangle(doc[field])})
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda b: b + b"\0", lambda b: b[:-1]], ids=["extra-byte", "missing-byte"]
+)
+def test_v4_bitmap_of_the_wrong_byte_length_rejected(v4_doc, tmp_path, edit):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match=r"weight_bitmap holds \d+ bytes, not \d+ items of 1 bytes"):
+        load_edited(tmp_path, doc, **_with_bytes(doc, "weight_bitmap", edit))
+
+
+def test_v4_set_padding_bit_rejected(v4_doc, tmp_path):
+    _, doc = v4_doc
+    dim = len(unpack(doc, "idf_index"))
+    assert dim % 8
+    bitmap = unpack(doc, "weight_bitmap")
+    bitmap[-1] |= 0x80  # the last byte's top bit lies past the last column
+    with pytest.raises(ModelFormatError, match=f"weight_bitmap: a bit at or past the vocabulary size {dim} is set"):
+        load_edited(tmp_path, doc, weight_bitmap=pack(bitmap, "weight_bitmap"))
+
+
+@pytest.mark.parametrize("change", ["set", "clear"])
+def test_v4_set_bits_that_do_not_match_the_index_rejected(v4_doc, tmp_path, change):
+    _, doc = v4_doc
+    bits = np.unpackbits(unpack(doc, "weight_bitmap"), bitorder="little")
+    dim = len(unpack(doc, "idf_index"))
+    bits[np.flatnonzero(bits[:dim] == (change == "clear"))[0]] ^= 1
+    bitmap = np.packbits(bits, bitorder="little")
+    with pytest.raises(ModelFormatError, match=r"weight_index holds \d+ bytes, not \d+ items of 1 bytes"):
+        load_edited(tmp_path, doc, weight_bitmap=pack(bitmap, "weight_bitmap"))
+
+
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("value", ["table-length", 255])
+def test_v4_weight_index_past_the_table_rejected(v4_doc, tmp_path, position, value):
+    _, doc = v4_doc
+    index = unpack(doc, "weight_index")
+    index[position] = len(unpack(doc, "weight_table")) if value == "table-length" else value
+    with pytest.raises(ModelFormatError, match="weight_index: an entry is not below the weight_table length"):
+        load_edited(tmp_path, doc, weight_index=pack(index, "weight_index", doc))
+
+
+def _table_edit(doc, value, where):
+    table = unpack(doc, "weight_table")
+    if where == "used":
+        table[0] = value
+    else:  # an entry no weight's index points at
+        table = np.append(table, value)
+    return {"weight_table": pack(table, "weight_table")}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["used", "unused"])
+def test_v4_non_finite_weight_table_entry_rejected(v4_doc, tmp_path, value, where):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match="weight_table holds a non-finite value"):
+        load_edited(tmp_path, doc, **_table_edit(doc, value, where))
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0])
+@pytest.mark.parametrize("where", ["used", "unused"])
+def test_v4_zero_weight_table_entry_rejected(v4_doc, tmp_path, value, where):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match="weight_table holds a zero"):
+        load_edited(tmp_path, doc, **_table_edit(doc, value, where))
+
+
+@pytest.mark.parametrize("version", [True, 4.0, 5, 0])
+def test_v4_format_version_must_be_the_integer_four(v4_doc, tmp_path, version):
+    _, doc = v4_doc
     with pytest.raises(VersionMismatchError):
         load_edited(tmp_path, doc, format_version=version)
 
@@ -931,6 +1088,9 @@ def _grams(n):
 # 256 distinct idf values index as uint8, 257 as uint16.
 @example(make_artifact(_grams(256), [0.5] * 256, [i / 4 for i in range(256)]))
 @example(make_artifact(_grams(257), [0.5] * 257, [i / 4 for i in range(257)]))
+# The weight table: -0.0 is absent, subnormals are kept, 8 and 9 columns.
+@example(make_artifact(_grams(8), [-0.0, 5e-324, 0.0, -5e-324, 1.0, 0.0, 0.0, 1.0], [1.0] * 8))
+@example(make_artifact(_grams(9), [-0.0] * 8 + [2.0], [1.0] * 9))
 def test_save_writes_the_canonical_text(artifact):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -939,12 +1099,14 @@ def test_save_writes_the_canonical_text(artifact):
         loaded = load_model(path)
         save_model(loaded, path)
         assert path.read_bytes() == canonical_text(artifact).encode("utf-8")
-        # The v1 and v2 texts of the same artifact load to the same strings and bits.
+        # The v1, v2 and v3 texts of the same artifact load to the same strings and bits.
         path.write_text(canonical_text_v1(artifact))
         from_v1 = load_model(path)
         path.write_text(canonical_text_v2(artifact))
         from_v2 = load_model(path)
-    for other in (loaded, from_v1, from_v2):
+        path.write_text(canonical_text_v3(artifact))
+        from_v3 = load_model(path)
+    for other in (loaded, from_v1, from_v2, from_v3):
         assert other.vocabulary.alphabet == artifact.vocabulary.alphabet
         assert other.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
         assert other.idf.idf.tobytes() == artifact.idf.idf.tobytes()
@@ -958,8 +1120,8 @@ def test_save_refuses_a_non_finite_config_number(tmp_path, value):
         save_model(artifact, tmp_path / "model.json")
 
 
-def test_trained_model_writes_the_canonical_text(v3_doc):
-    path, _ = v3_doc
+def test_trained_model_writes_the_canonical_text(v4_doc):
+    path, _ = v4_doc
     assert path.read_bytes() == canonical_text(load_model(path)).encode("utf-8")
 
 
@@ -1012,6 +1174,37 @@ def test_round_trip_at_each_width_edge(tmp_path, n_names, n_max, n_idf, widths):
     assert loaded.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
     assert loaded.idf.idf.tobytes() == artifact.idf.idf.tobytes()
     assert loaded.model.weights.tobytes() == artifact.model.weights.tobytes()
+
+
+@pytest.mark.parametrize("n_values, width", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+def test_weight_index_width_at_each_edge(tmp_path, n_values, width):
+    """``n_values`` distinct weights, one of them twice, and a 0.0 and a -0.0 among them."""
+    values = [(k + 1) / 8 * (-1) ** k for k in range(n_values)]
+    weights = [values[0], 0.0, *values[1:], -0.0, values[0]]
+    dim = len(weights)
+    artifact = make_artifact([f"nt{i:06d}" for i in range(dim)], weights, [1.0] * dim)
+    path = tmp_path / "model.json"
+    save_model(artifact, path)
+    text = path.read_bytes()
+    assert text == canonical_text(artifact).encode("utf-8")
+    doc = json.loads(text)
+    size = {field: len(base64.b64decode(doc[field])) for field in ARRAYS_V4}
+    assert size == {"weight_bitmap": -(-dim // 8), "weight_table": 8 * n_values, "weight_index": (n_values + 1) * width}
+    loaded = load_model(path)
+    save_model(loaded, path)
+    assert path.read_bytes() == text
+    assert loaded.model.weights.tobytes() == (artifact.model.weights + 0.0).tobytes()
+
+
+def test_all_zero_weights_write_an_empty_table(tmp_path):
+    artifact = make_artifact(_grams(11), [0.0, -0.0] * 5 + [0.0], [1.0] * 11)
+    path = tmp_path / "model.json"
+    save_model(artifact, path)
+    doc = json.loads(path.read_text())
+    assert doc["weight_table"] == doc["weight_index"] == ""
+    assert base64.b64decode(doc["weight_bitmap"]) == bytes(2)
+    weights = load_model(path).model.weights
+    assert weights.tobytes() == np.zeros(11).tobytes()  # +0.0, the -0.0 included
 
 
 def _large_artifact():
@@ -1136,5 +1329,33 @@ def test_any_bytes_in_a_v3_file_load_or_raise_a_tracesvm_error(v3_doc, start, cu
 def test_any_value_of_one_v3_field_loads_or_raises_a_tracesvm_error(v3_doc, field, value):
     _, doc = v3_doc
     assert set(doc) == set(FIELDS_V3)
+    with tempfile.TemporaryDirectory() as tmp:
+        load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
+
+
+FIELDS_V4 = (
+    "alphabet", "bias", "config", "created_by", "format_version", "idf_index", "idf_table",
+    "n_docs", "ngram_max", "ngram_min", "trainer", "vocabulary_prefix", "vocabulary_suffix",
+    "vocabulary_suffix_len", "weight_bitmap", "weight_index", "weight_table",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 10**6), cut=st.integers(0, 40), data=st.binary(max_size=40))
+def test_any_bytes_in_a_v4_file_load_or_raise_a_tracesvm_error(v4_doc, start, cut, data):
+    path, _ = v4_doc
+    text = path.read_bytes()
+    start %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "model.json"
+        edited.write_bytes(text[:start] + data + text[start + cut :])
+        load_or_raise(edited)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS_V4), value=V2_VALUES)
+def test_any_value_of_one_v4_field_loads_or_raises_a_tracesvm_error(v4_doc, field, value):
+    _, doc = v4_doc
+    assert set(doc) == set(FIELDS_V4)
     with tempfile.TemporaryDirectory() as tmp:
         load_or_raise(write_doc(Path(tmp), {**doc, field: value}))

@@ -472,11 +472,12 @@ def assert_same_arrays(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def key_rounds(vocab):
-    """The ``_code_rounds`` that counting runs over ``vocab``'s keys."""
+def key_rounds(vocab, ordered=True):
+    """The ``_code_rounds`` that counting runs over ``vocab``'s keys; with
+    ``ordered`` False, ranked by ``np.unique`` as the windows are."""
     n_keys, width = len(vocab), vocab.n_max
     keys = _IdRows(vocab.keys.ravel(), width, np.arange(n_keys), np.full(n_keys, width), width)
-    return list(_code_rounds(keys, _id_bits(vocab.alphabet)))
+    return list(_code_rounds(keys, _id_bits(vocab.alphabet), ordered))
 
 
 def window_rounds(corpus, vocab):
@@ -536,6 +537,18 @@ class TestIntegerCodes:
         for calls_lists in (fit, evaluation):
             got = csr_arrays(count_matrix(as_corpus(calls_lists), vocab))
             assert_same_arrays(got, void_count_csr(calls_lists, vocab))
+
+    @settings(max_examples=80, deadline=None)
+    @given(coded_corpora())
+    def test_key_rounds_rank_as_np_unique_does(self, case):
+        fit, _, n_min, n_max = case
+        try:
+            vocab = build_vocabulary(as_corpus(fit), n_min, n_max)
+        except EmptyVocabularyError:
+            return
+        for got, expected in zip(key_rounds(vocab), key_rounds(vocab, ordered=False), strict=True):
+            assert got[:2] == expected[:2]
+            assert_same_arrays(got[2:], expected[2:])
 
     def test_large_alphabet_takes_two_rounds(self):
         # About 450 names, as real Nt traces have: 9-bit ids, 7 per first code.
