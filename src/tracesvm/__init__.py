@@ -6,7 +6,7 @@ the hinge loss with either stochastic subgradient descent or dual
 coordinate descent.
 """
 
-from .dual_cd import DualConfig, DualState, dual_objective, train_dual_cd
+from .dual_cd import DualConfig, train_dual_cd
 from .errors import (
     ConfigError,
     DegenerateLabelsError,

@@ -11,8 +11,15 @@ minimum, a_i <- clip(a_i - G_i / Q_ii, 0, C) with G_i = y_i (w . x_i) - 1,
 while w = sum_i a_i y_i x_i is maintained incrementally.  A sweep visits
 the rows in a seeded random permutation; the optimizer stops when every
 projected gradient magnitude falls below tol, or warns after max_outer
-sweeps.  Rows that are empty before augmentation are skipped and keep
+sweeps.  A sweep's gradients are read before later coordinates move, so a
+sweep under tol is confirmed by a pass that reads every active row at the
+final state.  Rows that are empty before augmentation are skipped and keep
 a_i = 0.
+
+``_solve`` runs the sweeps and returns only the final state: alpha, the
+augmented w, the sweeps run and whether they converged.  ``train_dual_cd``
+checks the labels, calls it, warns if it did not converge and builds the
+model.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,32 +60,40 @@ class DualConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class DualState:
-    """Dual variables plus the maintained augmented primal vector."""
-
-    alpha_dual: np.ndarray  # one per row, in [0, C]
-    w: np.ndarray  # dim + 1; w[-1] is the bias coordinate
-    outer_iter: int = 0
-
-
-def dual_objective(state: DualState) -> float:
-    """1/2 ||w||^2 - sum(a), using the maintained augmented w."""
-    return 0.5 * float(state.w @ state.w) - float(np.sum(state.alpha_dual))
-
-
-def train_dual_cd(
-    matrix: FeatureMatrix,
-    labels: Sequence[int],
-    config: DualConfig,
-    callback: Callable[[DualState], None] | None = None,
-) -> LinearModel:
+def train_dual_cd(matrix: FeatureMatrix, labels: Sequence[int], config: DualConfig) -> LinearModel:
     """Run sweeps until max |projected gradient| < tol or max_outer is hit.
 
-    The optional callback sees the live state after every coordinate update;
-    it must not mutate it.
+    Warns with NonConvergenceWarning when max_outer sweeps end unconverged.
+    The metadata's dual_objective is 1/2 ||w||^2 - sum(a) over the
+    augmented w.
     """
     y = validate_labels(labels, len(matrix))
+    alpha, w, outer, converged = _solve(matrix, y, config)
+    if not converged:
+        warnings.warn(
+            f"dual coordinate descent stopped after {outer} sweeps with "
+            f"max projected gradient still >= tol={config.tol}",
+            NonConvergenceWarning,
+            stacklevel=2,
+        )
+    return LinearModel(
+        weights=w[:-1].copy(),
+        bias=float(w[-1]),
+        metadata={
+            "trainer": TRAINER_DUAL_CD,
+            "C": config.C,
+            "tol": config.tol,
+            "max_outer": config.max_outer,
+            "seed": config.seed,
+            "outer_iters": outer,
+            "converged": converged,
+            "dual_objective": 0.5 * float(w @ w) - float(np.sum(alpha)),
+        },
+    )
+
+
+def _solve(matrix: FeatureMatrix, y: np.ndarray, config: DualConfig):
+    """The sweeps themselves; returns (alpha, augmented w, sweeps run, converged)."""
     dim = matrix.dim
     C = float(config.C)
     # The bias-augmented CSR: each row gains column dim, holding 1.
@@ -92,14 +107,11 @@ def train_dual_cd(
 
     alpha = np.zeros(len(matrix))
     w = np.zeros(dim + 1)
-    state = DualState(alpha_dual=alpha, w=w, outer_iter=0)
     yf = y.astype(np.float64)
 
-    converged = False
     outer = 0
     while outer < config.max_outer:
         outer += 1
-        state.outer_iter = outer
         max_pg = 0.0
         for i in rng.permutation(active):
             xi, xv = rows[i]
@@ -118,37 +130,11 @@ def train_dual_cd(
                 if delta != 0.0:
                     alpha[i] = new_alpha
                     w[xi] += (delta * yf[i]) * xv
-                if callback is not None:
-                    callback(state)
-        if max_pg < config.tol:
-            # Sweep-time gradients are stale once later coordinates move;
-            # confirm on a frozen pass before declaring convergence.
-            if _max_abs_pg(active, rows, yf, alpha, w, C) < config.tol:
-                converged = True
-                break
-
-    if not converged:
-        warnings.warn(
-            f"dual coordinate descent stopped after {outer} sweeps with "
-            f"max projected gradient still >= tol={config.tol}",
-            NonConvergenceWarning,
-            stacklevel=2,
-        )
-
-    return LinearModel(
-        weights=w[:dim].copy(),
-        bias=float(w[dim]),
-        metadata={
-            "trainer": TRAINER_DUAL_CD,
-            "C": config.C,
-            "tol": config.tol,
-            "max_outer": config.max_outer,
-            "seed": config.seed,
-            "outer_iters": outer,
-            "converged": converged,
-            "dual_objective": dual_objective(state),
-        },
-    )
+        # Sweep-time gradients are stale once later coordinates move;
+        # confirm on a frozen pass before declaring convergence.
+        if max_pg < config.tol and _max_abs_pg(active, rows, yf, alpha, w, C) < config.tol:
+            return alpha, w, outer, True
+    return alpha, w, outer, False
 
 
 def _abs_projected_gradient(g: float, a: float, C: float) -> float:

@@ -59,9 +59,10 @@ Loading is strict: anything but a v1, v2, v3 or v4 model document raises
 ``format_version`` other than the integer 1, 2, 3 or 4).  That includes
 text that is not JSON or nests too deeply to decode, fields of the wrong
 JSON type (``true`` and ``false`` are not numbers), a ``config`` holding a
-non-finite number, non-finite idf or weight values, keys that are not a
-sorted vocabulary over the alphabet (see ``_check_keys``) and, from v2 on,
-invalid base64 and byte lengths that do not fit the vocabulary size or the
+non-finite number or a ``trainer`` key (the top-level ``trainer`` would
+replace it, so the file would load as another trainer), non-finite idf or
+weight values, keys that are not a sorted vocabulary over the alphabet (see
+``_check_keys``) and, from v2 on, invalid base64 and byte lengths that do not fit the vocabulary size or the
 item width.  From v3 on the prefix and suffix lengths are checked before
 any key is built: the first prefix must be 0, no prefix may be longer than
 the n-gram before it, no n-gram longer than ``ngram_max``, and the suffix
@@ -264,6 +265,8 @@ def load_model(path: Path | str) -> ModelArtifact:
             json.dumps(metadata, allow_nan=False)
         except ValueError:
             raise ValueError("config holds a non-finite number") from None
+        if "trainer" in metadata:
+            raise ValueError("config holds a 'trainer' key; only the top-level trainer field may")
         metadata["trainer"] = doc.get("trainer")
         model = LinearModel(weights=weights, bias=bias, metadata=metadata)
     except (KeyError, ValueError, OverflowError) as exc:

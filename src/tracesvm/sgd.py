@@ -15,7 +15,11 @@ makes elasticnet coincide with l2 exactly.  With dR/dw = l2c * w + l1c *
 sign(w) and eta(t) = 1 / (alpha * (t0 + t)), step t on example (x, y) does:
 
 1. l2 shrink: w <- (1 - eta * alpha * l2c) * w.  The weights are stored as
-   scale * v, so this multiplies one scalar.
+   scale * v, so this multiplies one scalar.  As eta * alpha = 1 / (t0 + t)
+   and l2c <= 1, the factor is 0 only at the first step, when t0 + t rounds
+   to 1 and v is reset instead.  Every later step multiplies scale by at
+   least 1 - 1 / (t0 + t), so |scale| >= 2**-53 / t after step t: no run
+   brings it near underflow, and it is never rescaled.
 2. Cumulative l1 penalty (Tsuruoka, Tsujii & Ananiadou, ACL 2009):
    u <- u + eta * alpha * l1c is the total l1 shrink any weight could have
    received so far, and q_j the signed shrink that w_j has received.  Each
@@ -58,8 +62,6 @@ PENALTY_L2 = "l2"
 PENALTY_ELASTICNET = "elasticnet"
 PENALTIES = (PENALTY_L1, PENALTY_L2, PENALTY_ELASTICNET)
 
-# Rescale the scaled-weight representation before the factor underflows.
-_SCALE_FLOOR = 1e-130
 # The bias moves at this fraction of the weights' step (scikit-learn's
 # SPARSE_INTERCEPT_DECAY).
 _INTERCEPT_DECAY = 0.01
@@ -195,9 +197,6 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
                 scale = 1.0
             else:
                 scale *= factor
-                if abs(scale) < _SCALE_FLOOR:
-                    v *= scale
-                    scale = 1.0
             if l1c:
                 u += eta * alpha * l1c
                 vi = _settle_l1(v, q, xi, scale, u)

@@ -6,7 +6,10 @@ single-step references at the end (string n-grams and per-trace counts, one
 SGD subgradient step, one dual coordinate update) take the package's own
 types as arguments; no trainer or vectorizer calls them.
 ``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 and
-elastic-net paths.
+elastic-net paths.  ``DualState`` and ``dual_objective`` are the dual
+solver's state and objective, kept here because the package exposes
+neither, and ``cd_sweeps`` runs ``cd_update`` over the same seeded
+permutations that the dual solver draws, one per sweep.
 ``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
@@ -32,11 +35,11 @@ import json
 import math
 import re
 import struct
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from tracesvm.dual_cd import DualState
 from tracesvm.ingest import SyscallTrace
 from tracesvm.model_io import ModelArtifact
 from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
@@ -567,10 +570,21 @@ def sgd_cumulative_l1(rows_dense, labels, alpha, t0, epochs, seed, phi=None):
     return np.array(w), b
 
 
+@dataclass
+class DualState:
+    """Dual variables plus the augmented primal vector they imply."""
+
+    alpha_dual: np.ndarray  # one per row, in [0, C]
+    w: np.ndarray  # dim + 1; w[-1] is the bias coordinate
+
+
+def dual_objective(state: DualState) -> float:
+    """1/2 ||w||^2 - sum(a), using the state's augmented w."""
+    return 0.5 * float(state.w @ state.w) - float(np.sum(state.alpha_dual))
+
+
 def init_state(matrix: FeatureMatrix) -> DualState:
-    return DualState(
-        alpha_dual=np.zeros(len(matrix)), w=np.zeros(matrix.dim + 1), outer_iter=0
-    )
+    return DualState(alpha_dual=np.zeros(len(matrix)), w=np.zeros(matrix.dim + 1))
 
 
 def q_entry(i: int, j: int, matrix: FeatureMatrix, labels: Sequence[int]) -> float:
@@ -616,4 +630,22 @@ def cd_update(
         alpha_dual[i] = new_alpha
         w[row.indices] += (delta * labels[i]) * row.values
         w[-1] += delta * labels[i]
-    return DualState(alpha_dual=alpha_dual, w=w, outer_iter=state.outer_iter)
+    return DualState(alpha_dual=alpha_dual, w=w)
+
+
+def cd_sweeps(matrix: FeatureMatrix, labels: Sequence[int], C: float, seed: int):
+    """Endless sweeps of ``cd_update`` from the zero state.
+
+    Each sweep visits the rows that hold a feature in one
+    ``np.random.default_rng(seed).permutation`` of them, drawn from one
+    generator, and yields the list of states after each of its updates.
+    """
+    active = [i for i in range(len(matrix)) if matrix.rows[i].nnz > 0]
+    rng = np.random.default_rng(seed)
+    state = init_state(matrix)
+    while True:
+        path = []
+        for i in rng.permutation(active):
+            state = cd_update(int(i), state, matrix, labels, C)
+            path.append(state)
+        yield path

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +14,18 @@ from tracesvm import (
     DualConfig,
     NonConvergenceWarning,
     SgdConfig,
-    dual_objective,
     train_dual_cd,
     train_sgd,
 )
+from tracesvm.dual_cd import _solve
 from tracesvm.linear_model import predict_many
 from oracles import (
+    DualState,
     augmented_q_matrix,
     box_constrained_min,
+    cd_sweeps,
     cd_update,
+    dual_objective,
     init_state,
     matrix_from_dense,
     projected_gradient,
@@ -37,6 +43,29 @@ def random_problem(rng, n=3, dim=3):
     while len(set(y.tolist())) < 2:
         y = rng.choice([-1, 1], size=n)
     return rows, y
+
+
+def sparse_problem(rng):
+    """3-8 rows over 2-5 features, about a third of the entries 0, so a row may be empty."""
+    n, dim = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+    rows = rng.normal(size=(n, dim)) * (rng.random((n, dim)) > 0.35)
+    y = np.resize([1, -1], n)
+    rng.shuffle(y)
+    return rows, y
+
+
+def solver_sweeps(m, y, config):
+    """_solve's (alpha, w) after each sweep, up to the one that converges.
+
+    A run capped at k sweeps stops after sweep k of the uncapped run: the
+    permutations do not depend on the cap, and the confirmation pass draws none.
+    """
+    for k in range(1, config.max_outer + 1):
+        alpha, w, sweeps, converged = _solve(m, y, replace(config, max_outer=k))
+        assert sweeps == k
+        yield alpha, w
+        if converged:
+            return
 
 
 class TestQEntry:
@@ -137,51 +166,64 @@ class TestTrainDualCd:
 
     def test_monotone_descent_and_feasibility(self):
         rng = np.random.default_rng(4)
-        rows, y = random_problem(rng)
-        m = matrix_from_dense(rows)
-        C = 1.0
-        values = []
-        train_dual_cd(
-            m, y, DualConfig(C=C, tol=1e-9, seed=0),
-            callback=lambda s: values.append(
-                (dual_objective(s), s.alpha_dual.min(), s.alpha_dual.max())
-            ),
-        )
-        objs = [v[0] for v in values]
-        assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
-        assert all(lo >= 0.0 and hi <= C for _, lo, hi in values)
+        for _ in range(10):
+            rows, y = random_problem(rng)
+            m = matrix_from_dense(rows)
+            for C in (0.1, 1.0, 10.0):
+                config = DualConfig(C=C, tol=1e-9, max_outer=30, seed=0)
+                # Every coordinate update on the oracle's path, which
+                # test_each_sweep_matches_the_oracle ties to the solver.
+                path = [init_state(m)]
+                for sweep in itertools.islice(cd_sweeps(m, y, C, seed=0), 30):
+                    path.extend(sweep)
+                objs = [dual_objective(s) for s in path]
+                assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
+                assert all(s.alpha_dual.min() >= 0.0 and s.alpha_dual.max() <= C for s in path)
+                # The solver's own state after each sweep.
+                states = list(solver_sweeps(m, y, config))
+                objs = [dual_objective(DualState(alpha, w)) for alpha, w in states]
+                assert objs[0] <= 0.0
+                assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
+                assert all(alpha.min() >= 0.0 and alpha.max() <= C for alpha, _ in states)
 
     def test_weight_identity(self):
         rng = np.random.default_rng(9)
         rows, y = random_problem(rng, n=6, dim=4)
         m = matrix_from_dense(rows)
-        states = []
-        model = train_dual_cd(
-            m, y, DualConfig(C=1.0, tol=1e-8, seed=1), callback=lambda s: states.append(s)
-        )
-        final = states[-1]
+        config = DualConfig(C=1.0, tol=1e-8, seed=1)
+        alpha, w, _, _ = _solve(m, y, config)
+        model = train_dual_cd(m, y, config)
         rebuilt = np.zeros(m.dim + 1)
         for i, row in enumerate(m.rows):
-            rebuilt[row.indices] += final.alpha_dual[i] * y[i] * row.values
-            rebuilt[-1] += final.alpha_dual[i] * y[i]
-        assert np.allclose(final.w, rebuilt, atol=1e-8, rtol=0)
+            rebuilt[row.indices] += alpha[i] * y[i] * row.values
+            rebuilt[-1] += alpha[i] * y[i]
+        assert np.allclose(w, rebuilt, atol=1e-8, rtol=0)
         assert np.allclose(model.weights, rebuilt[:-1], atol=1e-12, rtol=0)
+
+    def test_model_is_the_solved_state(self):
+        rng = np.random.default_rng(10)
+        rows, y = random_problem(rng, n=6, dim=4)
+        m = matrix_from_dense(rows)
+        config = DualConfig(C=1.0, tol=1e-6, seed=4)
+        alpha, w, sweeps, converged = _solve(m, y, config)
+        model = train_dual_cd(m, y, config)
+        assert np.array_equal(model.weights, w[:-1])
+        assert model.bias == w[-1]
+        assert model.metadata["outer_iters"] == sweeps
+        assert model.metadata["converged"] is converged is True
+        assert model.metadata["dual_objective"] == dual_objective(DualState(alpha, w))
 
     def test_kkt_spot_checks(self):
         rng = np.random.default_rng(15)
         rows, y = random_problem(rng, n=5, dim=3)
         m = matrix_from_dense(rows)
         C, tol = 1.0, 1e-8
-        states = []
-        model = train_dual_cd(
-            m, y, DualConfig(C=C, tol=tol, seed=2), callback=lambda s: states.append(s)
-        )
-        assert model.metadata["converged"]
-        state = states[-1]
+        alpha, w, _, converged = _solve(m, y, DualConfig(C=C, tol=tol, seed=2))
+        assert converged
         band = 10 * tol
         for i, row in enumerate(m.rows):
-            g = y[i] * (float(row.values @ state.w[row.indices]) + state.w[-1]) - 1.0
-            a = state.alpha_dual[i]
+            g = y[i] * (float(row.values @ w[row.indices]) + w[-1]) - 1.0
+            a = alpha[i]
             if a < band:
                 assert g >= -band
             elif a > C - band:
@@ -221,11 +263,8 @@ class TestTrainDualCd:
         rows = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
         y = np.array([1, 1, -1])
         m = matrix_from_dense(rows)
-        states = []
-        train_dual_cd(
-            m, y, DualConfig(C=1.0, tol=1e-8, seed=0), callback=lambda s: states.append(s)
-        )
-        assert states[-1].alpha_dual[1] == 0.0
+        alpha, _, _, _ = _solve(m, y, DualConfig(C=1.0, tol=1e-8, seed=0))
+        assert alpha[1] == 0.0
 
     def test_degenerate_labels(self):
         m = matrix_from_dense(TWO_POINT_ROWS)
@@ -244,3 +283,38 @@ class TestTrainDualCd:
         for bad in ({"C": np.inf}, {"C": np.nan}, {"tol": np.inf}, {"tol": np.nan}, {"seed": -1}):
             with pytest.raises(ConfigError):
                 DualConfig(**bad)
+
+
+class TestSolveAgainstOracle:
+    def test_each_sweep_matches_the_oracle(self):
+        # The solver after k sweeps against cd_update over the same seeded
+        # permutations of the nonempty rows, in alpha and the augmented w.
+        rng = np.random.default_rng(40)
+        compared = 0
+        for problem in range(40):
+            rows, y = sparse_problem(rng)
+            m = matrix_from_dense(rows)
+            for C in (0.1, 1.0, 10.0):
+                config = DualConfig(C=C, tol=1e-9, max_outer=30, seed=problem)
+                oracle = cd_sweeps(m, y, C, seed=problem)
+                for (alpha, w), sweep in zip(solver_sweeps(m, y, config), oracle):
+                    assert np.max(np.abs(alpha - sweep[-1].alpha_dual)) <= 1e-12
+                    assert np.max(np.abs(w - sweep[-1].w)) <= 1e-12
+                    compared += 1
+        assert compared >= 1000
+
+    def test_reported_convergence_holds_at_the_returned_state(self):
+        # A sweep's own gradients go stale as later coordinates move; only
+        # the confirming pass may declare convergence.  On these problems
+        # some sweeps come in under tol while the returned state is not.
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            rows, y = random_problem(rng, n=6, dim=4)
+            m = matrix_from_dense(rows)
+            for C in (0.1, 1.0, 10.0):
+                for tol in (1e-1, 1e-2, 1e-3):
+                    alpha, w, _, converged = _solve(m, y, DualConfig(C=C, tol=tol, seed=0))
+                    if converged:
+                        state = DualState(alpha, w)
+                        worst = max(abs(projected_gradient(i, state, m, y, C)) for i in range(len(y)))
+                        assert worst < tol

@@ -575,6 +575,17 @@ def test_non_finite_config_number_rejected(model_doc, v2_doc, v3_doc, v4_doc, tm
         load_edited(tmp_path, doc, config={**doc["config"], "alpha": value})
 
 
+# load_model puts the top-level trainer into the metadata, so a trainer in
+# config would be dropped and the file would load as another trainer.
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("trainer", ["dual-cd", "sgd", None])
+def test_config_holding_a_trainer_rejected(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, trainer):
+    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+    assert doc["trainer"] == "sgd"
+    with pytest.raises(ModelFormatError, match="config holds a 'trainer' key"):
+        load_edited(tmp_path, doc, config={**doc["config"], "trainer": trainer})
+
+
 # A v2 document that claims format 3 or 4 lacks their fields: ModelFormatError.
 @pytest.mark.parametrize("version", [True, 2.0, 5, 0])
 def test_v2_format_version_must_be_the_integer_two(v2_doc, tmp_path, version):
