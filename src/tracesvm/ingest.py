@@ -3,7 +3,10 @@
 A raw log holds one system call per line, e.g. ``NtClose( Handle=0x1 ) => 0``,
 and its lines end at LF, CRLF or CR only.  A file is decoded once, as Latin-1,
 and each line's leading call name is kept, lowercased, in log order; the rest
-of the line, whose bytes outside ASCII never cost a call, is dropped.
+of the line, whose bytes outside ASCII never cost a call, is dropped.  Each
+lowercased name is interned (``sys.intern``), so the traces of a loaded
+corpus share one ``str`` per distinct call name instead of holding one per
+call.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +55,7 @@ def _call_names(text: str, source_id: str) -> tuple[str, ...]:
     calls = _CALL_RE.findall(text.replace("\r\n", "\n").replace("\r", "\n"))
     if not calls:
         raise EmptyTraceError(f"no system calls found in {source_id}")
-    return tuple([name.lower() for name in calls])
+    return tuple(map(sys.intern, map(str.lower, calls)))
 
 
 def parse_trace(text: str, source_id: str) -> SyscallTrace:

@@ -88,7 +88,7 @@ import numpy as np
 
 from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
-from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map
+from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map, _run_starts
 
 FORMAT_VERSION = 4
 _READABLE_VERSIONS = (1, 2, 3, 4)
@@ -164,10 +164,14 @@ def _value_table(values: np.ndarray):
     The table holds the distinct values as ``<f8`` in the order of their bit
     patterns as ``<u8``, so ``-0.0`` and ``0.0`` are two entries; the index,
     each value's position in it, in the narrowest dtype that holds the
-    table's last one.
+    table's last one.  The table is the first of each run of the sorted bit
+    patterns, not ``np.unique``, which hashes on numpy >= 2.3: on the 196270
+    idf values of the pipeline-long corpus it took 4.0 ms against the
+    sort's 0.5 ms (numpy 2.4, 2-core VM).
     """
     bits = np.asarray(values, dtype="<f8").view("<u8")
-    table = np.unique(bits)
+    table = np.sort(bits)
+    table = table[_run_starts(table)]
     dtype = _uint(len(table) - 1)
     return _in_chunks(table.view("<f8")), (np.searchsorted(table, b).astype(dtype) for b in _in_chunks(bits))
 

@@ -11,11 +11,16 @@ character <= U+0020 (``_check_alphabet``), so id-tuple order on keys equals
 string order on the joined grams, a gram before its extensions.  Windows
 are never compared as keys: ``_code_rounds`` ranks them on exact uint64
 codes, each round packing the last round's rank beside as many next ids as
-fit, so no code overflows and none collides.  The last round's ranks give
-the vocabulary.  Counting runs the same rounds over the vocabulary's keys,
-which are sorted, so their codes are ranked without a sort (``_ranks``); it
-finds each window's column with one ``np.searchsorted`` per round and each
-row's counts with one more ``np.unique``, and builds no n-gram string.
+fit, so no code overflows and none collides.  The last round's ranks pick
+one window per key, and the keys are gathered from those windows in one
+row gather of a sliding-window view, then cleared past each gram's length.
+Counting runs the same rounds over the vocabulary's keys, which are
+sorted, so their codes are ranked without a sort (``_ranks``), and keeps
+only each round's table.  It finds each window's column with one
+``np.searchsorted`` per round, holding of each window only its start and
+its uint16 length, and drops each array once its sorted or filtered copy
+replaces it; a hit's trace row comes from its start at the end, and each
+row's counts from one more ``np.unique``.  It builds no n-gram string.
 N-gram strings are rendered only where they are printed, by
 ``_render_keys``.  This module owns the call-name rule, the id map and the
 n-gram range (``_check_range``) and knows no file format or byte order:
@@ -36,6 +41,7 @@ as one ``SparseVector`` per row, for inspection.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -159,8 +165,11 @@ class FeatureMatrix:
         if indices.size:
             if indices.min() < 0 or indices.max() >= self.dim:
                 raise ValueError("indices out of range")
-            row_of = np.repeat(np.arange(len(self)), np.diff(indptr))
-            if not np.all((np.diff(indices) > 0) | (np.diff(row_of) > 0)):
+            # rising[k]: indices[k] > indices[k - 1], or k starts a row (or is nnz).
+            rising = np.ones(indices.size + 1, dtype=bool)
+            np.greater(indices[1:], indices[:-1], out=rising[1:-1])
+            rising[indptr] = True
+            if not np.all(rising):
                 raise ValueError("indices must be strictly increasing within a row")
             if not np.all(np.isfinite(data)) or np.any(data == 0.0):
                 raise ValueError("data must be finite and nonzero")
@@ -215,29 +224,31 @@ class _IdRows:
 def _windows(
     corpus: Sequence[SyscallTrace], index: dict[str, int], n_min: int, n_max: int
 ) -> tuple[np.ndarray, _IdRows]:
-    """Every window of n_min..n_max calls, as parallel (trace row, ids) rows.
+    """Where each trace begins in ``seq``, and every window of n_min..n_max calls as rows of it.
 
-    A window's ids are index[name] per call, then 0 up to n_max; ids start
-    at 1, so id-tuple order puts a shorter gram before its extensions.
+    ``seq`` holds each trace's ids, index[name] per call, then n_max zeros,
+    so no window runs into the next trace.  ``begins[r]`` is where trace r's
+    ids start and ``begins[-1]`` the length of ``seq``, so a window starting
+    at ``p`` is in trace ``np.searchsorted(begins, p, "right") - 1``.  Ids
+    start at 1, so id-tuple order puts a shorter gram before its extensions.
     Calls missing from ``index`` get the id len(index) + 1, above every
     indexed one, so a window holding one matches no key built from ``index``.
     """
-    lengths = np.fromiter((len(t.calls) for t in corpus), dtype=np.int64, count=len(corpus))
+    lengths = np.fromiter((len(t.calls) for t in corpus), dtype=np.intp, count=len(corpus))
     total = int(lengths.sum())
-    unseen = len(index) + 1
-    ids = np.fromiter(
-        (index.get(c, unseen) for t in corpus for c in t.calls), dtype=np.uint32, count=total
-    )
-    row_of = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
-    # Each trace is followed by n_max zeros, so no window runs into the next.
-    at = np.arange(total) + n_max * row_of
-    seq = np.zeros(total + n_max * len(corpus), dtype=np.uint32)
-    seq[at] = ids
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # calls to trace end
-    fits = [left >= n for n in range(n_min, n_max + 1)]
-    lens = np.repeat(np.arange(n_min, n_max + 1), [np.count_nonzero(f) for f in fits])
-    starts = np.concatenate([at[f] for f in fits])
-    return np.concatenate([row_of[f] for f in fits]), _IdRows(seq, 1, starts, lens, n_max)
+    calls = itertools.chain.from_iterable(t.calls for t in corpus)
+    ids = np.fromiter(map(index.get, calls, itertools.repeat(len(index) + 1)), np.uint32, total)
+    begins = np.zeros(len(corpus) + 1, dtype=np.intp)
+    np.cumsum(lengths + n_max, out=begins[1:])
+    seq = np.zeros(begins[-1], dtype=np.uint32)
+    seq[np.arange(total) + np.repeat(n_max * np.arange(len(corpus)), lengths)] = ids
+    # An n-call window starts at p when seq[p] and seq[p + n - 1] are both
+    # ids: ids are nonzero, and n <= n_max calls cannot span n_max zeros.
+    called = seq != 0
+    starts = [np.flatnonzero(called[: len(seq) - n + 1] & called[n - 1 :]) for n in range(n_min, n_max + 1)]
+    # uint16 holds every length up to MAX_NGRAM.
+    lens = np.repeat(np.arange(n_min, n_max + 1, dtype=np.uint16), [len(s) for s in starts])
+    return begins, _IdRows(seq, 1, np.concatenate(starts), lens, n_max)
 
 
 def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: int) -> np.ndarray:
@@ -258,7 +269,8 @@ def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: i
         code |= seq[k : k + step * (n_pos - 1) + 1 : step]
     keep = np.clip(np.arange(rows.width + 1) - start, 0, m).tolist()  # ids kept per row length
     masks = np.array([((1 << bits * j) - 1) << bits * (m - j) for j in keep], dtype=np.uint64)
-    code = code[rows.starts] & masks[rows.lens]
+    code = code[rows.starts]
+    code &= masks[rows.lens]
     if rank is not None:
         code |= rank.astype(np.uint64) << np.uint64(bits * m)
     return code
@@ -292,10 +304,16 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
         rank_bits = (len(table) - 1).bit_length()
 
 
-def _ranks(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(code, return_inverse=True)`` of non-decreasing codes, from their first differences."""
+def _run_starts(code: np.ndarray) -> np.ndarray:
+    """True where non-decreasing ``code`` differs from the entry before, and at the first."""
     new = np.ones(len(code), dtype=bool)
     np.not_equal(code[1:], code[:-1], out=new[1:])
+    return new
+
+
+def _ranks(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(code, return_inverse=True)`` of non-decreasing codes, from their first differences."""
+    new = _run_starts(code)
     return code[new], np.cumsum(new, dtype=np.intp) - 1
 
 
@@ -332,49 +350,58 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
         )
     for _, _, table, rank in _code_rounds(windows, _id_bits(alphabet)):
         pass
-    first = np.empty(len(table), dtype=np.int64)
-    first[rank] = np.arange(len(windows))
-    starts, lens = windows.starts[first], windows.lens[first]
-    keys = np.empty((len(first), n_max), dtype=np.uint32)
-    for j in range(n_max):
-        keys[:, j] = windows.seq[starts + j]
+    # Any window of a key's rank holds its ids: gather n_max ids from one of
+    # each, then clear the ids past its length.
+    window_of = np.empty(len(table), dtype=np.intp)
+    window_of[rank] = np.arange(len(windows))
+    del table, rank
+    lens = windows.lens[window_of]
+    keys = np.lib.stride_tricks.sliding_window_view(windows.seq, n_max)[windows.starts[window_of]]
+    for j in range(n_min, n_max):
         keys[lens <= j, j] = 0
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
-def _key_columns(
-    corpus: Sequence[SyscallTrace], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """(trace row, column) of every window that is a vocabulary key.
+def _key_cells(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> np.ndarray:
+    """``row * len(vocab) + column`` for every window of trace ``row`` that is key ``column``.
 
-    The vocabulary's keys go through ``_code_rounds``; each window is packed
-    the same way and looked up in each round's table, and a window that
-    misses one is dropped.  A hit's last rank is its column.  If the rounds
-    stopped early, a hit's unread ids are compared with its column's.
+    The vocabulary's keys go through ``_code_rounds``, of which only the
+    tables are kept; each window is packed the same way and looked up in
+    each round's table, and a window that misses one is dropped.  A hit's
+    last rank is its column.  If the rounds stopped early, a hit's unread
+    ids are compared with its column's.  Each window array is dropped once
+    its sorted or filtered copy replaces it.
     """
-    rows, windows = _windows(corpus, _id_map(vocab.alphabet), vocab.n_min, vocab.n_max)
-    n_keys, n_max = len(vocab.keys), vocab.n_max
-    keys = _IdRows(vocab.keys.ravel(), n_max, np.arange(n_keys), np.full(n_keys, n_max), n_max)
-    bits = _id_bits(vocab.alphabet)
-    col, stop = None, 0
-    for start, stop, table, _ in _code_rounds(keys, bits, ordered=True):
+    dim, n_max, bits = len(vocab), vocab.n_max, _id_bits(vocab.alphabet)
+    key_ids = vocab.keys.ravel()
+    keys = _IdRows(key_ids, n_max, np.arange(dim), np.full(dim, n_max, dtype=np.uint16), n_max)
+    rounds = [(start, stop, table) for start, stop, table, _ in _code_rounds(keys, bits, ordered=True)]
+    del keys
+    begins, windows = _windows(corpus, _id_map(vocab.alphabet), vocab.n_min, n_max)
+    col = None
+    for start, stop, table in rounds:
         code = _pack(col, windows, start, stop, bits)
         if col is None:
             # Searched in code order, each search starts where the last one
             # ended, which is several times faster than in window order.  The
             # later rounds' codes then rise with their first round's.
             order = np.argsort(code)
-            code, rows, windows = code[order], rows[order], windows.take(order)
+            code = code[order]
+            windows = windows.take(order)
+            del order
         col = np.searchsorted(table, code)
         hit = col < len(table)
         hit[hit] = table[col[hit]] == code[hit]
-        rows, windows, col = rows[hit], windows.take(hit), col[hit]
-    hit = np.ones(len(col), dtype=bool)
-    matched = keys.take(col)
-    for start in range(stop, n_max, 64 // bits):
-        end = min(start + 64 // bits, n_max)
-        hit &= _pack(None, windows, start, end, bits) == _pack(None, matched, start, end, bits)
-    return rows[hit], col[hit]
+        del code
+        windows, col = windows.take(hit), col[hit]
+    if stop < n_max:
+        matched = _IdRows(key_ids, n_max, col, np.full(len(col), n_max, dtype=np.uint16), n_max)
+        hit = np.ones(len(col), dtype=bool)
+        for start in range(stop, n_max, 64 // bits):
+            end = min(start + 64 // bits, n_max)
+            hit &= _pack(None, windows, start, end, bits) == _pack(None, matched, start, end, bits)
+        windows, col = windows.take(hit), col[hit]
+    return (np.searchsorted(begins, windows.starts, side="right") - 1) * dim + col
 
 
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:
@@ -382,9 +409,8 @@ def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMa
 
     N-grams absent from the vocabulary are ignored.
     """
-    rows, cols = _key_columns(corpus, vocab)
     dim = len(vocab)
-    cells, counts = np.unique(rows * dim + cols, return_counts=True)
+    cells, counts = np.unique(_key_cells(corpus, vocab), return_counts=True)
     labels = [t.label for t in corpus]
     have_labels = all(l is not None for l in labels)
     return FeatureMatrix(

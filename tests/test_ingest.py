@@ -240,6 +240,18 @@ class TestManifest:
         assert corpus[1].calls == ("ntcreatefile",)
         assert all(isinstance(t, SyscallTrace) for t in corpus)
 
+    def test_equal_call_names_are_one_object(self, tmp_path):
+        # Across files and letter case, a loaded corpus holds one str per name.
+        (tmp_path / "a.log").write_bytes(b"NtClose( Handle=0x1 ) => 0\nNtOpenKeyEx(\nntclose\n")
+        (tmp_path / "b.log").write_bytes(b"ntopenkeyex\r\nNtClose\r\nNtOpenKeyEx( Key=0x2 )\r\n")
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([("a.log", "benign"), ("b.log", "malicious")], manifest)
+        corpus = load_corpus(read_manifest(manifest))
+        calls = [c for t in corpus for c in t.calls]
+        assert calls == ["ntclose", "ntopenkeyex", "ntclose", "ntopenkeyex", "ntclose", "ntopenkeyex"]
+        first = {}
+        assert all(first.setdefault(c, c) is c for c in calls)
+
     def test_bad_label_rejected(self, tmp_path):
         bad = tmp_path / "manifest.csv"
         bad.write_text("path,label\nx.log,weird\n")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,37 @@ class TestFeatureMatrix:
         # A row may start at a lower column than the previous row ended.
         m = self._build(indptr=(0, 2, 3, 3), indices=(1, 2, 0))
         assert [pairs(r) for r in m.rows] == [[(1, 1.5), (2, -2.0)], [(0, 4.0)], []]
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ((0, 0, 2, 3), (0, 2, 1)),
+            ((0, 2, 2, 3), (1, 2, 0)),
+            ((0, 2, 3, 3), (1, 2, 2)),
+            ((0, 0, 1, 1, 3, 3), (2, 0, 1)),
+            ((0, 1, 2, 3), (2, 2, 2)),
+        ],
+        ids=["empty-first", "empty-middle", "empty-last", "empty-ends", "column-on-each-boundary"],
+    )
+    def test_row_order_edges_accepted(self, indptr, indices):
+        m = self._build(indptr=indptr, indices=indices)
+        data = (1.5, -2.0, 4.0)
+        expected = [list(zip(indices[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])]
+        assert [pairs(r) for r in m.rows] == expected
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ((0, 0, 2, 3), (1, 1, 0)),
+            ((0, 1, 1, 3), (2, 1, 1)),
+            ((0, 1, 3, 3), (0, 2, 1)),
+            ((0, 0, 3, 3), (0, 2, 2)),
+        ],
+        ids=["repeat-after-empty-first", "repeat-after-empty-middle", "fall-before-empty-last", "repeat-between-empties"],
+    )
+    def test_row_order_edges_refused(self, indptr, indices):
+        with pytest.raises(ValueError, match="strictly increasing within a row"):
+            self._build(indptr=indptr, indices=indices)
 
     @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), -float("inf")])
     def test_bad_data(self, value):
@@ -601,3 +634,42 @@ class TestIntegerCodes:
         rows = _IdRows(seq, 2, np.arange(3), np.full(3, 2), 2)
         with pytest.raises(ValueError, match="1-bit ranks leave no room for a 64-bit id"):
             list(_code_rounds(rows, 64))
+
+
+def traced_peak_mb(f, *args):
+    """How far, in 10**6 bytes, tracemalloc's traced memory rose above its start during f(*args)."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestFitMemory:
+    """The fit's peak memory on the benchmark's pipeline-long corpus shape.
+
+    245607 windows of 8-10 calls over 13 names, dim 196270.  With numpy 2.4,
+    ``count_matrix`` peaked 28.1 MB above its start and ``fit_transform``
+    35.9 MB while counting carried every window's trace row through each
+    step and the order check built an nnz-long row array; now they peak
+    12.7 and 21.0 MB.  Each bound is about 1.3-1.5 times from both sides.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate(GeneratorConfig(n_traces=200, trace_len_range=(200, 400), motif_rate=20, seed=3))
+
+    def test_count_matrix_peak(self, corpus):
+        vocab = build_vocabulary(corpus, 8, 10)
+        assert len(vocab) == 196270
+        assert traced_peak_mb(count_matrix, corpus, vocab) < 19.0
+
+    def test_fit_transform_peak(self, corpus):
+        assert traced_peak_mb(fit_transform, corpus, 8, 10) < 27.5
