@@ -9,6 +9,7 @@ formatting so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -49,6 +50,7 @@ from .selection import (
 )
 from .sgd import PENALTIES, PENALTY_L2, SgdConfig, train_sgd
 from .synthetic import MANIFEST_NAME, GeneratorConfig, generate_corpus
+from .util import open_new
 from .vectorize import fit_transform, transform
 
 
@@ -174,7 +176,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         out_dir = Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_bytes(report_text.encode("utf-8"))
+        with open_new(out_dir / "report.txt") as fh:
+            fh.write(report_text.encode("utf-8"))
         write_report_csv(report, out_dir / "report.csv")
         if curve is not None:
             write_roc_csv(curve, out_dir / "roc.csv")
@@ -224,7 +227,9 @@ def cmd_top_features(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="tracesvm",
         description="Classify system-call traces as malicious or benign "

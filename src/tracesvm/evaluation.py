@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LengthMismatchError, SingleClassError
 from .linear_model import LinearModel
+from .util import open_new
 from .vectorize import Vocabulary, _render_keys
 
 
@@ -201,7 +202,8 @@ def report_to_csv(report: EvaluationReport) -> str:
 
 
 def write_report_csv(report: EvaluationReport, path: Path | str) -> None:
-    Path(path).write_bytes(report_to_csv(report).encode("utf-8"))
+    with open_new(path) as fh:
+        fh.write(report_to_csv(report).encode("utf-8"))
 
 
 def roc_to_csv(curve: RocCurve) -> str:
@@ -214,4 +216,5 @@ def roc_to_csv(curve: RocCurve) -> str:
 
 
 def write_roc_csv(curve: RocCurve, path: Path | str) -> None:
-    Path(path).write_bytes(roc_to_csv(curve).encode("utf-8"))
+    with open_new(path) as fh:
+        fh.write(roc_to_csv(curve).encode("utf-8"))

@@ -4,9 +4,10 @@ A raw log holds one system call per line, e.g. ``NtClose( Handle=0x1 ) => 0``,
 and its lines end at LF, CRLF or CR only.  A file is decoded once, as Latin-1,
 and each line's leading call name is kept, lowercased, in log order; the rest
 of the line, whose bytes outside ASCII never cost a call, is dropped.  Each
-lowercased name is interned (``sys.intern``), so the traces of a loaded
+distinct name of a trace is lowercased and interned (``sys.intern``) once,
+and the calls are mapped through that table, so the traces of a loaded
 corpus share one ``str`` per distinct call name instead of holding one per
-call.
+call.  The CR line ends are rewritten only when the text holds a CR.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ class CorpusManifest:
 
 
 def _call_names(text: str, source_id: str) -> tuple[str, ...]:
-    calls = _CALL_RE.findall(text.replace("\r\n", "\n").replace("\r", "\n"))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    calls = _CALL_RE.findall(text)
     if not calls:
         raise EmptyTraceError(f"no system calls found in {source_id}")
-    return tuple(map(sys.intern, map(str.lower, calls)))
+    lower = {name: sys.intern(name.lower()) for name in set(calls)}
+    return tuple(map(lower.__getitem__, calls))
 
 
 def parse_trace(text: str, source_id: str) -> SyscallTrace:

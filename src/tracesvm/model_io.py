@@ -52,7 +52,9 @@ This module owns the four formats and is the only one that knows their byte
 order: ``_v1_keys``, ``_v2_keys`` and ``_v3_keys`` (for v3 and v4) turn
 each into the native uint32 key matrix, and ``_read_vocabulary`` checks the
 n-gram range before any of them and the keys after, with ``_check_keys``,
-which owns the rules a file's keys must keep.
+which owns the rules a file's keys must keep.  ``_v3_keys`` hands it the
+stored prefix lengths, from which it checks key order; for v1 and v2 it
+gets the ones ``_shared_prefix`` finds.
 
 Loading is strict: anything but a v1, v2, v3 or v4 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
@@ -88,6 +90,7 @@ import numpy as np
 
 from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
+from .util import open_new
 from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map, _run_starts
 
 FORMAT_VERSION = 4
@@ -150,7 +153,7 @@ def save_model(artifact: ModelArtifact, path: Path | str) -> None:
     # Only a top-level field starts a line with two spaces and a quote, so
     # each split point is the one empty field of that name.
     pieces = re.split('\n  "(%s)": ""' % "|".join(packed), text)
-    with open(path, "wb") as fh:
+    with open_new(path) as fh:
         fh.write(pieces[0].encode("ascii"))
         for name, rest in zip(pieces[1::2], pieces[2::2]):
             fh.write(f'\n  "{name}": "'.encode("ascii"))
@@ -318,27 +321,53 @@ def _read_vocabulary(doc: dict, version: int) -> Vocabulary:
         alphabet, keys = _v1_keys(_list_of(doc["vocabulary"], "vocabulary", str), n_max)
     else:
         alphabet = tuple(_list_of(doc["alphabet"], "alphabet", str))
-        keys = _v2_keys(_unb64(doc, "vocabulary"), n_max) if version == 2 else _v3_keys(doc, alphabet, n_max)
-    _check_keys(alphabet, keys, n_min)
+    if version == 2:
+        keys = _v2_keys(_unb64(doc, "vocabulary"), n_max)
+    if version <= 2:
+        prefix = _shared_prefix(keys)
+    else:
+        keys, prefix = _v3_keys(doc, alphabet, n_max)
+    _check_keys(alphabet, keys, n_min, prefix)
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
-def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int) -> None:
+def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int, prefix: np.ndarray) -> None:
     """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
 
     The names must keep the call-name rule (``_check_alphabet``); each key
     n_min to n_max ids in 1..len(alphabet), then only 0 padding; each row
-    above the one before at the end of the prefix they share (``_shared_prefix``).
+    above the one before at the end of the prefix they share.  ``prefix[i]``
+    is how many leading ids row i is known to share with row i - 1: the
+    stored prefix of a v3 or v4 file, or ``_shared_prefix`` for v1 and v2.
+    Order is checked at that column.  A row that ties the one above there,
+    because the stored prefix is shorter than what the two share or the row
+    repeats the one above (its prefix then may be n_max), is checked again
+    at the end of the prefix they really share.  So a stored prefix makes
+    the check accept and refuse what ``_shared_prefix`` would.
     """
     _check_alphabet(alphabet)
     if keys.size and keys.max() > len(alphabet):
         raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
-    if np.any(keys[:, :n_min] == 0):
-        raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
-    if np.any((keys[:, :-1] == 0) & (keys[:, 1:] != 0)):
+    n_max = keys.shape[1]
+    zero = (keys == 0).ravel()
+    # A 0 before an id, other than a row's last cell before the next row's
+    # first, which holds an id if no row is shorter than n_min.
+    gap = zero[:-1] > zero[1:]
+    gap[n_max - 1 :: n_max] = False
+    # With no such 0, a row is shorter than n_min where its id n_min is 0.
+    if zero[n_min - 1 :: n_max].any() or gap.any():
+        if zero.reshape(-1, n_max)[:, :n_min].any():
+            raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
         raise ValueError("vocabulary: an n-gram has an id after its padding")
-    rows, at = np.arange(1, len(keys)), _shared_prefix(keys)[1:]
-    if np.any(keys[rows, at] <= keys[rows - 1, at]):
+    # Row i's cell at its prefix, and the same cell of row i - 1.
+    flat = keys.ravel()
+    at = np.arange(0, flat.size - n_max, n_max)
+    at += np.minimum(prefix[1:], n_max - 1)
+    above, below = flat[at], flat[n_max:][at]
+    tie = np.flatnonzero(below == above)
+    exact = tie * n_max + np.argmin(keys[tie + 1] == keys[tie], axis=1)
+    above[tie], below[tie] = flat[exact], flat[n_max:][exact]
+    if np.any(below <= above):
         raise ValueError("vocabulary: n-grams must be sorted and unique")
 
 
@@ -364,8 +393,8 @@ def _v2_keys(raw: bytes, n_max: int) -> np.ndarray:
     return np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
 
 
-def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> np.ndarray:
-    """v3's front-coded n-grams as keys.
+def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """v3's front-coded n-grams as keys, with the prefix lengths as intp.
 
     N-gram i repeats the first ``prefix[i]`` ids of n-gram i - 1 and then
     takes its next ``suffix_len[i]`` ids from the suffix.  The lengths are
@@ -398,7 +427,7 @@ def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> np.ndarray:
     for col in range(prefix.max(initial=0)):
         own = np.flatnonzero(prefix <= col)
         keys[:, col] = np.repeat(keys[own, col], np.diff(own, append=dim))
-    return keys
+    return keys, prefix
 
 
 def _table_values(doc: dict, name: str, count: int, nonzero: bool = False) -> np.ndarray:

@@ -14,7 +14,7 @@ from .evaluation import confusion, f1_score, precision_score, recall_score
 from .ingest import SyscallTrace
 from .linear_model import predict_many
 from .sgd import TRAINER_SGD, SgdConfig, train_sgd
-from .util import round_half_up
+from .util import open_new, round_half_up
 from .vectorize import FeatureMatrix
 
 TRAINERS = (TRAINER_SGD, TRAINER_DUAL_CD)
@@ -163,4 +163,5 @@ def write_grid_csv(result: GridSearchResult, path: Path | str) -> None:
     lines = ["alpha,tol,f1"]
     for alpha, tol, cell_f1 in result.table:
         lines.append(f"{alpha!r},{tol!r},{cell_f1!r}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with open_new(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

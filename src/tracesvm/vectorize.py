@@ -11,16 +11,20 @@ character <= U+0020 (``_check_alphabet``), so id-tuple order on keys equals
 string order on the joined grams, a gram before its extensions.  Windows
 are never compared as keys: ``_code_rounds`` ranks them on exact uint64
 codes, each round packing the last round's rank beside as many next ids as
-fit, so no code overflows and none collides.  The last round's ranks pick
-one window per key, and the keys are gathered from those windows in one
-row gather of a sliding-window view, then cleared past each gram's length.
-Counting runs the same rounds over the vocabulary's keys, which are
-sorted, so their codes are ranked without a sort (``_ranks``), and keeps
-only each round's table.  It finds each window's column with one
-``np.searchsorted`` per round, holding of each window only its start and
-its uint16 length, and drops each array once its sorted or filtered copy
-replaces it; a hit's trace row comes from its start at the end, and each
-row's counts from one more ``np.unique``.  It builds no n-gram string.
+fit, so no code overflows and none collides.  Each round ranks the
+windows' codes by one argsort and the first of each run of equal sorted
+codes (``_ranks``).  The last round's ranks pick one window per key, and
+the keys are gathered from those windows in one row gather of a
+sliding-window view, then cleared past each gram's length.  Counting runs
+the same rounds over the vocabulary's keys, which are sorted, so their
+codes are ranked without a sort, and packed straight from the key matrix,
+with no row gathered and no id masked; it keeps only each round's table.
+It finds each window's column with one ``np.searchsorted`` per round,
+holding of each window only its start and its uint16 length, and drops
+each array once its sorted or filtered copy replaces it; a hit's trace
+row is read at the end from a table of each position's trace, and each
+row's counts come from one more ``np.unique``.  It builds no n-gram
+string.
 N-gram strings are rendered only where they are printed, by
 ``_render_keys``.  This module owns the call-name rule, the id map and the
 n-gram range (``_check_range``) and knows no file format or byte order:
@@ -204,17 +208,24 @@ class _IdRows:
 
     Row i is the ``lens[i]`` ids from ``seq[step * starts[i]]`` on, then
     zeros up to ``width``.  ``seq`` holds ``width`` ids from every
-    ``step``-th position, which ``_pack`` reads in one pass per id.
+    ``step``-th position, which ``_pack`` reads in one pass per id.  With
+    ``starts`` and ``lens`` None, as for a key matrix, every position is a
+    row and holds ``width`` ids, so ``_pack`` gathers no row and masks no id.
     """
 
     seq: np.ndarray
     step: int
-    starts: np.ndarray
-    lens: np.ndarray
+    starts: np.ndarray | None
+    lens: np.ndarray | None
     width: int
 
+    @property
+    def positions(self) -> int:
+        """How many positions of ``seq`` hold ``width`` ids."""
+        return max(0, (len(self.seq) - self.width) // self.step + 1)
+
     def __len__(self) -> int:
-        return len(self.starts)
+        return self.positions if self.starts is None else len(self.starts)
 
     def take(self, which: np.ndarray) -> "_IdRows":
         """The rows an index or mask array selects, in its order."""
@@ -228,8 +239,8 @@ def _windows(
 
     ``seq`` holds each trace's ids, index[name] per call, then n_max zeros,
     so no window runs into the next trace.  ``begins[r]`` is where trace r's
-    ids start and ``begins[-1]`` the length of ``seq``, so a window starting
-    at ``p`` is in trace ``np.searchsorted(begins, p, "right") - 1``.  Ids
+    ids start and ``begins[-1]`` the length of ``seq``, so positions
+    ``begins[r]`` to ``begins[r + 1] - 1`` are trace r's.  Ids
     start at 1, so id-tuple order puts a shorter gram before its extensions.
     Calls missing from ``index`` get the id len(index) + 1, above every
     indexed one, so a window holding one matches no key built from ``index``.
@@ -260,17 +271,17 @@ def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: i
     keeps as many as its length allows.  Every operand is unsigned: a signed
     one would promote the codes to float64 on numpy 1.x.
     """
-    seq, step, m = rows.seq, rows.step, stop - start
-    n_pos = max(0, (len(seq) - rows.width) // step + 1)  # 0 for an empty corpus or vocabulary
+    seq, step, m, n_pos = rows.seq, rows.step, stop - start, rows.positions
     shift = np.uint64(bits)
     code = np.zeros(n_pos, dtype=np.uint64)
     for k in range(start, stop):
         code <<= shift
         code |= seq[k : k + step * (n_pos - 1) + 1 : step]
-    keep = np.clip(np.arange(rows.width + 1) - start, 0, m).tolist()  # ids kept per row length
-    masks = np.array([((1 << bits * j) - 1) << bits * (m - j) for j in keep], dtype=np.uint64)
-    code = code[rows.starts]
-    code &= masks[rows.lens]
+    if rows.starts is not None:
+        keep = np.clip(np.arange(rows.width + 1) - start, 0, m).tolist()  # ids kept per row length
+        masks = np.array([((1 << bits * j) - 1) << bits * (m - j) for j in keep], dtype=np.uint64)
+        code = code[rows.starts]
+        code &= masks[rows.lens]
     if rank is not None:
         code |= rank.astype(np.uint64) << np.uint64(bits * m)
     return code
@@ -288,7 +299,9 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
     has one entry per row: the ranks then already order the rows, and ids
     ``stop`` on are unread.  ``ordered`` rows are already in increasing
     id-tuple order, as a vocabulary's keys are, so every round's codes
-    rise with the rows and ``_ranks`` needs no sort.
+    rise with the rows and ``_ranks`` needs no sort.  Other rows' codes go
+    through ``_ranks`` in argsort order, and the ranks back to row order:
+    ``np.unique(code, return_inverse=True)`` without its copy of the codes.
     """
     rank, rank_bits, stop = None, 0, 0
     while stop < rows.width:
@@ -297,7 +310,15 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
             raise ValueError(f"{rank_bits}-bit ranks leave no room for a {bits}-bit id")
         start, stop = stop, stop + m
         code = _pack(rank, rows, start, stop, bits)
-        table, rank = _ranks(code) if ordered else np.unique(code, return_inverse=True)
+        if ordered:
+            table, rank = _ranks(code)
+        else:
+            order = np.argsort(code)
+            table, sorted_rank = _ranks(code[order])
+            del code
+            rank = np.empty_like(sorted_rank)
+            rank[order] = sorted_rank
+            del order, sorted_rank
         yield start, stop, table, rank
         if len(table) == len(rows):
             return
@@ -314,7 +335,9 @@ def _run_starts(code: np.ndarray) -> np.ndarray:
 def _ranks(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(code, return_inverse=True)`` of non-decreasing codes, from their first differences."""
     new = _run_starts(code)
-    return code[new], np.cumsum(new, dtype=np.intp) - 1
+    rank = np.cumsum(new, dtype=np.intp)
+    rank -= 1
+    return code[new], rank
 
 
 def _id_bits(alphabet: Sequence[str]) -> int:
@@ -365,18 +388,19 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
 def _key_cells(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> np.ndarray:
     """``row * len(vocab) + column`` for every window of trace ``row`` that is key ``column``.
 
-    The vocabulary's keys go through ``_code_rounds``, of which only the
-    tables are kept; each window is packed the same way and looked up in
-    each round's table, and a window that misses one is dropped.  A hit's
-    last rank is its column.  If the rounds stopped early, a hit's unread
-    ids are compared with its column's.  Each window array is dropped once
-    its sorted or filtered copy replaces it.
+    The vocabulary's keys go through ``_code_rounds`` as rows at every
+    position of the key matrix, packed with no gather and no mask, and only
+    the rounds' tables are kept; each window is packed the same way and
+    looked up in each round's table, and a window that misses one is
+    dropped.  A hit's last rank is its column.  If the rounds stopped
+    early, a hit's unread ids are compared with its column's.  Each window
+    array is dropped once its sorted or filtered copy replaces it.  A hit's
+    trace row is read from a table of each position's trace.
     """
     dim, n_max, bits = len(vocab), vocab.n_max, _id_bits(vocab.alphabet)
     key_ids = vocab.keys.ravel()
-    keys = _IdRows(key_ids, n_max, np.arange(dim), np.full(dim, n_max, dtype=np.uint16), n_max)
+    keys = _IdRows(key_ids, n_max, None, None, n_max)
     rounds = [(start, stop, table) for start, stop, table, _ in _code_rounds(keys, bits, ordered=True)]
-    del keys
     begins, windows = _windows(corpus, _id_map(vocab.alphabet), vocab.n_min, n_max)
     col = None
     for start, stop, table in rounds:
@@ -401,7 +425,9 @@ def _key_cells(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> np.ndarray:
             end = min(start + 64 // bits, n_max)
             hit &= _pack(None, windows, start, end, bits) == _pack(None, matched, start, end, bits)
         windows, col = windows.take(hit), col[hit]
-    return (np.searchsorted(begins, windows.starts, side="right") - 1) * dim + col
+    # Each position's trace row, as intp: an int32 row * dim can overflow.
+    row_at = np.repeat(np.arange(len(begins) - 1, dtype=np.intp), np.diff(begins))
+    return row_at[windows.starts] * dim + col
 
 
 def count_matrix(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> FeatureMatrix:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracesvm import load_model, save_model
-from tracesvm.cli import main
+from tracesvm.cli import build_parser, main
 
 FIG2_RAW = (
     "Unload of DLL at 04ED0000\n"
@@ -269,6 +269,28 @@ class TestEvaluate:
             assert a == (tmp_path / "b" / name).read_bytes()
             assert b"time" not in a  # timings never land in artifacts
 
+    def test_rerun_replaces_linked_outputs(self, corpus_dir, model_path, tmp_path):
+        # Each output is written as a new file: a hard link taken before a
+        # rerun keeps the old bytes, and the path gets the new ones.
+        args = ["evaluate", "--model", str(model_path), "--manifest", str(corpus_dir / "manifest.csv")]
+        out = tmp_path / "reports"
+        assert main([*args, "--output-dir", str(out)]) == 0
+        old = {}
+        for name in ("report.txt", "report.csv", "roc.csv"):
+            old[name] = (out / name).read_bytes()
+            (tmp_path / f"old-{name}").hardlink_to(out / name)
+        # The second run scores the first 20 traces only, so every report differs.
+        header, *entries = (corpus_dir / "manifest.csv").read_text().splitlines()
+        fewer = tmp_path / "fewer.csv"
+        fewer.write_text("\n".join([header, *(str(corpus_dir / e) for e in entries[:20])]) + "\n")
+        assert main([*args[:-1], str(fewer), "--output-dir", str(out)]) == 0
+        assert all((out / name).read_bytes() != old[name] for name in old)
+        for name in ("report.txt", "report.csv", "roc.csv"):
+            assert (tmp_path / f"old-{name}").read_bytes() == old[name]
+            assert (out / name).stat().st_nlink == 1
+        assert main([*args, "--output-dir", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "report.txt").read_bytes() == old["report.txt"]
+
     def test_perfect_scores_on_training_corpus(self, corpus_dir, model_path, tmp_path):
         main(
             [
@@ -493,6 +515,14 @@ class TestParser:
             main(["--version"])
         assert info.value.code == 0
         assert "tracesvm 0.1.0" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_parsed_state(self, corpus_dir, tmp_path):
+        assert build_parser() is build_parser()
+        manifest = str(corpus_dir / "manifest.csv")
+        for seed, flags in ((5, ["--seed", "5"]), (0, [])):
+            out = tmp_path / f"model-{seed}.json"
+            assert main(["train", "--manifest", manifest, "--output", str(out), *flags]) == 0
+            assert load_model(out).model.metadata["seed"] == seed
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

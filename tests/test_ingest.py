@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -122,6 +123,15 @@ class TestParseTrace:
     def test_no_calls_raises(self):
         with pytest.raises(EmptyTraceError):
             parse_trace("Unload of DLL at 04ED0000\n\n", "empty")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_one_name_in_any_case_and_line_end_is_one_object(self, end):
+        lines = ["NtClose( Handle=0x1 ) => 0", "ntclose", "NtClose", "  ntClose(x)", "NtOpenKeyEx("]
+        calls = parse_trace(end.join(lines) + end, "mixed").calls
+        assert calls == ("ntclose",) * 4 + ("ntopenkeyex",)
+        name = sys.intern("ntclose")
+        assert all(c is name for c in calls[:4])
+        assert parse_trace("NtClose(\r\nntclose\r", "other").calls[1] is name
 
     def test_round_trip_idempotence(self):
         trace = parse_trace(RAW_EXCERPT, "excerpt")

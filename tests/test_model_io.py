@@ -743,6 +743,57 @@ def test_v3_bad_front_coding_rejected(v3_doc, tmp_path, edit, message):
         load_edited(tmp_path, doc, **_front_coding_edit(doc, edit))
 
 
+@pytest.fixture(scope="module")
+def wide_v4_doc(tmp_path_factory):
+    """A v4 file of 1- to 4-grams, whose rows share 0 to 4 leading ids."""
+    vocab, idf, matrix = fit_transform(CORPUS, 1, 4)
+    model = train_sgd(matrix, np.array([1, -1, -1]), SgdConfig(alpha=1e-2, epochs=5))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), path)
+    return path, json.loads(path.read_text())
+
+
+def _front_coded(doc, rows, prefix):
+    """The vocabulary fields of the id lists ``rows`` stored with ``prefix``."""
+    return {
+        "vocabulary_prefix": pack(prefix, "vocabulary_prefix", doc),
+        "vocabulary_suffix_len": pack([len(r) - p for r, p in zip(rows, prefix)], "vocabulary_suffix_len", doc),
+        "vocabulary_suffix": pack([i for r, p in zip(rows, prefix) for i in r[p:]], "vocabulary_suffix", doc),
+    }
+
+
+@pytest.mark.parametrize(
+    "shorten", [lambda p: 0, lambda p: p - 1, lambda p: p // 2], ids=["none", "one-less", "half"]
+)
+def test_v4_stored_prefix_shorter_than_the_shared_one_loads(wide_v4_doc, tmp_path, shorten):
+    # save_model never writes such a file, but it is a valid front coding:
+    # the loader checks key order from the stored prefix, and where a row
+    # ties the one above there, from the prefix the two really share.
+    path, doc = wide_v4_doc
+    keys = load_model(path).vocabulary.keys
+    rows = [_ids(row) for row in keys.tolist()]
+    shared, _, _ = front_code(rows)
+    assert max(shared) >= 3
+    prefix = [max(0, shorten(p)) for p in shared]
+    loaded = load_edited(tmp_path, doc, **_front_coded(doc, rows, prefix))
+    assert loaded.vocabulary.keys.tobytes() == keys.tobytes()
+    assert loaded.idf.idf.tobytes() == load_model(path).idf.idf.tobytes()
+
+
+@pytest.mark.parametrize("length", [2, 4], ids=["shorter-than-ngram_max", "ngram_max"])
+def test_v4_row_repeating_the_one_above_with_no_suffix_rejected(wide_v4_doc, tmp_path, length):
+    # The repeat's stored prefix is the whole row above; at ngram_max ids
+    # that is every column, and the order check must not read past the row.
+    path, doc = wide_v4_doc
+    rows = [_ids(row) for row in load_model(path).vocabulary.keys.tolist()]
+    i = next(i for i, r in enumerate(rows) if len(r) == length)
+    rows.insert(i + 1, rows[i])
+    prefix, added, _ = front_code(rows)
+    assert (prefix[i + 1], added[i + 1]) == (length, 0)
+    with pytest.raises(ModelFormatError, match="sorted and unique"):
+        load_edited(tmp_path, doc, **_front_coded(doc, rows, prefix))
+
+
 @pytest.mark.parametrize(
     "edit", [lambda b: b + b"\x01", lambda b: b[:-1]], ids=["extra-id", "missing-id"]
 )

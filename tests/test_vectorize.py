@@ -488,6 +488,26 @@ class TestIntegerKeyedLookup:
         assert all(weight == weights[column[gram]] for weight, gram in ranked)
 
 
+class TestWindowlessTraces:
+    """Traces with no window (shorter than n_min, or empty) count as empty
+    rows wherever they stand, and leave the other rows' counts alone."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["SLL", "LSL", "LLS", "SLSLS", "SS"],
+        ids=["first", "middle", "last", "every-other", "only"],
+    )
+    def test_rows_match_void_keys(self, layout):
+        vocab = build_vocabulary([trace(SEVEN_CALLS * 2)], 3, 4)
+        long = [list(SEVEN_CALLS), list(SEVEN_CALLS[2:]) + ["ntunseen"] + list(SEVEN_CALLS)]
+        short = [list(SEVEN_CALLS[:2]), [], ["ntclose"]]
+        calls = [long.pop(0) if kind == "L" else short[i % 3] for i, kind in enumerate(layout)]
+        counts = count_matrix(as_corpus(calls), vocab)
+        assert_same_arrays(csr_arrays(counts), void_count_csr(calls, vocab))
+        empty = [kind == "S" for kind in layout]
+        assert (np.diff(counts.indptr) == 0).tolist() == empty
+
+
 class TestExports:
     def test_count_matrix_carries_labels(self):
         corpus = [trace(SEVEN_CALLS, "a", "malicious"), trace(SEVEN_CALLS, "b", "benign")]
