@@ -4,6 +4,10 @@ Subcommands: preprocess, gen-corpus, train, evaluate, grid-search,
 top-features.  Every command is deterministic given its flags and seeds;
 artifacts (models, CSVs, processed traces) are written with canonical
 formatting so reruns are byte-identical.
+
+A flag that sets a config field is named after it and, left out, sets
+nothing: ``_from_flags`` builds the config from the flags given, so its
+class holds the one copy of each default, which ``--help`` prints.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import functools
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,7 @@ from .ingest import (
     read_trace_file,
     write_processed,
 )
-from .linear_model import decision_many, predict_many
+from .linear_model import _predictions, decision_many, predict_many
 from .model_io import ModelArtifact, load_model, save_model
 from .selection import (
     DEFAULT_ALPHA_GRID,
@@ -48,7 +53,7 @@ from .selection import (
     train_test_split,
     write_grid_csv,
 )
-from .sgd import PENALTIES, PENALTY_L2, SgdConfig, train_sgd
+from .sgd import PENALTIES, SgdConfig, train_sgd
 from .synthetic import MANIFEST_NAME, GeneratorConfig, generate_corpus
 from .util import open_new
 from .vectorize import fit_transform, transform
@@ -63,24 +68,34 @@ def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ngram-max", type=int, default=10, help="largest n-gram length (default 10)")
 
 
+def _flag(p: argparse.ArgumentParser, flag: str, cls: type, help: str, **kw) -> None:
+    """Add ``flag``, which sets the ``cls`` field of its name, or nothing when left out.
+
+    ``{}`` in ``help`` becomes the field's default: ``%(default)s`` would print ==SUPPRESS==.
+    """
+    dest = kw.setdefault("dest", flag[2:].replace("-", "_"))
+    p.add_argument(flag, default=argparse.SUPPRESS, help=help.format(getattr(cls, dest)), **kw)
+
+
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
     """The trainer and every setting of its config but alpha, C and tol."""
     p.add_argument("--trainer", choices=TRAINERS, default=TRAINER_SGD, help="optimizer (default sgd)")
-    p.add_argument("--penalty", choices=PENALTIES, default=PENALTY_L2, help="regularizer (sgd, default l2)")
-    p.add_argument("--phi", type=float, default=0.5, help="elasticnet mix, 1.0 = pure l2 (sgd)")
-    p.add_argument("--epochs", type=int, default=20, help="epoch cap (sgd, default 20)")
-    p.add_argument("--t0", type=float, default=None, help="learning-rate offset (sgd, default 1/alpha-1)")
-    p.add_argument("--max-outer", type=int, default=1000, help="sweep cap (dual-cd, default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the shuffles and of grid-search's split")
+    _flag(p, "--penalty", SgdConfig, "regularizer (sgd, default {})", choices=PENALTIES)
+    _flag(p, "--phi", SgdConfig, "elasticnet mix, 1.0 = pure l2 (sgd, default {})", type=float)
+    _flag(p, "--epochs", SgdConfig, "epoch cap (sgd, default {})", type=int)
+    _flag(p, "--t0", SgdConfig, "learning-rate offset (sgd, default 1/alpha-1)", type=float)
+    _flag(p, "--max-outer", DualConfig, "sweep cap (dual-cd, default {})", type=int)
+    _flag(p, "--seed", SgdConfig, "seed of the shuffles and of grid-search's split (default {})", type=int)
 
 
-def _config(args: argparse.Namespace, **cell) -> SgdConfig | DualConfig:
-    """The --trainer's config from the shared trainer flags, plus ``cell``'s settings."""
-    if args.trainer == TRAINER_SGD:
-        return SgdConfig(
-            penalty=args.penalty, phi=args.phi, epochs=args.epochs, t0=args.t0, seed=args.seed, **cell
-        )
-    return DualConfig(max_outer=args.max_outer, seed=args.seed, **cell)
+def _from_flags(cls, args: argparse.Namespace, **extra):
+    """A ``cls`` config from the flags given: a flag left out takes the class's default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}, **extra)
+
+
+def _config(args: argparse.Namespace) -> SgdConfig | DualConfig:
+    """The --trainer's config from the flags given."""
+    return _from_flags(SgdConfig if args.trainer == TRAINER_SGD else DualConfig, args)
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -121,13 +136,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        n_traces=args.n_traces,
-        malicious_fraction=args.malicious_fraction,
-        trace_len_range=(args.len_min, args.len_max),
-        motif_rate=args.motif_rate,
-        seed=args.seed,
-    )
+    config = _from_flags(GeneratorConfig, args, trace_len_range=(args.len_min, args.len_max))
     traces, manifest = generate_corpus(config, args.output_dir, raw=args.raw)
     n_mal = sum(1 for t in traces if t.label == LABEL_MALICIOUS)
     print(f"wrote {len(traces)} traces ({n_mal} malicious) under {args.output_dir}")
@@ -140,10 +149,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab, idf, matrix = fit_transform(corpus, args.ngram_min, args.ngram_max)
     y = _labels_to_y(matrix.labels)
     started = time.perf_counter()
-    if args.trainer == TRAINER_SGD:
-        model = train_sgd(matrix, y, _config(args, alpha=args.alpha, tol=args.tol))
+    config = _config(args)
+    if isinstance(config, SgdConfig):
+        model = train_sgd(matrix, y, config)
     else:
-        model = train_dual_cd(matrix, y, _config(args, C=args.c, tol=args.tol))
+        model = train_dual_cd(matrix, y, config)
     train_seconds = time.perf_counter() - started
     save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), args.output)
     train_acc = accuracy_score(confusion(predict_many(model, matrix), y))
@@ -161,7 +171,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = transform(corpus, artifact.vocabulary, artifact.idf)
     scores = decision_many(artifact.model, matrix)
     elapsed = time.perf_counter() - started
-    preds = np.where(scores >= 0.0, 1, -1)
+    preds = _predictions(scores)
     y = _labels_to_y(matrix.labels)
     report = classification_report(preds, y, macro=args.macro)
     report_text = format_report_text(report)
@@ -181,6 +191,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         write_report_csv(report, out_dir / "report.csv")
         if curve is not None:
             write_roc_csv(curve, out_dir / "roc.csv")
+        else:
+            # An earlier run's curve would read as this report's.
+            (out_dir / "roc.csv").unlink(missing_ok=True)
         print(f"reports written under {out_dir}")
     return 0
 
@@ -199,7 +212,7 @@ def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ..
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
     corpus = load_corpus(read_manifest(args.manifest))
-    split = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
+    split = _from_flags(SplitSpec, args)
     train, val = train_test_split(corpus, split)
     vocab, idf, train_matrix = fit_transform(train, args.ngram_min, args.ngram_max)
     val_matrix = transform(val, vocab, idf)
@@ -244,12 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("gen-corpus", help="write a seeded synthetic corpus")
-    p.add_argument("--n-traces", type=int, default=100)
-    p.add_argument("--malicious-fraction", type=float, default=0.637)
-    p.add_argument("--len-min", type=int, default=20)
-    p.add_argument("--len-max", type=int, default=40)
-    p.add_argument("--motif-rate", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    _flag(p, "--n-traces", GeneratorConfig, "(default {})", type=int)
+    _flag(p, "--malicious-fraction", GeneratorConfig, "(default {})", type=float)
+    len_min, len_max = GeneratorConfig.trace_len_range
+    p.add_argument("--len-min", type=int, default=len_min, help=f"(default {len_min})")
+    p.add_argument("--len-max", type=int, default=len_max, help=f"(default {len_max})")
+    _flag(p, "--motif-rate", GeneratorConfig, "(default {})", type=float)
+    _flag(p, "--seed", GeneratorConfig, "(default {})", type=int)
     p.add_argument("--raw", action="store_true", help="write raw log lines instead of processed")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_gen_corpus)
@@ -258,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     _add_ngram_flags(p)
     _add_trainer_flags(p)
-    p.add_argument("--alpha", type=float, default=1e-4, help="regularization strength (sgd, default 1e-4)")
-    p.add_argument("--c", type=float, default=1.0, help="box bound C (dual-cd, default 1.0)")
-    p.add_argument("--tol", type=float, default=1e-3, help="stopping tolerance (default 1e-3)")
+    _flag(p, "--alpha", SgdConfig, "regularization strength (sgd, default {})", type=float)
+    _flag(p, "--c", DualConfig, "box bound C (dual-cd, default {})", type=float, dest="C")
+    _flag(p, "--tol", SgdConfig, "stopping tolerance (default {})", type=float)
     p.add_argument("--output", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
@@ -279,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--manifest", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    _flag(p, "--train-fraction", SplitSpec, "(default {})", type=float)
     _add_ngram_flags(p)
     _add_trainer_flags(p)
     p.add_argument("--alpha-grid", default=None, help="comma-separated alphas (default decade ladder)")

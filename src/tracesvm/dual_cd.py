@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,10 +81,7 @@ def train_dual_cd(matrix: FeatureMatrix, labels: Sequence[int], config: DualConf
         bias=float(w[-1]),
         metadata={
             "trainer": TRAINER_DUAL_CD,
-            "C": config.C,
-            "tol": config.tol,
-            "max_outer": config.max_outer,
-            "seed": config.seed,
+            **asdict(config),
             "outer_iters": outer,
             "converged": converged,
             "dual_objective": 0.5 * float(w @ w) - float(np.sum(alpha)),

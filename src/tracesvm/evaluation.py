@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, LengthMismatchError, SingleClassError
 from .linear_model import LinearModel
 from .util import open_new
-from .vectorize import Vocabulary, _render_keys
+from .vectorize import Vocabulary, _render_keys, _run_starts
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def roc_curve(scores: Sequence[float], truths: Sequence[int]) -> RocCurve:
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     # One block per run of tied scores; tp and fp count through its end.
-    starts = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
+    starts = np.flatnonzero(_run_starts(s_sorted))
     ends = np.append(starts[1:], s_sorted.size)
     tp = np.cumsum(y[order] == 1)[ends - 1]
     fp = ends - tp

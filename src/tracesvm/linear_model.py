@@ -36,5 +36,9 @@ def decision_many(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
 
 def predict_many(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
     """+1 (malicious) where the score is >= 0, else -1 (benign)."""
-    scores = decision_many(model, matrix)
+    return _predictions(decision_many(model, matrix))
+
+
+def _predictions(scores: np.ndarray) -> np.ndarray:
+    """``predict_many``'s labels from scores already computed: the one copy of its rule."""
     return np.where(scores >= 0.0, 1, -1)

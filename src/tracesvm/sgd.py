@@ -46,7 +46,7 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -225,14 +225,9 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
         bias=float(b),
         metadata={
             "trainer": TRAINER_SGD,
-            "penalty": config.penalty,
-            "alpha": config.alpha,
-            "phi": config.phi,
-            "epochs": config.epochs,
+            **asdict(config),
+            "t0": t0,  # resolved: the config holds None for 1/alpha - 1
             "epochs_run": epochs_run,
-            "t0": t0,
-            "tol": config.tol,
-            "seed": config.seed,
             "final_objective": final_obj,
         },
     )

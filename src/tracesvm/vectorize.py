@@ -326,7 +326,7 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
 
 
 def _run_starts(code: np.ndarray) -> np.ndarray:
-    """True where non-decreasing ``code`` differs from the entry before, and at the first."""
+    """True at the first entry of every run of equal entries of ``code``."""
     new = np.ones(len(code), dtype=bool)
     np.not_equal(code[1:], code[:-1], out=new[1:])
     return new

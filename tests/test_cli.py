@@ -7,13 +7,15 @@ import io
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracesvm import load_model, save_model
-from tracesvm.cli import build_parser, main
+from tracesvm import DualConfig, GeneratorConfig, SgdConfig, SplitSpec, load_model, save_model
+from tracesvm import cli
+from tracesvm.cli import _config, _from_flags, build_parser, main
 
 FIG2_RAW = (
     "Unload of DLL at 04ED0000\n"
@@ -291,6 +293,23 @@ class TestEvaluate:
         assert main([*args, "--output-dir", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "report.txt").read_bytes() == old["report.txt"]
 
+    def test_single_class_rerun_removes_the_earlier_roc(self, corpus_dir, model_path, tmp_path, capsys):
+        # A run that skips the ROC leaves no roc.csv beside its report, not
+        # even one an earlier run wrote there.
+        out = tmp_path / "reports"
+        args = ["evaluate", "--model", str(model_path), "--output-dir", str(out), "--manifest"]
+        assert main([*args, str(corpus_dir / "manifest.csv")]) == 0
+        assert (out / "roc.csv").exists()
+        header, *entries = (corpus_dir / "manifest.csv").read_text().splitlines()
+        benign = tmp_path / "benign.csv"
+        benign_entries = [str(corpus_dir / e) for e in entries if e.endswith(",benign")]
+        benign.write_text("\n".join([header, *benign_entries]) + "\n")
+        capsys.readouterr()
+        assert main([*args, str(benign)]) == 0
+        assert "roc skipped: ground truth has a single class" in capsys.readouterr().out
+        assert (out / "report.csv").read_text().splitlines()[2] == "malware,0.0,0.0,0.0,0"
+        assert not (out / "roc.csv").exists()
+
     def test_perfect_scores_on_training_corpus(self, corpus_dir, model_path, tmp_path):
         main(
             [
@@ -527,3 +546,92 @@ class TestParser:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+TRAIN = ("train", "--manifest", "m.csv", "--output", "model.json")
+GRID = ("grid-search", "--manifest", "m.csv", "--output", "grid.csv")
+GEN = ("gen-corpus", "--output-dir", "corpus")
+DUAL = ("--trainer", "dual-cd")
+# Every flag that sets a config field: (command, flag, value, config, field,
+# the value it lands as).
+FIELD_FLAGS = [
+    *(
+        (command, flag, value, SgdConfig, field, landed)
+        for command in (TRAIN, GRID)
+        for flag, value, field, landed in (
+            ("--penalty", "l1", "penalty", "l1"),
+            ("--phi", "0.25", "phi", 0.25),
+            ("--epochs", "3", "epochs", 3),
+            ("--t0", "7", "t0", 7.0),
+            ("--seed", "5", "seed", 5),
+        )
+    ),
+    (TRAIN, "--alpha", "0.25", SgdConfig, "alpha", 0.25),
+    (TRAIN, "--tol", "0.25", SgdConfig, "tol", 0.25),
+    (TRAIN + DUAL, "--c", "0.25", DualConfig, "C", 0.25),
+    (TRAIN + DUAL, "--tol", "0.25", DualConfig, "tol", 0.25),
+    (TRAIN + DUAL, "--max-outer", "3", DualConfig, "max_outer", 3),
+    (TRAIN + DUAL, "--seed", "5", DualConfig, "seed", 5),
+    (GRID + DUAL, "--max-outer", "3", DualConfig, "max_outer", 3),
+    (GRID + DUAL, "--seed", "5", DualConfig, "seed", 5),
+    (GRID, "--train-fraction", "0.25", SplitSpec, "train_fraction", 0.25),
+    (GRID, "--seed", "5", SplitSpec, "seed", 5),
+    (GEN, "--n-traces", "7", GeneratorConfig, "n_traces", 7),
+    (GEN, "--malicious-fraction", "0.25", GeneratorConfig, "malicious_fraction", 0.25),
+    (GEN, "--len-min", "3", GeneratorConfig, "trace_len_range", (3, 40)),
+    (GEN, "--len-max", "50", GeneratorConfig, "trace_len_range", (20, 50)),
+    (GEN, "--motif-rate", "0.25", GeneratorConfig, "motif_rate", 0.25),
+    (GEN, "--seed", "5", GeneratorConfig, "seed", 5),
+]
+
+
+def _built(cls, argv, monkeypatch):
+    """The ``cls`` config that the command ``argv`` builds from its flags."""
+    args = build_parser().parse_args(argv)
+    if cls is SplitSpec:
+        return _from_flags(SplitSpec, args)
+    if cls is GeneratorConfig:
+        built = []
+
+        def generate_corpus(config, output_dir, raw):
+            built.append(config)
+            return [], output_dir
+
+        monkeypatch.setattr(cli, "generate_corpus", generate_corpus)
+        assert cli.cmd_gen_corpus(args) == 0
+        return built[0]
+    return _config(args)
+
+
+class TestFlagsSetConfigs:
+    @pytest.mark.parametrize(
+        "argv, cls",
+        [
+            (TRAIN, SgdConfig),
+            (TRAIN + DUAL, DualConfig),
+            (GRID, SgdConfig),
+            (GRID + DUAL, DualConfig),
+            (GRID, SplitSpec),
+            (GEN, GeneratorConfig),
+        ],
+        ids=["train-sgd", "train-dual-cd", "grid-sgd", "grid-dual-cd", "grid-split", "gen-corpus"],
+    )
+    def test_flags_left_out_build_the_default_config(self, argv, cls, monkeypatch):
+        assert _built(cls, list(argv), monkeypatch) == cls()
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, cls, field, landed",
+        FIELD_FLAGS,
+        ids=[f"{argv[0]}-{cls.__name__}-{flag}" for argv, flag, _, cls, _, _ in FIELD_FLAGS],
+    )
+    def test_each_flag_lands_in_its_field(self, argv, flag, value, cls, field, landed, monkeypatch):
+        assert _built(cls, [*argv, flag, value], monkeypatch) == replace(cls(), **{field: landed})
+
+    def test_help_prints_the_class_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(sgd, default {SgdConfig.alpha})" in text
+        assert f"(dual-cd, default {DualConfig.C})" in text
+        assert "default 1/alpha-1" in text
+        assert "SUPPRESS" not in text

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -212,6 +212,15 @@ class TestTrainDualCd:
         assert model.metadata["outer_iters"] == sweeps
         assert model.metadata["converged"] is converged is True
         assert model.metadata["dual_objective"] == dual_objective(DualState(alpha, w))
+
+    def test_metadata_echoes_the_config(self):
+        rng = np.random.default_rng(10)
+        rows, y = random_problem(rng, n=6, dim=4)
+        config = DualConfig(C=2.0, tol=1e-6, max_outer=500, seed=4)
+        meta = dict(train_dual_cd(matrix_from_dense(rows), y, config).metadata)
+        run = {key: meta.pop(key) for key in ("outer_iters", "converged", "dual_objective")}
+        assert meta == {"trainer": "dual-cd", **asdict(config)}
+        assert run["converged"] is True and 1 <= run["outer_iters"] <= config.max_outer
 
     def test_kkt_spot_checks(self):
         rng = np.random.default_rng(15)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,25 @@ class TestTrainSgd:
         m, y = self._toy()
         model = train_sgd(m, y, SgdConfig(alpha=1e-3, epochs=200, tol=0.5, seed=0))
         assert model.metadata["epochs_run"] < 200
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SgdConfig(),
+            SgdConfig(penalty="elasticnet", alpha=1e-2, phi=0.3, epochs=3, t0=7.0, tol=0.0, seed=4),
+        ],
+        ids=["defaults", "every-field-set"],
+    )
+    def test_metadata_echoes_the_config(self, config):
+        m, y = self._toy()
+        model = train_sgd(m, y, config)
+        meta = dict(model.metadata)
+        run = {key: meta.pop(key) for key in ("epochs_run", "final_objective")}
+        assert meta == {"trainer": "sgd", **asdict(config), "t0": config.resolved_t0()}
+        assert 1 <= run["epochs_run"] <= config.epochs
+        assert run["final_objective"] == objective(
+            model.weights, model.bias, m, y, config.alpha, config.penalty, config.phi
+        )
 
     def test_degenerate_labels(self):
         m, _ = self._toy()
