@@ -94,8 +94,14 @@ def _from_flags(cls, args: argparse.Namespace, **extra):
 
 
 def _config(args: argparse.Namespace) -> SgdConfig | DualConfig:
-    """The --trainer's config from the flags given."""
-    return _from_flags(SgdConfig if args.trainer == TRAINER_SGD else DualConfig, args)
+    """The --trainer's config from the flags given; a flag only the other trainer reads is refused."""
+    cls, other = (SgdConfig, DualConfig) if args.trainer == TRAINER_SGD else (DualConfig, SgdConfig)
+    own = {f.name for f in fields(cls)}
+    stray = [f.name for f in fields(other) if f.name not in own and hasattr(args, f.name)]
+    if stray:
+        flags = ", ".join(f"--{name.lower().replace('_', '-')}" for name in stray)
+        raise ConfigError(f"{flags}: not read by --trainer {args.trainer}")
+    return _from_flags(cls, args)
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -145,11 +151,11 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    config = _config(args)
     corpus = load_corpus(read_manifest(args.manifest))
     vocab, idf, matrix = fit_transform(corpus, args.ngram_min, args.ngram_max)
     y = _labels_to_y(matrix.labels)
     started = time.perf_counter()
-    config = _config(args)
     if isinstance(config, SgdConfig):
         model = train_sgd(matrix, y, config)
     else:
@@ -211,8 +217,10 @@ def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ..
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
+    config, split = _config(args), _from_flags(SplitSpec, args)
+    alpha_grid = _parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID)
+    tol_grid = _parse_grid(args.tol_grid, DEFAULT_TOL_GRID)
     corpus = load_corpus(read_manifest(args.manifest))
-    split = _from_flags(SplitSpec, args)
     train, val = train_test_split(corpus, split)
     vocab, idf, train_matrix = fit_transform(train, args.ngram_min, args.ngram_max)
     val_matrix = transform(val, vocab, idf)
@@ -221,9 +229,9 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
         _labels_to_y(train_matrix.labels),
         val_matrix,
         _labels_to_y(val_matrix.labels),
-        _config(args),
-        alpha_grid=_parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID),
-        tol_grid=_parse_grid(args.tol_grid, DEFAULT_TOL_GRID),
+        config,
+        alpha_grid=alpha_grid,
+        tol_grid=tol_grid,
     )
     write_grid_csv(result, args.output)
     print(f"searched {len(result.table)} cells with trainer {args.trainer}")

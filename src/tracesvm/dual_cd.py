@@ -16,10 +16,10 @@ sweep under tol is confirmed by a pass that reads every active row at the
 final state.  Rows that are empty before augmentation are skipped and keep
 a_i = 0.
 
-``_solve`` runs the sweeps and returns only the final state: alpha, the
-augmented w, the sweeps run and whether they converged.  ``train_dual_cd``
-checks the labels, calls it, warns if it did not converge and builds the
-model.
+``_sweeps`` runs the sweeps without end and yields the state after each:
+alpha, the augmented w and whether the sweep converged.  ``train_dual_cd``
+checks the labels, walks it to the first converged sweep or to max_outer,
+warns if it did not converge and builds the model.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def train_dual_cd(matrix: FeatureMatrix, labels: Sequence[int], config: DualConf
     augmented w.
     """
     y = validate_labels(labels, len(matrix))
-    alpha, w, outer, converged = _solve(matrix, y, config)
+    for outer, (alpha, w, converged) in enumerate(_sweeps(matrix, y, config), 1):
+        if converged or outer == config.max_outer:
+            break
     if not converged:
         warnings.warn(
             f"dual coordinate descent stopped after {outer} sweeps with "
@@ -89,8 +91,8 @@ def train_dual_cd(matrix: FeatureMatrix, labels: Sequence[int], config: DualConf
     )
 
 
-def _solve(matrix: FeatureMatrix, y: np.ndarray, config: DualConfig):
-    """The sweeps themselves; returns (alpha, augmented w, sweeps run, converged)."""
+def _sweeps(matrix: FeatureMatrix, y: np.ndarray, config: DualConfig):
+    """Sweeps without end, yielding (alpha, augmented w, converged); later ones update them in place."""
     dim = matrix.dim
     C = float(config.C)
     # The bias-augmented CSR: each row gains column dim, holding 1.
@@ -106,9 +108,7 @@ def _solve(matrix: FeatureMatrix, y: np.ndarray, config: DualConfig):
     w = np.zeros(dim + 1)
     yf = y.astype(np.float64)
 
-    outer = 0
-    while outer < config.max_outer:
-        outer += 1
+    while True:
         max_pg = 0.0
         for i in rng.permutation(active):
             xi, xv = rows[i]
@@ -129,9 +129,7 @@ def _solve(matrix: FeatureMatrix, y: np.ndarray, config: DualConfig):
                     w[xi] += (delta * yf[i]) * xv
         # Sweep-time gradients are stale once later coordinates move;
         # confirm on a frozen pass before declaring convergence.
-        if max_pg < config.tol and _max_abs_pg(active, rows, yf, alpha, w, C) < config.tol:
-            return alpha, w, outer, True
-    return alpha, w, outer, False
+        yield alpha, w, bool(max_pg < config.tol and _max_abs_pg(active, rows, yf, alpha, w, C) < config.tol)
 
 
 def _abs_projected_gradient(g: float, a: float, C: float) -> float:

@@ -160,13 +160,8 @@ def _settle_l1(v: np.ndarray, q: np.ndarray, idx: np.ndarray, scale: float, u: f
     return vi
 
 
-def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -> LinearModel:
-    """Epoch-wise SGD with seeded reshuffling and early stopping.
-
-    Stops after any epoch whose relative objective improvement falls below
-    config.tol, or after config.epochs epochs.
-    """
-    y = validate_labels(labels, len(matrix))
+def _epochs(matrix: FeatureMatrix, y: np.ndarray, config: SgdConfig):
+    """train_sgd's epochs without end; yields a new w, b and the objective after each."""
     dim = matrix.dim
     alpha = config.alpha
     l2c, l1c = _penalty_coefficients(config.penalty, config.phi)
@@ -181,11 +176,8 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
     u = 0.0  # l1 shrink any weight could have received
     b = 0.0
     t = 0
-    prev_obj = 1.0  # objective of the zero model
-    epochs_run = 0
-    final_obj = prev_obj
 
-    for _ in range(config.epochs):
+    while True:
         for i in rng.permutation(len(y)):
             t += 1
             eta = 1.0 / (alpha * (t0 + t))
@@ -205,21 +197,28 @@ def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -
             if yi * (scale * float(xv @ vi) + b) < 1.0:
                 v[xi] = vi + (eta * yi / scale) * xv
                 b += _INTERCEPT_DECAY * eta * yi
-        epochs_run += 1
         if l1c:
-            # Also settles the returned model: no step follows the last one.
+            # Every weight now has all its owed shrink, so the yielded w is settled too.
             _settle_l1(v, q, np.flatnonzero(v), scale, u)
-        w_now = v * scale if scale != 1.0 else v
-        final_obj = objective(w_now, b, matrix, y, alpha, config.penalty, config.phi)
+        w = v * scale
+        yield w, b, objective(w, b, matrix, y, alpha, config.penalty, config.phi)
+
+
+def train_sgd(matrix: FeatureMatrix, labels: Sequence[int], config: SgdConfig) -> LinearModel:
+    """Epoch-wise SGD; stops after the first epoch whose relative objective
+    improvement falls below config.tol, or after config.epochs epochs.
+    """
+    y = validate_labels(labels, len(matrix))
+    prev_obj = 1.0  # objective of the zero model
+    for epochs_run, (w, b, final_obj) in enumerate(_epochs(matrix, y, config), 1):
         improvement = (prev_obj - final_obj) / max(abs(prev_obj), 1e-12)
         prev_obj = final_obj
-        if improvement < config.tol:
+        if improvement < config.tol or epochs_run == config.epochs:
             break
-
-    w = np.multiply(v, scale) if scale != 1.0 else v.copy()
+    t0 = config.resolved_t0()
     if not (math.isfinite(final_obj) and math.isfinite(b) and np.all(np.isfinite(w))):
         # A tiny alpha with a small explicit t0 makes steps of up to 1/alpha.
-        raise ConfigError(f"training diverged: alpha {alpha} with t0 {t0} gives a non-finite model")
+        raise ConfigError(f"training diverged: alpha {config.alpha} with t0 {t0} gives a non-finite model")
     return LinearModel(
         weights=w,
         bias=float(b),

@@ -42,7 +42,7 @@ from tracesvm import (
     transform,
 )
 from tracesvm.cli import main as cli_main
-from tracesvm.dual_cd import _solve
+from tracesvm.dual_cd import _sweeps
 from tracesvm.linear_model import predict_many
 from tracesvm.selection import TRAINER_DUAL_CD, TRAINER_SGD
 from oracles import (
@@ -204,11 +204,10 @@ def test_dual_solver_against_brute_force():
         for C in (0.1, 1.0, 10.0):
             trained = train_dual_cd(m, y, DualConfig(C=C, tol=1e-9, max_outer=5000, seed=0))
             assert trained.metadata["converged"]
-            # The state after each sweep: a run capped at k sweeps stops
-            # there, as the permutations do not depend on the cap.
+            # The state after each sweep of one walk to the trained run's stop.
             seen = []
-            for k in range(1, trained.metadata["outer_iters"] + 1):
-                alpha, w, _, _ = _solve(m, y, DualConfig(C=C, tol=1e-9, max_outer=k, seed=0))
+            sweeps = _sweeps(m, y, DualConfig(C=C, tol=1e-9, max_outer=5000, seed=0))
+            for alpha, w, _ in itertools.islice(sweeps, trained.metadata["outer_iters"]):
                 assert alpha.min() >= 0.0  # feasibility is exact
                 assert alpha.max() <= C
                 seen.append(dual_objective(DualState(alpha, w)))

@@ -635,3 +635,50 @@ class TestFlagsSetConfigs:
         assert f"(dual-cd, default {DualConfig.C})" in text
         assert "default 1/alpha-1" in text
         assert "SUPPRESS" not in text
+
+
+# For each command and trainer, flags that set a field only the other trainer's config has.
+STRAY_FLAGS = [
+    (TRAIN, "sgd", ["--c", "7", "--max-outer", "3"]),
+    (TRAIN, "dual-cd", ["--alpha", "5", "--penalty", "l1", "--epochs", "3", "--phi", "0.5", "--t0", "2"]),
+    (GRID, "sgd", ["--max-outer", "3"]),
+    (GRID, "dual-cd", ["--penalty", "l1", "--epochs", "3"]),
+]
+
+
+def _refuse_reading(monkeypatch):
+    """Make any read of a manifest or corpus fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_manifest", refuse)
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+
+
+class TestFlagsCheckedFirst:
+    @pytest.mark.parametrize(
+        "argv, trainer, flags", STRAY_FLAGS, ids=[f"{argv[0]}-{trainer}" for argv, trainer, _ in STRAY_FLAGS]
+    )
+    def test_a_flag_the_trainer_does_not_read_is_refused(self, argv, trainer, flags, monkeypatch, capsys):
+        _refuse_reading(monkeypatch)
+        assert main([*argv, "--trainer", trainer, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"not read by --trainer {trainer}" in err
+        for flag in flags[::2]:
+            assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([*TRAIN, "--alpha", "inf"], "alpha must be finite"),
+            ([*TRAIN, *DUAL, "--c", "0"], "C must be finite and > 0"),
+            ([*GRID, "--alpha-grid", "1e-3,x"], "grid entry 'x' is not a number"),
+            ([*GRID, "--tol-grid", "y"], "grid entry 'y' is not a number"),
+            ([*GRID, "--train-fraction", "1"], "train_fraction must be in (0, 1)"),
+        ],
+    )
+    def test_a_bad_setting_is_refused_before_the_corpus_is_read(self, argv, message, monkeypatch, capsys):
+        _refuse_reading(monkeypatch)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from tracesvm import (
     train_dual_cd,
     train_sgd,
 )
-from tracesvm.dual_cd import _solve
+from tracesvm.dual_cd import _sweeps
 from tracesvm.linear_model import predict_many
 from oracles import (
     DualState,
@@ -55,17 +55,18 @@ def sparse_problem(rng):
 
 
 def solver_sweeps(m, y, config):
-    """_solve's (alpha, w) after each sweep, up to the one that converges.
-
-    A run capped at k sweeps stops after sweep k of the uncapped run: the
-    permutations do not depend on the cap, and the confirmation pass draws none.
-    """
-    for k in range(1, config.max_outer + 1):
-        alpha, w, sweeps, converged = _solve(m, y, replace(config, max_outer=k))
-        assert sweeps == k
-        yield alpha, w
-        if converged:
+    """Copies of the solver's (alpha, w) after each sweep of one run, up to where it stops."""
+    for k, (alpha, w, converged) in enumerate(_sweeps(m, y, config), 1):
+        yield alpha.copy(), w.copy()
+        if converged or k == config.max_outer:
             return
+
+
+def run_to_stop(m, y, config):
+    """The solver's final (alpha, w, sweeps run, converged), where train_dual_cd stops it."""
+    for k, (alpha, w, converged) in enumerate(_sweeps(m, y, config), 1):
+        if converged or k == config.max_outer:
+            return alpha, w, k, converged
 
 
 class TestQEntry:
@@ -191,7 +192,7 @@ class TestTrainDualCd:
         rows, y = random_problem(rng, n=6, dim=4)
         m = matrix_from_dense(rows)
         config = DualConfig(C=1.0, tol=1e-8, seed=1)
-        alpha, w, _, _ = _solve(m, y, config)
+        alpha, w, _, _ = run_to_stop(m, y, config)
         model = train_dual_cd(m, y, config)
         rebuilt = np.zeros(m.dim + 1)
         for i, row in enumerate(m.rows):
@@ -205,7 +206,7 @@ class TestTrainDualCd:
         rows, y = random_problem(rng, n=6, dim=4)
         m = matrix_from_dense(rows)
         config = DualConfig(C=1.0, tol=1e-6, seed=4)
-        alpha, w, sweeps, converged = _solve(m, y, config)
+        alpha, w, sweeps, converged = run_to_stop(m, y, config)
         model = train_dual_cd(m, y, config)
         assert np.array_equal(model.weights, w[:-1])
         assert model.bias == w[-1]
@@ -227,7 +228,7 @@ class TestTrainDualCd:
         rows, y = random_problem(rng, n=5, dim=3)
         m = matrix_from_dense(rows)
         C, tol = 1.0, 1e-8
-        alpha, w, _, converged = _solve(m, y, DualConfig(C=C, tol=tol, seed=2))
+        alpha, w, _, converged = run_to_stop(m, y, DualConfig(C=C, tol=tol, seed=2))
         assert converged
         band = 10 * tol
         for i, row in enumerate(m.rows):
@@ -272,7 +273,7 @@ class TestTrainDualCd:
         rows = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
         y = np.array([1, 1, -1])
         m = matrix_from_dense(rows)
-        alpha, _, _, _ = _solve(m, y, DualConfig(C=1.0, tol=1e-8, seed=0))
+        alpha, _, _, _ = run_to_stop(m, y, DualConfig(C=1.0, tol=1e-8, seed=0))
         assert alpha[1] == 0.0
 
     def test_degenerate_labels(self):
@@ -322,7 +323,7 @@ class TestSolveAgainstOracle:
             m = matrix_from_dense(rows)
             for C in (0.1, 1.0, 10.0):
                 for tol in (1e-1, 1e-2, 1e-3):
-                    alpha, w, _, converged = _solve(m, y, DualConfig(C=C, tol=tol, seed=0))
+                    alpha, w, _, converged = run_to_stop(m, y, DualConfig(C=C, tol=tol, seed=0))
                     if converged:
                         state = DualState(alpha, w)
                         worst = max(abs(projected_gradient(i, state, m, y, C)) for i in range(len(y)))
