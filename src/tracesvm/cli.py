@@ -49,6 +49,7 @@ from .selection import (
     TRAINER_SGD,
     TRAINERS,
     SplitSpec,
+    check_cells,
     grid_search,
     train_test_split,
     write_grid_csv,
@@ -204,7 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
+def _parse_grid(text: str | None, default: tuple[float, ...], flag: str) -> tuple[float, ...]:
     if text is None:
         return default
     values = []
@@ -213,13 +214,16 @@ def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ..
             values.append(float(entry))
         except ValueError:
             raise ConfigError(f"grid entry {entry.strip()!r} is not a number") from None
+    if not values:
+        raise ConfigError(f"{flag} {text!r} holds no grid entry")
     return tuple(values)
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
     config, split = _config(args), _from_flags(SplitSpec, args)
-    alpha_grid = _parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID)
-    tol_grid = _parse_grid(args.tol_grid, DEFAULT_TOL_GRID)
+    alpha_grid = _parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID, "--alpha-grid")
+    tol_grid = _parse_grid(args.tol_grid, DEFAULT_TOL_GRID, "--tol-grid")
+    check_cells(config, alpha_grid, tol_grid)
     corpus = load_corpus(read_manifest(args.manifest))
     train, val = train_test_split(corpus, split)
     vocab, idf, train_matrix = fit_transform(train, args.ngram_min, args.ngram_max)

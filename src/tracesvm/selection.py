@@ -97,6 +97,35 @@ class GridSearchResult:
     best_f1: float
 
 
+def cell_config(base_config: SgdConfig | DualConfig, alpha: float, tol: float) -> SgdConfig | DualConfig:
+    """``base_config`` with its alpha (dual CD: C = 1/alpha) and tol replaced by the cell's."""
+    if isinstance(base_config, SgdConfig):
+        return replace(base_config, alpha=alpha, tol=tol)
+    if isinstance(base_config, DualConfig):
+        # The dual problem is parameterized by the box bound C; alpha maps to
+        # its reciprocal so both trainers share one grid axis.
+        if alpha == 0:
+            raise ConfigError(f"alpha must be nonzero, as C = 1/alpha, got {alpha}")
+        return replace(base_config, C=1.0 / alpha, tol=tol)
+    raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
+
+
+def _cell_error(alpha: float, tol: float, exc: Exception) -> GridCellError:
+    return GridCellError(f"training failed at grid cell alpha={alpha!r}, tol={tol!r}: {exc}")
+
+
+def check_cells(
+    base_config: SgdConfig | DualConfig, alpha_grid: Sequence[float], tol_grid: Sequence[float]
+) -> None:
+    """Raise ``grid_search``'s error for the first cell whose config is refused, without training any."""
+    for alpha in alpha_grid:
+        for tol in tol_grid:
+            try:
+                cell_config(base_config, alpha, tol)
+            except ConfigError as exc:
+                raise _cell_error(alpha, tol, exc) from exc
+
+
 def train_cell(
     train_matrix: FeatureMatrix,
     train_labels: Sequence[int],
@@ -104,14 +133,11 @@ def train_cell(
     alpha: float,
     tol: float,
 ):
-    """Train ``base_config`` with its alpha (dual CD: C = 1/alpha) and tol replaced by the cell's."""
-    if isinstance(base_config, SgdConfig):
-        return train_sgd(train_matrix, train_labels, replace(base_config, alpha=alpha, tol=tol))
-    if isinstance(base_config, DualConfig):
-        # The dual problem is parameterized by the box bound C; alpha maps to
-        # its reciprocal so both trainers share one grid axis.
-        return train_dual_cd(train_matrix, train_labels, replace(base_config, C=1.0 / alpha, tol=tol))
-    raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
+    """Train the trainer of ``base_config`` on ``cell_config(base_config, alpha, tol)``."""
+    config = cell_config(base_config, alpha, tol)
+    if isinstance(config, SgdConfig):
+        return train_sgd(train_matrix, train_labels, config)
+    return train_dual_cd(train_matrix, train_labels, config)
 
 
 def grid_search(
@@ -141,9 +167,7 @@ def grid_search(
             try:
                 model = train_cell(train_matrix, train_labels, base_config, alpha, tol)
             except Exception as exc:
-                raise GridCellError(
-                    f"training failed at grid cell alpha={alpha!r}, tol={tol!r}: {exc}"
-                ) from exc
+                raise _cell_error(alpha, tol, exc) from exc
             preds = predict_many(model, val_matrix)
             c = confusion(preds, val_y)
             cell_f1 = f1_score(precision_score(c), recall_score(c))

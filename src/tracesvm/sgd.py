@@ -17,9 +17,9 @@ sign(w) and eta(t) = 1 / (alpha * (t0 + t)), step t on example (x, y) does:
 1. l2 shrink: w <- (1 - eta * alpha * l2c) * w.  The weights are stored as
    scale * v, so this multiplies one scalar.  As eta * alpha = 1 / (t0 + t)
    and l2c <= 1, the factor is 0 only at the first step, when t0 + t rounds
-   to 1 and v is reset instead.  Every later step multiplies scale by at
-   least 1 - 1 / (t0 + t), so |scale| >= 2**-53 / t after step t: no run
-   brings it near underflow, and it is never rescaled.
+   to 1 and v is still all zero, so that step skips it.  Every later step
+   multiplies scale by at least 1 - 1 / (t0 + t), so |scale| >= 2**-53 / t
+   after step t: no run brings it near underflow, and it is never rescaled.
 2. Cumulative l1 penalty (Tsuruoka, Tsujii & Ananiadou, ACL 2009):
    u <- u + eta * alpha * l1c is the total l1 shrink any weight could have
    received so far, and q_j the signed shrink that w_j has received.  Each
@@ -184,10 +184,7 @@ def _epochs(matrix: FeatureMatrix, y: np.ndarray, config: SgdConfig):
             xi, xv = rows[i]
             yi = y[i]
             factor = 1.0 - eta * alpha * l2c
-            if factor == 0.0:
-                v[:] = 0.0
-                scale = 1.0
-            else:
+            if factor:  # 0 only at step 1, with v still all zero (point 1)
                 scale *= factor
             if l1c:
                 u += eta * alpha * l1c

@@ -9,17 +9,20 @@ A vocabulary is its keys.  Call names get ids 1, 2, ... in sorted order
 gram's ids padded with 0.  A call name must be non-empty and hold no
 character <= U+0020 (``_check_alphabet``), so id-tuple order on keys equals
 string order on the joined grams, a gram before its extensions.  Windows
-are never compared as keys: ``_code_rounds`` ranks them on exact uint64
-codes, each round packing the last round's rank beside as many next ids as
-fit, so no code overflows and none collides.  Each round ranks the
+and keys are rows of one layout (``_IdRows``): a 2-D id array, for windows
+the n_max-wide sliding-window view of one flat id sequence, each window
+one of its rows cut to the window's length.  Windows are never compared
+as keys: ``_code_rounds`` ranks them on exact uint64 codes, each round
+packing the last round's rank beside as many next ids as fit, so no code
+overflows and none collides, until every id is read.  Each round ranks the
 windows' codes by one argsort and the first of each run of equal sorted
 codes (``_ranks``).  The last round's ranks pick one window per key, and
-the keys are gathered from those windows in one row gather of a
-sliding-window view, then cleared past each gram's length.  Counting runs
-the same rounds over the vocabulary's keys, which are sorted, so their
-codes are ranked without a sort, and packed straight from the key matrix,
-with no row gathered and no id masked; it keeps only each round's table.
-It finds each window's column with one ``np.searchsorted`` per round,
+the keys are gathered from those windows in one row gather of the window
+view, then cleared past each gram's length.  Counting runs the same rounds
+over the vocabulary's keys, which are sorted, so their codes are ranked
+without a sort, and packed straight from the key matrix, with no row
+gathered and no id masked; it keeps only each round's table.  It finds
+each window's column with one ``np.searchsorted`` per round,
 holding of each window only its start and its uint16 length, and drops
 each array once its sorted or filtered copy replaces it; a hit's trace
 row is read at the end from a table of each position's trace, and each
@@ -204,32 +207,29 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class _IdRows:
-    """Rows of ``width`` ids cut from one flat uint32 sequence, 0 as padding.
+    """Rows of ``width`` ids, 0 as padding, cut from a 2-D id array.
 
-    Row i is the ``lens[i]`` ids from ``seq[step * starts[i]]`` on, then
-    zeros up to ``width``.  ``seq`` holds ``width`` ids from every
-    ``step``-th position, which ``_pack`` reads in one pass per id.  With
-    ``starts`` and ``lens`` None, as for a key matrix, every position is a
-    row and holds ``width`` ids, so ``_pack`` gathers no row and masks no id.
+    Row i is ``ids[starts[i]]`` with its ids from ``lens[i]`` on read as 0.
+    ``ids`` is a key matrix, or a sliding-window view of a flat id sequence
+    (see ``_windows``).  With ``starts`` and ``lens`` None, as for a key
+    matrix, row i is ``ids[i]`` whole, so ``_pack`` gathers no row and
+    masks no id.
     """
 
-    seq: np.ndarray
-    step: int
+    ids: np.ndarray
     starts: np.ndarray | None
     lens: np.ndarray | None
-    width: int
 
     @property
-    def positions(self) -> int:
-        """How many positions of ``seq`` hold ``width`` ids."""
-        return max(0, (len(self.seq) - self.width) // self.step + 1)
+    def width(self) -> int:
+        return self.ids.shape[1]
 
     def __len__(self) -> int:
-        return self.positions if self.starts is None else len(self.starts)
+        return len(self.ids if self.starts is None else self.starts)
 
     def take(self, which: np.ndarray) -> "_IdRows":
         """The rows an index or mask array selects, in its order."""
-        return _IdRows(self.seq, self.step, self.starts[which], self.lens[which], self.width)
+        return _IdRows(self.ids, self.starts[which], self.lens[which])
 
 
 def _windows(
@@ -238,10 +238,11 @@ def _windows(
     """Where each trace begins in ``seq``, and every window of n_min..n_max calls as rows of it.
 
     ``seq`` holds each trace's ids, index[name] per call, then n_max zeros,
-    so no window runs into the next trace.  ``begins[r]`` is where trace r's
-    ids start and ``begins[-1]`` the length of ``seq``, so positions
-    ``begins[r]`` to ``begins[r + 1] - 1`` are trace r's.  Ids
-    start at 1, so id-tuple order puts a shorter gram before its extensions.
+    so no window runs into the next trace, and the rows' ``ids`` are its
+    n_max-wide sliding-window view.  ``begins[r]`` is where trace r's ids
+    start and ``begins[-1]`` where the last trace's zeros end, so positions
+    ``begins[r]`` to ``begins[r + 1] - 1`` are trace r's.  Ids start at 1,
+    so id-tuple order puts a shorter gram before its extensions.
     Calls missing from ``index`` get the id len(index) + 1, above every
     indexed one, so a window holding one matches no key built from ``index``.
     """
@@ -251,7 +252,8 @@ def _windows(
     ids = np.fromiter(map(index.get, calls, itertools.repeat(len(index) + 1)), np.uint32, total)
     begins = np.zeros(len(corpus) + 1, dtype=np.intp)
     np.cumsum(lengths + n_max, out=begins[1:])
-    seq = np.zeros(begins[-1], dtype=np.uint32)
+    # With no traces, n_max zeros: the window view needs n_max ids.
+    seq = np.zeros(max(begins[-1], n_max), dtype=np.uint32)
     seq[np.arange(total) + np.repeat(n_max * np.arange(len(corpus)), lengths)] = ids
     # An n-call window starts at p when seq[p] and seq[p + n - 1] are both
     # ids: ids are nonzero, and n <= n_max calls cannot span n_max zeros.
@@ -259,7 +261,8 @@ def _windows(
     starts = [np.flatnonzero(called[: len(seq) - n + 1] & called[n - 1 :]) for n in range(n_min, n_max + 1)]
     # uint16 holds every length up to MAX_NGRAM.
     lens = np.repeat(np.arange(n_min, n_max + 1, dtype=np.uint16), [len(s) for s in starts])
-    return begins, _IdRows(seq, 1, np.concatenate(starts), lens, n_max)
+    view = np.lib.stride_tricks.sliding_window_view(seq, n_max)
+    return begins, _IdRows(view, np.concatenate(starts), lens)
 
 
 def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: int) -> np.ndarray:
@@ -267,16 +270,16 @@ def _pack(rank: np.ndarray | None, rows: _IdRows, start: int, stop: int, bits: i
 
     The caller keeps rank < 2**(64 - bits * (stop - start)) and every id
     < 2**bits, so no code overflows and code order is (rank, ids) order.
-    The ids are packed once per position of ``rows.seq`` and each row then
-    keeps as many as its length allows.  Every operand is unsigned: a signed
-    one would promote the codes to float64 on numpy 1.x.
+    The ids are packed once per row of ``rows.ids``, one strided column at
+    a time, and each row then keeps as many as its length allows.  Every
+    operand is unsigned: a signed one would promote the codes to float64 on
+    numpy 1.x.
     """
-    seq, step, m, n_pos = rows.seq, rows.step, stop - start, rows.positions
-    shift = np.uint64(bits)
-    code = np.zeros(n_pos, dtype=np.uint64)
+    m, shift = stop - start, np.uint64(bits)
+    code = np.zeros(len(rows.ids), dtype=np.uint64)
     for k in range(start, stop):
         code <<= shift
-        code |= seq[k : k + step * (n_pos - 1) + 1 : step]
+        code |= rows.ids[:, k]
     if rows.starts is not None:
         keep = np.clip(np.arange(rows.width + 1) - start, 0, m).tolist()  # ids kept per row length
         masks = np.array([((1 << bits * j) - 1) << bits * (m - j) for j in keep], dtype=np.uint64)
@@ -295,11 +298,10 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
     table, rank)``: ``table`` the sorted distinct codes and ``rank`` each
     row's index in it.  So after the round ending at id ``stop``, ``rank``
     orders the rows by their first ``stop`` ids, equal prefixes equal
-    ranks.  The rounds end once every id is read, or early, once the table
-    has one entry per row: the ranks then already order the rows, and ids
-    ``stop`` on are unread.  ``ordered`` rows are already in increasing
-    id-tuple order, as a vocabulary's keys are, so every round's codes
-    rise with the rows and ``_ranks`` needs no sort.  Other rows' codes go
+    ranks.  The rounds end once every id is read, so the last round ends at
+    ``width`` and its ranks order the rows whole.  ``ordered`` rows are
+    already in increasing id-tuple order, as a vocabulary's keys are, so
+    every round's codes rise with the rows and ``_ranks`` needs no sort.  Other rows' codes go
     through ``_ranks`` in argsort order, and the ranks back to row order:
     ``np.unique(code, return_inverse=True)`` without its copy of the codes.
     """
@@ -320,8 +322,6 @@ def _code_rounds(rows: _IdRows, bits: int, ordered: bool = False):
             rank[order] = sorted_rank
             del order, sorted_rank
         yield start, stop, table, rank
-        if len(table) == len(rows):
-            return
         rank_bits = (len(table) - 1).bit_length()
 
 
@@ -379,7 +379,7 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
     window_of[rank] = np.arange(len(windows))
     del table, rank
     lens = windows.lens[window_of]
-    keys = np.lib.stride_tricks.sliding_window_view(windows.seq, n_max)[windows.starts[window_of]]
+    keys = windows.ids[windows.starts[window_of]]
     for j in range(n_min, n_max):
         keys[lens <= j, j] = 0
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
@@ -388,18 +388,16 @@ def build_vocabulary(corpus: Sequence[SyscallTrace], n_min: int, n_max: int) -> 
 def _key_cells(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> np.ndarray:
     """``row * len(vocab) + column`` for every window of trace ``row`` that is key ``column``.
 
-    The vocabulary's keys go through ``_code_rounds`` as rows at every
-    position of the key matrix, packed with no gather and no mask, and only
-    the rounds' tables are kept; each window is packed the same way and
-    looked up in each round's table, and a window that misses one is
-    dropped.  A hit's last rank is its column.  If the rounds stopped
-    early, a hit's unread ids are compared with its column's.  Each window
+    The vocabulary's keys go through ``_code_rounds`` as the rows of the
+    key matrix, packed with no gather and no mask, and only the rounds'
+    tables are kept; each window is packed the same way and looked up in
+    each round's table, and a window that misses one is dropped.  The last
+    round reads every id, so a hit's last rank is its column.  Each window
     array is dropped once its sorted or filtered copy replaces it.  A hit's
     trace row is read from a table of each position's trace.
     """
     dim, n_max, bits = len(vocab), vocab.n_max, _id_bits(vocab.alphabet)
-    key_ids = vocab.keys.ravel()
-    keys = _IdRows(key_ids, n_max, None, None, n_max)
+    keys = _IdRows(vocab.keys, None, None)
     rounds = [(start, stop, table) for start, stop, table, _ in _code_rounds(keys, bits, ordered=True)]
     begins, windows = _windows(corpus, _id_map(vocab.alphabet), vocab.n_min, n_max)
     col = None
@@ -417,13 +415,6 @@ def _key_cells(corpus: Sequence[SyscallTrace], vocab: Vocabulary) -> np.ndarray:
         hit = col < len(table)
         hit[hit] = table[col[hit]] == code[hit]
         del code
-        windows, col = windows.take(hit), col[hit]
-    if stop < n_max:
-        matched = _IdRows(key_ids, n_max, col, np.full(len(col), n_max, dtype=np.uint16), n_max)
-        hit = np.ones(len(col), dtype=bool)
-        for start in range(stop, n_max, 64 // bits):
-            end = min(start + 64 // bits, n_max)
-            hit &= _pack(None, windows, start, end, bits) == _pack(None, matched, start, end, bits)
         windows, col = windows.take(hit), col[hit]
     # Each position's trace row, as intp: an int32 row * dim can overflow.
     row_at = np.repeat(np.arange(len(begins) - 1, dtype=np.intp), np.diff(begins))

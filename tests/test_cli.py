@@ -682,3 +682,50 @@ class TestFlagsCheckedFirst:
         _refuse_reading(monkeypatch)
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+# A refused cell's message names it as grid_search's GridCellError does.
+CELL = "training failed at grid cell "
+
+
+class TestGridCheckedFirst:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha-grid", "1e-4,-1"], f"{CELL}alpha=-1.0, tol=100.0: alpha must be finite and > 0, got -1.0"),
+            ([*DUAL, "--alpha-grid", "0"], f"{CELL}alpha=0.0, tol=100.0: alpha must be nonzero, as C = 1/alpha, got 0.0"),
+            (["--alpha-grid", ","], "--alpha-grid ',' holds no grid entry"),
+            (["--tol-grid", " "], "--tol-grid ' ' holds no grid entry"),
+            ([*DUAL, "--tol-grid", "0"], f"{CELL}alpha=100.0, tol=0.0: tol must be finite and > 0, got 0.0"),
+        ],
+        ids=["sgd-negative-alpha", "dual-zero-alpha", "empty-alpha-grid", "empty-tol-grid", "dual-zero-tol"],
+    )
+    def test_a_bad_grid_is_refused_before_the_corpus_is_read(self, flags, message, monkeypatch, capsys, tmp_path):
+        _refuse_reading(monkeypatch)
+        out = tmp_path / "grid.csv"
+        assert main(["grid-search", "--manifest", "m.csv", "--output", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestPreprocessReadError:
+    def test_an_input_that_cannot_be_read_is_skipped(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "good.log").write_text(FIG2_RAW)
+        (src / "locked.log").write_text(FIG2_RAW)
+        read = cli.read_trace_file
+
+        def read_or_refuse(path):
+            if path.name == "locked.log":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_trace_file", read_or_refuse)
+        out = tmp_path / "processed"
+        assert main(["preprocess", str(src), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"processed 1/2 file(s) into {out}\n"
+            f"skipped {src / 'locked.log'}: [Errno 13] Permission denied: '{src / 'locked.log'}'\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["good.txt"]

@@ -508,6 +508,22 @@ class TestWindowlessTraces:
         assert (np.diff(counts.indptr) == 0).tolist() == empty
 
 
+class TestCountingEdges:
+    """No traces, and traces too short for any window, give no count."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        vocab, idf, _ = fit_transform([trace(SEVEN_CALLS)], 3, 4)
+        return vocab, idf
+
+    @pytest.mark.parametrize("calls_lists", [[], [[]], [list(SEVEN_CALLS[:2]), [], ["ntclose"]]])
+    def test_count_matrix_and_transform(self, fitted, calls_lists):
+        vocab, idf = fitted
+        for m in (count_matrix(as_corpus(calls_lists), vocab), transform(as_corpus(calls_lists), vocab, idf)):
+            assert (len(m), m.dim, m.nnz) == (len(calls_lists), len(vocab), 0)
+            assert m.indptr.tolist() == [0] * (len(calls_lists) + 1)
+
+
 class TestExports:
     def test_count_matrix_carries_labels(self):
         corpus = [trace(SEVEN_CALLS, "a", "malicious"), trace(SEVEN_CALLS, "b", "benign")]
@@ -529,7 +545,7 @@ def key_rounds(vocab, ordered=True):
     """The ``_code_rounds`` that counting runs over ``vocab``'s keys; with
     ``ordered`` False, ranked by ``np.unique`` as the windows are."""
     n_keys, width = len(vocab), vocab.n_max
-    keys = _IdRows(vocab.keys.ravel(), width, np.arange(n_keys), np.full(n_keys, width), width)
+    keys = _IdRows(vocab.keys, np.arange(n_keys), np.full(n_keys, width))
     return list(_code_rounds(keys, _id_bits(vocab.alphabet), ordered))
 
 
@@ -619,15 +635,16 @@ class TestIntegerCodes:
             expected = void_count_csr([t.calls for t in corpus], vocab)
             assert_same_arrays(csr_arrays(count_matrix(corpus, vocab)), expected)
 
-    def test_rounds_stop_early_and_unread_ids_are_compared(self):
+    def test_last_round_reads_every_id_after_distinct_prefixes(self):
         names = SEVEN_CALLS[:5]
         calls = list(np.random.default_rng(0).choice(names, 60))
         fit = [trace(calls)]
         vocab = build_vocabulary(fit, 30, 30)
-        # 3-bit ids, 21 per first code: distinct 21-call prefixes end the rounds.
-        (start, stop, table, _), = key_rounds(vocab)
-        assert (start, stop, len(table)) == (0, 21, len(vocab))
-        assert len(window_rounds(fit, vocab)) == 1
+        # 3-bit ids, 21 per first code: distinct 21-call prefixes, and a
+        # later round still reads ids 21 to 29.
+        for rounds in (key_rounds(vocab), window_rounds(fit, vocab)):
+            assert rounds[0][:2] == (0, 21) and len(rounds[0][2]) == len(vocab)
+            assert rounds[-1][1] == 30 and len(rounds[-1][2]) == len(vocab)
         # The window differs from the first vocabulary gram in its last call only.
         changed = calls[:29] + [next(c for c in names if c != calls[29])]
         evaluation = [trace(changed), trace(calls[:30])]
@@ -650,8 +667,8 @@ class TestIntegerCodes:
 
     def test_ranks_that_leave_no_room_raise(self):
         # 64-bit ids: after one round of two distinct codes no id fits beside the rank.
-        seq = np.array([1, 5, 2, 6, 2, 7], dtype=np.uint32)
-        rows = _IdRows(seq, 2, np.arange(3), np.full(3, 2), 2)
+        ids = np.array([[1, 5], [2, 6], [2, 7]], dtype=np.uint32)
+        rows = _IdRows(ids, np.arange(3), np.full(3, 2))
         with pytest.raises(ValueError, match="1-bit ranks leave no room for a 64-bit id"):
             list(_code_rounds(rows, 64))
 
