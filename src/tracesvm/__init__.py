@@ -86,7 +86,6 @@ from .synthetic import (
 from .vectorize import (
     FeatureMatrix,
     IdfModel,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
     count_matrix,

@@ -57,7 +57,7 @@ from .selection import (
 from .sgd import PENALTIES, SgdConfig, train_sgd
 from .synthetic import MANIFEST_NAME, GeneratorConfig, generate_corpus
 from .util import open_new
-from .vectorize import fit_transform, transform
+from .vectorize import _check_range, fit_transform, transform
 
 
 def _labels_to_y(labels) -> np.ndarray:
@@ -67,6 +67,15 @@ def _labels_to_y(labels) -> np.ndarray:
 def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ngram-min", type=int, default=8, help="smallest n-gram length (default 8)")
     p.add_argument("--ngram-max", type=int, default=10, help="largest n-gram length (default 10)")
+
+
+def _ngram_range(args: argparse.Namespace) -> tuple[int, int]:
+    """(--ngram-min, --ngram-max), refused as ``build_vocabulary`` would refuse it, before any read."""
+    try:
+        _check_range(args.ngram_min, args.ngram_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return args.ngram_min, args.ngram_max
 
 
 def _flag(p: argparse.ArgumentParser, flag: str, cls: type, help: str, **kw) -> None:
@@ -152,9 +161,9 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config, ngrams = _config(args), _ngram_range(args)
     corpus = load_corpus(read_manifest(args.manifest))
-    vocab, idf, matrix = fit_transform(corpus, args.ngram_min, args.ngram_max)
+    vocab, idf, matrix = fit_transform(corpus, *ngrams)
     y = _labels_to_y(matrix.labels)
     started = time.perf_counter()
     if isinstance(config, SgdConfig):
@@ -220,13 +229,13 @@ def _parse_grid(text: str | None, default: tuple[float, ...], flag: str) -> tupl
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
-    config, split = _config(args), _from_flags(SplitSpec, args)
+    config, split, ngrams = _config(args), _from_flags(SplitSpec, args), _ngram_range(args)
     alpha_grid = _parse_grid(args.alpha_grid, DEFAULT_ALPHA_GRID, "--alpha-grid")
     tol_grid = _parse_grid(args.tol_grid, DEFAULT_TOL_GRID, "--tol-grid")
     check_cells(config, alpha_grid, tol_grid)
     corpus = load_corpus(read_manifest(args.manifest))
     train, val = train_test_split(corpus, split)
-    vocab, idf, train_matrix = fit_transform(train, args.ngram_min, args.ngram_max)
+    vocab, idf, train_matrix = fit_transform(train, *ngrams)
     val_matrix = transform(val, vocab, idf)
     result = grid_search(
         train_matrix,

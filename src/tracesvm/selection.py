@@ -152,13 +152,15 @@ def grid_search(
     """Train every (alpha, tol) cell and score malware-positive F1 on validation.
 
     The type of ``base_config``, ``SgdConfig`` or ``DualConfig``, picks the trainer; each
-    cell is ``train_cell``.  Ties on F1 go to the smallest alpha, then the smallest tol.
+    cell is ``train_cell``, once ``check_cells`` has passed them all.  Ties on F1 go to
+    the smallest alpha, then the smallest tol.
     """
     if not isinstance(base_config, (SgdConfig, DualConfig)):
         # train_cell's refusal, raised before a cell can wrap it in a GridCellError.
         raise ConfigError(f"base_config must be SgdConfig or DualConfig, not {type(base_config).__name__}")
     if not alpha_grid or not tol_grid:
         raise ConfigError("alpha_grid and tol_grid must be non-empty")
+    check_cells(base_config, alpha_grid, tol_grid)
 
     val_y = np.asarray(val_labels, dtype=np.int64)
     table: list[tuple[float, float, float]] = []

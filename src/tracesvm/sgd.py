@@ -168,7 +168,7 @@ def _epochs(matrix: FeatureMatrix, y: np.ndarray, config: SgdConfig):
     t0 = config.resolved_t0()
     rng = np.random.default_rng(config.seed)
 
-    rows = matrix.row_slices()
+    rows = matrix.rows
 
     v = np.zeros(dim)  # w = scale * v
     scale = 1.0

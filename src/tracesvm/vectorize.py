@@ -42,8 +42,9 @@ L2-normalized before training.
 A ``FeatureMatrix`` is CSR: ``indptr``, ``indices`` and ``data`` arrays,
 checked once when built, plus the rows' labels when every trace has one.
 Counting emits the arrays directly, and tf-idf, normalization, both
-trainers and scoring work on them.  ``rows`` is a read-only view of them
-as one ``SparseVector`` per row, for inspection.
+trainers and scoring work on them.  ``rows``, built once, is their one
+per-row view: a ``Row(indices, values)`` of CSR array views (not copies)
+per row, which SGD, ``dot`` and ``normalize_matrix`` walk.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,23 +68,15 @@ _SEPARATOR = re.compile(r"[\x00-\x20]")
 MAX_NGRAM = 1000
 
 
-class SparseVector:
-    """One row of a ``FeatureMatrix``: parallel (indices, values) arrays and dim.
+class Row(NamedTuple):
+    """One row of a ``FeatureMatrix``: its columns and values, as views of the CSR arrays."""
 
-    A view for inspection.  The matrix it comes from has checked that the
-    indices rise strictly below dim and the values are finite and nonzero.
-    """
-
-    __slots__ = ("indices", "values", "dim")
-
-    def __init__(self, indices, values, dim: int):
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.dim = dim
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def nnz(self) -> int:
-        return int(self.indices.size)
+        return self.indices.size
 
 
 @dataclass(eq=False)
@@ -188,21 +181,17 @@ class FeatureMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def row_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each row's (indices, data), as views of the CSR arrays."""
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """Each row's (indices, values), as views of the CSR arrays; built once."""
         bounds = self.indptr.tolist()
-        return [(self.indices[a:b], self.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return tuple(Row(self.indices[a:b], self.data[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def dot(self, w: np.ndarray) -> np.ndarray:
         """Each row's dot product with the dense vector w."""
         if w.shape[0] != self.dim:
             raise DimensionMismatchError(f"matrix dim {self.dim} vs dense dim {w.shape[0]}")
-        return np.array([d @ w[i] for i, d in self.row_slices()], dtype=np.float64)
-
-    @cached_property
-    def rows(self) -> tuple[SparseVector, ...]:
-        """Read-only per-row ``SparseVector`` views, for inspection only."""
-        return tuple(SparseVector(i, d, self.dim) for i, d in self.row_slices())
+        return np.array([d @ w[i] for i, d in self.rows], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,7 +460,7 @@ def tfidf_transform(counts: FeatureMatrix, idf_model: IdfModel) -> FeatureMatrix
 
 def normalize_matrix(m: FeatureMatrix) -> FeatureMatrix:
     """Scale each row to unit Euclidean length; empty rows stay empty."""
-    norms = np.sqrt([d @ d for _, d in m.row_slices()])
+    norms = np.sqrt([d @ d for _, d in m.rows])
     return FeatureMatrix(
         indptr=m.indptr,
         indices=m.indices,

@@ -4,7 +4,8 @@ Everything here is deliberately naive and dense: straight loops, explicit
 formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, one
 SGD subgradient step, one dual coordinate update) take the package's own
-types as arguments; no trainer or vectorizer calls them.
+types or plain ``(indices, values)`` rows as arguments, and ``count_vector``
+returns such a row; no trainer or vectorizer calls them.
 ``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 and
 elastic-net paths.  ``DualState`` and ``dual_objective`` are the dual
 solver's state and objective, kept here because the package exposes
@@ -12,7 +13,8 @@ neither, and ``cd_sweeps`` runs ``cd_update`` over the same seeded
 permutations that the dual solver draws, one per sweep.
 ``csr_matrix`` and ``matrix_from_dense`` build small test matrices from
 per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
-read ``SparseVector`` rows.  ``grams`` renders a vocabulary's n-gram strings
+read rows as plain ``(indices, values)`` pairs, such as ``FeatureMatrix.rows``
+holds.  ``grams`` renders a vocabulary's n-gram strings
 from its key rows one id at a time, and ``vocabulary_of`` builds those rows
 from strings the same way; ``canonical_text``, ``canonical_text_v3``,
 ``canonical_text_v2`` and ``canonical_text_v1`` are the v4, v3, v2 and v1
@@ -42,7 +44,7 @@ import numpy as np
 
 from tracesvm.ingest import SyscallTrace
 from tracesvm.model_io import ModelArtifact
-from tracesvm.vectorize import FeatureMatrix, SparseVector, Vocabulary
+from tracesvm.vectorize import FeatureMatrix, Vocabulary
 
 _CALL_LINE = re.compile(r"[ \t]*((?:Nt|nt)[A-Za-z0-9_]*)(?:\(|[ \t\r]*$)")
 
@@ -188,25 +190,26 @@ def matrix_from_dense(rows, labels=None) -> FeatureMatrix:
     return csr_matrix([(j, r[j]) for j, r in zip(nonzero, dense)], dense[0].shape[0], labels)
 
 
-def pairs(v: SparseVector) -> list[tuple[int, float]]:
-    """A row's (index, value) pairs in index order."""
-    return [(int(j), float(x)) for j, x in zip(v.indices, v.values)]
+def pairs(row) -> list[tuple[int, float]]:
+    """An (indices, values) row's (index, value) pairs in index order."""
+    indices, values = row
+    return [(int(j), float(x)) for j, x in zip(indices, values)]
 
 
-def to_dense(v: SparseVector) -> np.ndarray:
-    out = np.zeros(v.dim)
-    for j, x in pairs(v):
+def to_dense(row, dim: int) -> np.ndarray:
+    out = np.zeros(dim)
+    for j, x in pairs(row):
         out[j] = x
     return out
 
 
-def norm(v: SparseVector) -> float:
-    return math.sqrt(sum(x * x for _, x in pairs(v)))
+def norm(row) -> float:
+    return math.sqrt(sum(x * x for _, x in pairs(row)))
 
 
-def same_rows(a: Sequence[SparseVector], b: Sequence[SparseVector]) -> bool:
-    """As many rows, each with the same dim and the same (index, value) pairs."""
-    return len(a) == len(b) and all(x.dim == y.dim and pairs(x) == pairs(y) for x, y in zip(a, b))
+def same_rows(a: Sequence, b: Sequence) -> bool:
+    """As many (indices, values) rows, each with the same (index, value) pairs."""
+    return len(a) == len(b) and all(pairs(x) == pairs(y) for x, y in zip(a, b))
 
 
 def grams(vocab: Vocabulary) -> list[str]:
@@ -461,8 +464,10 @@ def extract_ngrams(calls: Sequence[str], n: int) -> list[str]:
     return [" ".join(calls[i : i + n]) for i in range(len(calls) - n + 1)]
 
 
-def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int] | None = None) -> SparseVector:
-    """Raw occurrence counts of vocabulary n-grams in one trace.
+def count_vector(
+    trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int] | None = None
+) -> tuple[list[int], list[float]]:
+    """Raw occurrence counts of vocabulary n-grams in one trace, as an (indices, values) row.
 
     N-grams absent from the vocabulary are ignored.
     """
@@ -474,7 +479,7 @@ def count_vector(trace: SyscallTrace, vocab: Vocabulary, _lookup: dict[str, int]
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
     columns = sorted(counts)
-    return SparseVector(columns, [float(counts[j]) for j in columns], len(vocab))
+    return columns, [float(counts[j]) for j in columns]
 
 
 def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np.ndarray:
@@ -494,14 +499,14 @@ def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np
 def sgd_step(
     w: np.ndarray,
     b: float,
-    x: SparseVector,
+    x,
     label: int,
     alpha: float,
     eta: float,
     penalty: str,
     phi: float = 0.5,
 ) -> tuple[np.ndarray, float]:
-    """One plain subgradient step of the objective on one example.
+    """One plain subgradient step of the objective on one (indices, values) example x.
 
     Returns fresh (w, b), inputs untouched.  Both subgradients are evaluated
     at the incoming (w, b): the penalty's is alpha * dR/dw with sign(w) for
@@ -509,12 +514,13 @@ def sgd_step(
     takes neither literally: its l1 part is the cumulative penalty
     (``sgd_cumulative_l1``) and its bias step is damped by 0.01.
     """
-    score = float(x.values @ w[x.indices]) + b
+    indices, values = np.asarray(x[0], dtype=np.int64), np.asarray(x[1], dtype=np.float64)
+    score = float(values @ w[indices]) + b
     grad = alpha * regularizer_subgradient(w, penalty, phi)
     w_new = w - eta * grad
     b_new = b
     if label * score < 1.0:
-        w_new[x.indices] += eta * label * x.values
+        w_new[indices] += eta * label * values
         b_new = b + eta * label
     return w_new, b_new
 

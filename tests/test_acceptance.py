@@ -106,7 +106,7 @@ def pipeline500():
 def test_unit_norm_worked_example():
     normalized = normalize_matrix(csr_matrix([([0, 1, 2], [10.0, 3.0, 1.0])], 3))
     target = np.array([0.953, 0.286, 0.095])
-    assert np.max(np.abs(to_dense(normalized.rows[0]) - target)) <= 5e-4
+    assert np.max(np.abs(to_dense(normalized.rows[0], normalized.dim) - target)) <= 5e-4
     print("PASS unit-norm worked example: [10,3,1] -> [0.953,0.286,0.095] within 5e-4")
 
 
@@ -140,7 +140,7 @@ def test_sparse_pipeline_matches_dense_oracle():
         assert grams(vocab) == keys
         assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
         for row, ref in zip(matrix.rows, rows_ref):
-            assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
+            assert np.allclose(to_dense(row, matrix.dim), ref, atol=1e-12, rtol=0)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(

@@ -676,6 +676,9 @@ class TestFlagsCheckedFirst:
             ([*GRID, "--alpha-grid", "1e-3,x"], "grid entry 'x' is not a number"),
             ([*GRID, "--tol-grid", "y"], "grid entry 'y' is not a number"),
             ([*GRID, "--train-fraction", "1"], "train_fraction must be in (0, 1)"),
+            ([*TRAIN, "--ngram-min", "5", "--ngram-max", "3"], "need 1 <= n_min <= n_max <= 1000, got (5, 3)"),
+            ([*TRAIN, "--ngram-min", "0"], "need 1 <= n_min <= n_max <= 1000, got (0, 10)"),
+            ([*GRID, "--ngram-max", "1001"], "need 1 <= n_min <= n_max <= 1000, got (8, 1001)"),
         ],
     )
     def test_a_bad_setting_is_refused_before_the_corpus_is_read(self, argv, message, monkeypatch, capsys):

@@ -20,6 +20,7 @@ from tracesvm import (
     train_test_split,
     write_grid_csv,
 )
+from tracesvm import selection
 from tracesvm.selection import TRAINER_DUAL_CD, TRAINER_SGD
 from oracles import matrix_from_dense
 
@@ -159,6 +160,16 @@ class TestGridSearch:
                 alpha_grid=(-1.0,), tol_grid=(1e-3,),
             )
         assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_every_cell_is_checked_before_any_is_trained(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(selection, "train_sgd", lambda *args: trained.append(args))
+        m = matrix_from_dense(TOY_ROWS)
+        message = "training failed at grid cell alpha=-1.0, tol=0.01: alpha must be finite and > 0, got -1.0"
+        with pytest.raises(GridCellError) as info:
+            grid_search(m, TOY_Y, m, TOY_Y, SgdConfig(), alpha_grid=(1e-4, -1.0), tol_grid=(1e-2, 1e-3))
+        assert str(info.value) == message
+        assert trained == []
 
     def test_trainer_and_grid_validation(self):
         m = matrix_from_dense(TOY_ROWS)

@@ -13,7 +13,6 @@ from tracesvm import (
     DegenerateLabelsError,
     LengthMismatchError,
     SgdConfig,
-    SparseVector,
     objective,
     regularizer_value,
     train_sgd,
@@ -100,27 +99,27 @@ class TestSgdStep:
     def test_satisfied_margin_only_shrinks(self):
         # w=[1,0], b=0, x has a far-margin positive point
         w = np.array([1.0, 0.0])
-        x = SparseVector([0], [5.0], 2)
+        x = ([0], [5.0])
         w2, b2 = sgd_step(w, 0.0, x, 1, alpha=1.0, eta=0.1, penalty="l2")
         assert np.array_equal(w2, [0.9, 0.0])
         assert b2 == 0.0
 
     def test_violated_margin_unregularized(self):
         w = np.zeros(2)
-        x = SparseVector([0], [1.0], 2)
+        x = ([0], [1.0])
         w2, b2 = sgd_step(w, 0.0, x, 1, alpha=0.0, eta=1.0, penalty="l2")
         assert np.array_equal(w2, [1.0, 0.0])
         assert b2 == 1.0
 
     def test_inputs_untouched(self):
         w = np.array([1.0, -1.0])
-        x = SparseVector([1], [2.0], 2)
+        x = ([1], [2.0])
         sgd_step(w, 0.5, x, -1, alpha=0.1, eta=0.2, penalty="l1")
         assert np.array_equal(w, [1.0, -1.0])
 
     def test_zero_eta_is_identity(self):
         w = np.array([0.7, -0.4])
-        x = SparseVector([0, 1], [1.0, 1.0], 2)
+        x = ([0, 1], [1.0, 1.0])
         w2, b2 = sgd_step(w, -0.2, x, 1, alpha=2.0, eta=0.0, penalty="elasticnet", phi=0.3)
         assert np.array_equal(w2, w)
         assert b2 == -0.2
@@ -249,7 +248,7 @@ class TestTrainSgd:
     def test_bias_not_regularized(self):
         # A satisfied-margin step shrinks the weights but must leave b alone.
         w = np.array([1.0])
-        x = SparseVector([0], [5.0], 1)
+        x = ([0], [5.0])
         w2, b2 = sgd_step(w, 3.0, x, 1, alpha=1.0, eta=0.1, penalty="l2")
         assert np.array_equal(w2, [0.9])
         assert b2 == 3.0

@@ -20,7 +20,6 @@ from tracesvm import (
     IdfModel,
     LinearModel,
     ModelArtifact,
-    SparseVector,
     SyscallTrace,
     build_vocabulary,
     count_matrix,
@@ -195,14 +194,7 @@ class TestCountVector:
     def test_no_ngram_long_enough(self):
         vocab = build_vocabulary([trace(SEVEN_CALLS)], 2, 2)
         v = count_vector(trace(["ntclose"]), vocab)
-        assert v.nnz == 0
-
-
-class TestSparseVector:
-    def test_dense_round_trip(self):
-        v = SparseVector([1, 3], [2.0, -1.5], 4)
-        assert pairs(v) == [(1, 2.0), (3, -1.5)]
-        assert np.array_equal(to_dense(v), [0.0, 2.0, 0.0, -1.5])
+        assert pairs(v) == []
 
 
 class TestFeatureMatrix:
@@ -218,8 +210,15 @@ class TestFeatureMatrix:
         assert m.indptr.dtype == m.indices.dtype == np.int64 and m.data.dtype == np.float64
         assert [pairs(r) for r in m.rows] == [[(0, 1.5), (2, -2.0)], [], [(1, 4.0)]]
         assert m.rows is m.rows
+        for r in m.rows[0], m.rows[2]:
+            assert np.shares_memory(r.indices, m.indices) and np.shares_memory(r.values, m.data)
+        assert [r.nnz for r in m.rows] == np.diff(m.indptr).tolist()
+        indices, values = m.rows[0]
+        assert indices is m.rows[0].indices and values is m.rows[0].values
+        assert np.array_equal(to_dense(m.rows[0], m.dim), [1.5, 0.0, -2.0])
         assert np.array_equal(m.dot(np.array([1.0, 2.0, 3.0])), [-4.5, 0.0, 8.0])
-        assert same_rows(csr_matrix(self.ROWS, 3).rows, m.rows)
+        built = csr_matrix(self.ROWS, 3)
+        assert built.dim == m.dim and same_rows(built.rows, m.rows)
 
     @pytest.mark.parametrize(
         "indptr",
@@ -381,7 +380,7 @@ class TestFitTransform:
         _, idf1, m1 = fit_transform(corpus, 1, 3)
         _, idf2, m2 = fit_transform(corpus, 1, 3)
         assert idf1.n_docs == idf2.n_docs and idf1.idf.tobytes() == idf2.idf.tobytes()
-        assert same_rows(m1.rows, m2.rows)
+        assert m1.dim == m2.dim and same_rows(m1.rows, m2.rows)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(42)
@@ -399,7 +398,7 @@ class TestFitTransform:
             assert grams(vocab) == keys
             assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
             for row, ref in zip(m.rows, rows_ref):
-                assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
+                assert np.allclose(to_dense(row, m.dim), ref, atol=1e-12, rtol=0)
 
 
 # Prefix-related names: one is a prefix of the others, and "0" < "_" < "b".
@@ -431,7 +430,7 @@ class TestIntegerKeyedLookup:
         assert grams(vocab) == keys
         assert np.allclose(idf.idf, idf_ref, atol=1e-12, rtol=0)
         for row, ref in zip(m.rows, rows_ref):
-            assert np.allclose(to_dense(row), ref, atol=1e-12, rtol=0)
+            assert np.allclose(to_dense(row, m.dim), ref, atol=1e-12, rtol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -459,13 +458,14 @@ class TestIntegerKeyedLookup:
         assert loaded.vocabulary.keys.tobytes() == vocab.keys.tobytes()
         assert grams(loaded_v1.vocabulary) == grams(vocab)
         new_corpus = as_corpus(new_lists) + fit_corpus
-        fitted_rows = transform(new_corpus, vocab, idf).rows
-        assert same_rows(transform(new_corpus, loaded.vocabulary, loaded.idf).rows, fitted_rows)
-        assert same_rows(transform(new_corpus, loaded_v1.vocabulary, loaded_v1.idf).rows, fitted_rows)
+        fitted = transform(new_corpus, vocab, idf)
+        for loaded_vocab, loaded_idf in ((loaded.vocabulary, loaded.idf), (loaded_v1.vocabulary, loaded_v1.idf)):
+            m = transform(new_corpus, loaded_vocab, loaded_idf)
+            assert m.dim == fitted.dim and same_rows(m.rows, fitted.rows)
         per_trace = [count_vector(t, loaded.vocabulary) for t in new_corpus]
-        assert same_rows(count_matrix(new_corpus, vocab).rows, per_trace)
-        assert same_rows(count_matrix(new_corpus, loaded.vocabulary).rows, per_trace)
-        assert same_rows(count_matrix(new_corpus, loaded_v1.vocabulary).rows, per_trace)
+        for vocabulary in (vocab, loaded.vocabulary, loaded_v1.vocabulary):
+            m = count_matrix(new_corpus, vocabulary)
+            assert m.dim == len(loaded.vocabulary) and same_rows(m.rows, per_trace)
 
     @settings(max_examples=100, deadline=None)
     @given(corpora(PREFIX_NAMES), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
