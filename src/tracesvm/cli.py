@@ -114,6 +114,11 @@ def _config(args: argparse.Namespace) -> SgdConfig | DualConfig:
     return _from_flags(cls, args)
 
 
+def _file_id(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_dev, st.st_ino
+
+
 def cmd_preprocess(args: argparse.Namespace) -> int:
     src = Path(args.input)
     out_dir = Path(args.output_dir)
@@ -127,6 +132,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if not inputs:
         print(f"error: no inputs found in {src}", file=sys.stderr)
         return 2
+    # An output that is an input (the same path, or a link to it) would replace its bytes.
+    by_file = {_file_id(path): path for path in inputs}
+    for path in inputs:
+        out = out_dir / f"{path.stem}.txt"
+        clash = by_file.get(_file_id(out)) if out.exists() else None
+        if clash is not None:
+            print(f"error: the output {out} of {path} is the input {clash}; nothing written", file=sys.stderr)
+            return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}  # output name -> the input written to it
     failures = []

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, NonConvergenceWarning
 from .linear_model import LinearModel
 from .sgd import validate_labels
+from .util import check_int
 from .vectorize import FeatureMatrix
 
 TRAINER_DUAL_CD = "dual-cd"
@@ -54,10 +55,8 @@ class DualConfig:
             raise ConfigError(f"C must be finite and > 0, got {self.C}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_outer < 1:
-            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.max_outer, "max_outer", 1)
+        check_int(self.seed, "seed", 0)
 
 
 def train_dual_cd(matrix: FeatureMatrix, labels: Sequence[int], config: DualConfig) -> LinearModel:

@@ -60,7 +60,8 @@ Loading is strict: anything but a v1, v2, v3 or v4 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
 ``format_version`` other than the integer 1, 2, 3 or 4).  That includes
 text that is not JSON or nests too deeply to decode, fields of the wrong
-JSON type (``true`` and ``false`` are not numbers), a ``config`` holding a
+JSON type (``true`` and ``false`` are not numbers), a ``trainer`` other
+than ``null``, ``"sgd"`` or ``"dual-cd"``, a ``config`` holding a
 non-finite number or a ``trainer`` key (the top-level ``trainer`` would
 replace it, so the file would load as another trainer), non-finite idf or
 weight values, keys that are not a sorted vocabulary over the alphabet (see
@@ -88,8 +89,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dual_cd import TRAINER_DUAL_CD
 from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
+from .sgd import TRAINER_SGD
 from .util import open_new
 from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map, _run_starts
 
@@ -274,7 +277,9 @@ def load_model(path: Path | str) -> ModelArtifact:
             raise ValueError("config holds a non-finite number") from None
         if "trainer" in metadata:
             raise ValueError("config holds a 'trainer' key; only the top-level trainer field may")
-        metadata["trainer"] = doc.get("trainer")
+        trainer = metadata["trainer"] = doc.get("trainer")
+        if trainer not in (None, TRAINER_SGD, TRAINER_DUAL_CD):
+            raise ValueError(f"trainer must be null, {TRAINER_SGD!r} or {TRAINER_DUAL_CD!r}, got {trainer!r}")
         model = LinearModel(weights=weights, bias=bias, metadata=metadata)
     except (KeyError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc

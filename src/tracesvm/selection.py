@@ -14,7 +14,7 @@ from .evaluation import confusion, f1_score, precision_score, recall_score
 from .ingest import SyscallTrace
 from .linear_model import predict_many
 from .sgd import TRAINER_SGD, SgdConfig, train_sgd
-from .util import open_new, round_half_up
+from .util import check_int, open_new, round_half_up
 from .vectorize import FeatureMatrix
 
 TRAINERS = (TRAINER_SGD, TRAINER_DUAL_CD)
@@ -35,8 +35,7 @@ class SplitSpec:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", 0)
 
 
 def train_test_split(

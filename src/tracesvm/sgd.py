@@ -41,6 +41,10 @@ The bias is never regularized.  Its step is damped by 0.01, scikit-learn's
 rule for sparse input (SPARSE_INTERCEPT_DECAY), so that a run of margin
 violations cannot swing it by whole units.  sign(0) is taken as 0
 throughout.
+
+``objective`` adds the hinge terms left to right (``np.cumsum``: ``np.sum``
+pairs them, and the bits decide where ``train_sgd`` stops; ``np.fmax``
+keeps max(0, NaN) = 0), and without an l1 part skips the |w_j| sum.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateLabelsError, LengthMismatchError
 from .linear_model import LinearModel
+from .util import check_int
 from .vectorize import FeatureMatrix
 
 TRAINER_SGD = "sgd"
@@ -84,23 +89,17 @@ class SgdConfig:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi must be in [0, 1], got {self.phi}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        check_int(self.epochs, "epochs", 1)
         if self.t0 is not None and not 0 <= self.t0 < math.inf:
             raise ConfigError(f"t0 must be finite and >= 0, got {self.t0}")
         if self.t0 is None and not self.resolved_t0() < math.inf:
             raise ConfigError(f"alpha {self.alpha} is too small: its t0 = 1/alpha - 1 overflows")
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", 0)
 
     def resolved_t0(self) -> float:
         return self.t0 if self.t0 is not None else max(0.0, 1.0 / self.alpha - 1.0)
-
-
-def hinge_loss(score: float, label: int) -> float:
-    return max(0.0, 1.0 - label * score)
 
 
 def _penalty_coefficients(penalty: str, phi: float) -> tuple[float, float]:
@@ -114,7 +113,8 @@ def _penalty_coefficients(penalty: str, phi: float) -> tuple[float, float]:
 
 def regularizer_value(w: np.ndarray, penalty: str, phi: float = 0.5) -> float:
     l2c, l1c = _penalty_coefficients(penalty, phi)
-    return float(0.5 * l2c * np.sum(w * w) + l1c * np.sum(np.abs(w)))
+    l1 = l1c * np.sum(np.abs(w)) if l1c else 0.0  # pure l2 would multiply the sum by 0
+    return float(0.5 * l2c * np.sum(w * w) + l1)
 
 
 def objective(
@@ -127,10 +127,8 @@ def objective(
     phi: float = 0.5,
 ) -> float:
     """Mean hinge loss plus alpha times the penalty; 1.0 at the zero model."""
-    total = 0.0
-    for score, y in zip(matrix.dot(w) + b, labels):
-        total += hinge_loss(score, y)
-    return total / len(matrix) + alpha * regularizer_value(w, penalty, phi)
+    losses = np.fmax(0.0, 1.0 - np.asarray(labels) * (matrix.dot(w) + b))
+    return float(np.cumsum(losses)[-1]) / len(matrix) + alpha * regularizer_value(w, penalty, phi)
 
 
 def validate_labels(labels: Sequence[int], n_rows: int) -> np.ndarray:

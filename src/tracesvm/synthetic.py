@@ -24,7 +24,7 @@ from .ingest import (
     write_manifest,
     write_processed,
 )
-from .util import round_half_up
+from .util import check_int, round_half_up
 
 DEFAULT_BACKGROUND_VOCAB = (
     "ntclose",
@@ -62,13 +62,14 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_traces < 2:
-            raise ConfigError(f"n_traces must be >= 2, got {self.n_traces}")
+        check_int(self.n_traces, "n_traces", 2)
         if not 0.0 < self.malicious_fraction < 1.0:
             raise ConfigError(
                 f"malicious_fraction must be in (0, 1), got {self.malicious_fraction}"
             )
         lo, hi = self.trace_len_range
+        check_int(lo, "trace_len_range's low end")
+        check_int(hi, "trace_len_range's high end")
         if not 1 <= lo <= hi:
             raise ConfigError(f"trace_len_range must satisfy 1 <= lo <= hi, got {self.trace_len_range}")
         if not self.background_vocab:
@@ -77,8 +78,7 @@ class GeneratorConfig:
             raise ConfigError("motifs must be non-empty sequences")
         if not 0 < self.motif_rate <= _MAX_MOTIF_RATE:
             raise ConfigError(f"motif_rate must be in (0, {_MAX_MOTIF_RATE:g}], got {self.motif_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", 0)
 
 
 def _contains_motif(calls: Sequence[str], motif: Sequence[str]) -> bool:

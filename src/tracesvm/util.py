@@ -6,10 +6,23 @@ import math
 from pathlib import Path
 from typing import BinaryIO
 
+from .errors import ConfigError
+
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with .5 going up (47.5 -> 48)."""
     return int(math.floor(x + 0.5))
+
+
+def check_int(value, name: str, minimum: int | None = None) -> None:
+    """Refuse (``ConfigError``) a count or seed below ``minimum`` or not a Python int.
+
+    A bool is not one, nor is a numpy integer, which json cannot write.
+    """
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def open_new(path: Path | str) -> BinaryIO:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and dense: straight loops, explicit
 formulas, no sharing of code paths with the package under test.  The
-single-step references at the end (string n-grams and per-trace counts, one
-SGD subgradient step, one dual coordinate update) take the package's own
-types or plain ``(indices, values)`` rows as arguments, and ``count_vector``
-returns such a row; no trainer or vectorizer calls them.
+single-step references at the end (string n-grams and per-trace counts, the
+SGD objective one row at a time, one SGD subgradient step, one dual
+coordinate update) take the package's own types or plain ``(indices,
+values)`` rows as arguments, and ``count_vector`` returns such a row; no
+trainer or vectorizer calls them.
 ``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 and
 elastic-net paths.  ``DualState`` and ``dual_objective`` are the dual
 solver's state and objective, kept here because the package exposes
@@ -494,6 +495,22 @@ def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np
         else:
             out.append(phi * x + (1.0 - phi) * sign)
     return np.array(out, dtype=np.float64)
+
+
+def sgd_objective(w, b, matrix: FeatureMatrix, labels, alpha, penalty, phi=0.5) -> float:
+    """``sgd.objective`` one row at a time.
+
+    Each row's score, its values dotted with w at its columns plus b, gives
+    max(0, 1 - y * score), added to a running total; the mean follows, plus
+    alpha times R with both its sums, the one its coefficient zeroes too.
+    """
+    l2, l1 = {"l2": (1.0, 0.0), "l1": (0.0, 0.5)}.get(penalty, (phi, 1.0 - phi))
+    total = 0.0
+    for i, y in enumerate(labels):
+        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+        score = matrix.data[lo:hi] @ w[matrix.indices[lo:hi]] + b
+        total += max(0.0, 1.0 - y * score)
+    return total / len(matrix) + alpha * float(0.5 * l2 * np.sum(w * w) + l1 * np.sum(np.abs(w)))
 
 
 def sgd_step(

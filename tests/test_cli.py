@@ -483,6 +483,33 @@ class TestPreprocess:
         assert [p.name for p in out.iterdir()] == ["a.txt"]
         assert (out / "a.txt").read_text() == "ntqueryperformancecounter\nntprotectvirtualmemory\n"
 
+    @pytest.mark.parametrize("case", ["own-directory", "stem-clash", "link"])
+    def test_an_output_that_is_an_input_is_refused_before_any_write(self, tmp_path, capsys, case):
+        src = tmp_path / "raw"
+        if case == "own-directory":
+            assert main(["gen-corpus", "--n-traces", "4", "--seed", "1", "--raw", "--output-dir", str(src)]) == 0
+            out, clash = src, src / "trace_0000.txt"
+        elif case == "stem-clash":
+            # a.log's output is a.txt, an input not yet read.
+            src.mkdir()
+            (src / "a.log").write_text(FIG2_RAW)
+            (src / "a.txt").write_text("NtClose( Handle=0x1 ) => 0\n")
+            out, clash = src, src / "a.txt"
+        else:
+            src.mkdir()
+            (src / "one.log").write_text(FIG2_RAW)
+            out = tmp_path / "processed"
+            out.mkdir()
+            (out / "one.txt").symlink_to(src / "one.log")
+            clash = src / "one.log"
+        before = {p: p.read_bytes() for p in src.iterdir()}
+        capsys.readouterr()
+        assert main(["preprocess", str(src), "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"is the input {clash}; nothing written" in captured.err
+        assert {p: p.read_bytes() for p in src.iterdir()} == before
+
     def test_generated_manifest_is_not_read_as_a_log(self, tmp_path, capsys):
         raw = tmp_path / "rawc"
         assert main(["gen-corpus", "--n-traces", "6", "--seed", "1", "--raw", "--output-dir", str(raw)]) == 0

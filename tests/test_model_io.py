@@ -586,6 +586,31 @@ def test_config_holding_a_trainer_rejected(model_doc, v2_doc, v3_doc, v4_doc, tm
         load_edited(tmp_path, doc, config={**doc["config"], "trainer": trainer})
 
 
+# The trainer is one of the two trainers' names, or null for a model whose
+# metadata names none; any other JSON value would load and then re-save as
+# it is, or, as NaN, make save_model fail outside TraceSvmError.
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "trainer", [float("nan"), float("inf"), 5, True, [1], {"x": 1}, "bogus", "SGD"],
+    ids=["nan", "inf", "number", "true", "list", "object", "bogus", "upper"],
+)
+def test_trainer_other_than_a_trainers_name_or_null_rejected(
+    model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, trainer
+):
+    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+    with pytest.raises(ModelFormatError, match="trainer must be null, 'sgd' or 'dual-cd', got "):
+        load_edited(tmp_path, doc, trainer=trainer)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_null_trainer_loads_and_resaves(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version):
+    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+    artifact = load_edited(tmp_path, doc, trainer=None)
+    assert artifact.model.metadata["trainer"] is None
+    save_model(artifact, tmp_path / "resaved.json")
+    assert json.loads((tmp_path / "resaved.json").read_text())["trainer"] is None
+
+
 # A v2 document that claims format 3 or 4 lacks their fields: ModelFormatError.
 @pytest.mark.parametrize("version", [True, 2.0, 5, 0])
 def test_v2_format_version_must_be_the_integer_two(v2_doc, tmp_path, version):
@@ -1318,11 +1343,12 @@ FIELDS_V2 = (
 
 
 def load_or_raise(path):
-    """load_model either returns an artifact or raises a TraceSvmError."""
+    """load_model either raises a TraceSvmError or returns an artifact that save_model writes."""
     try:
-        load_model(path)
+        artifact = load_model(path)
     except TraceSvmError:
-        pass
+        return
+    save_model(artifact, path.with_name("resaved.json"))
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracesvm import (
     ConfigError,
@@ -18,28 +18,104 @@ from tracesvm import (
     train_sgd,
 )
 from tracesvm.linear_model import predict_many
-from tracesvm.sgd import _settle_l1, hinge_loss
+from tracesvm.sgd import PENALTIES, _settle_l1
 from oracles import (
     central_difference_gradient,
+    csr_matrix,
     matrix_from_dense,
     regularizer_subgradient,
     sgd_cumulative_l1,
+    sgd_objective,
     sgd_step,
 )
 
 
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestHinge:
+    """At zero weights the penalty is 0, so ``objective`` is the one row's hinge loss at score b."""
+
+    @staticmethod
+    def hinge(score, label):
+        return objective(np.zeros(1), score, matrix_from_dense([[1.0]]), [label], 0.37, "l2")
+
     def test_satisfied_margin(self):
-        assert hinge_loss(2.0, 1) == 0.0
-        assert hinge_loss(-2.0, -1) == 0.0
+        assert self.hinge(2.0, 1) == 0.0
+        assert self.hinge(-2.0, -1) == 0.0
 
     def test_violated_margin(self):
-        assert hinge_loss(0.0, 1) == 1.0
-        assert hinge_loss(-1.0, 1) == 2.0
-        assert hinge_loss(0.5, -1) == 1.5
+        assert self.hinge(0.0, 1) == 1.0
+        assert self.hinge(-1.0, 1) == 2.0
+        assert self.hinge(0.5, -1) == 1.5
 
     def test_boundary(self):
-        assert hinge_loss(1.0, 1) == 0.0
+        assert self.hinge(1.0, 1) == 0.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MODERATE = st.floats(-1e3, 1e3)
+# Products of two of these can overflow, so rows can score inf, -inf and NaN.
+LARGE = MODERATE | st.sampled_from([1e200, -1e200, 1e308, -1e308])
+
+
+@st.composite
+def objective_problems(draw):
+    """A CSR matrix with empty rows among its rows, labels, weights and a bias.
+
+    Half the problems draw moderate numbers, where a sum's bits depend on the
+    order of its terms; the other half mix in numbers whose products
+    overflow.  A weight may also be inf or NaN, as a diverged run's are.
+    """
+    numbers = draw(st.sampled_from([MODERATE, LARGE]))
+    dim = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        columns = sorted(draw(st.sets(st.integers(0, dim - 1))))
+        values = draw(st.lists(numbers.filter(bool), min_size=len(columns), max_size=len(columns)))
+        rows.append((columns, values))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(rows), max_size=len(rows)))
+    weights = numbers | st.sampled_from([np.inf, -np.inf, np.nan])
+    w = np.array(draw(st.lists(weights, min_size=dim, max_size=dim)))
+    return csr_matrix(rows, dim), labels, w, draw(numbers)
+
+
+class TestObjective:
+    # Row 0 scores inf - inf = NaN.
+    NAN_ROW = (csr_matrix([([0, 1], [1.0, 1.0]), ([], [])], 2), [1, -1], np.array([np.inf, -np.inf]), 0.5)
+    # Finite weights whose |w_j| sum overflows.
+    HUGE_W = (csr_matrix([([0], [1.0]), ([1], [-1.0])], 2), [1, -1], np.array([1e308, 1e308]), 0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @example(problem=NAN_ROW, alpha=1.0, penalty="l2", phi=0.5)
+    @example(problem=HUGE_W, alpha=1.0, penalty="l2", phi=0.5)
+    @example(problem=HUGE_W, alpha=1.0, penalty="l1", phi=0.5)
+    @example(problem=HUGE_W, alpha=1.0, penalty="elasticnet", phi=1.0)
+    @given(
+        problem=objective_problems(),
+        alpha=st.floats(1e-12, 1e12),
+        penalty=st.sampled_from(PENALTIES),
+        phi=st.floats(0.0, 1.0),
+    )
+    def test_bit_equal_to_the_per_row_loop(self, problem, alpha, penalty, phi):
+        """Bit-equal wherever the |w_j| sum is finite or an l1 part multiplies it.
+
+        Scores and penalties overflow here, and NaN scores cost 0, as in the loop.
+        """
+        matrix, labels, w, b = problem
+        with np.errstate(all="ignore"):
+            got = objective(w, b, matrix, labels, alpha, penalty, phi)
+            expected = sgd_objective(w, b, matrix, labels, alpha, penalty, phi)
+            abs_sum = np.sum(np.abs(w))
+        no_l1 = penalty == "l2" or (penalty == "elasticnet" and phi == 1.0)
+        if no_l1 and not np.isfinite(abs_sum):
+            # The loop's 0 * inf makes its objective NaN.  objective skips that
+            # term, and the sum of w_j^2 makes it inf, or NaN for a NaN weight.
+            assert np.isnan(expected)
+            assert np.isnan(got) if np.isnan(w).any() else got == np.inf
+        else:
+            assert bits(got) == bits(expected)
 
 
 class TestRegularizers:
@@ -50,6 +126,14 @@ class TestRegularizers:
         assert regularizer_value(self.W, "l1") == 3.5
         # elasticnet's l1 share carries no 1/2
         assert regularizer_value(self.W, "elasticnet", phi=0.5) == 0.5 / 2 * 25 + 0.5 * 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FINITE, max_size=8))
+    def test_l2_is_half_the_sum_of_squares(self, w):
+        # No |w| sum: at |w| near the largest float it would overflow, and 0 * inf is NaN.
+        w = np.array(w)
+        with np.errstate(over="ignore"):
+            assert bits(regularizer_value(w, "l2")) == bits(0.5 * np.sum(w * w))
 
     def test_elasticnet_phi_one_equals_l2(self):
         w = np.array([1.2, -0.3, 0.0, 5.0])
