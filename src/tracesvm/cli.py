@@ -65,8 +65,8 @@ def _labels_to_y(labels) -> np.ndarray:
 
 
 def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ngram-min", type=int, default=8, help="smallest n-gram length (default 8)")
-    p.add_argument("--ngram-max", type=int, default=10, help="largest n-gram length (default 10)")
+    p.add_argument("--ngram-min", type=int, default=8, help="smallest n-gram length (default %(default)s)")
+    p.add_argument("--ngram-max", type=int, default=10, help="largest n-gram length (default %(default)s)")
 
 
 def _ngram_range(args: argparse.Namespace) -> tuple[int, int]:

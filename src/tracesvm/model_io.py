@@ -42,45 +42,42 @@ is 1.7 MB, where v3's column indices and float64 values made it 3.6 MB.
 Each large field is one string, which json's pure-Python ``indent`` encoder
 never sees: ``save_model`` computes each array a chunk of rows at a time and
 streams its base64 into the file, so saving holds no copy of the file's text
-or of a whole array.  Formats v1, which stored the n-gram strings, the idf
-values and ``[index, value]`` weight pairs as JSON lists, v2, which stored
-the key matrix as big-endian uint32 ids in ``vocabulary`` and one float64
-per n-gram in ``idf``, and v3, which is v4 with the nonzero weights as
+or of a whole array.  Format v3, which is v4 with the nonzero weights as
 their uint32 columns in ``weight_index`` and their float64 values in
-``weight_value`` (as v2 has them), are still read.  Nothing writes them.
-This module owns the four formats and is the only one that knows their byte
-order: ``_v1_keys``, ``_v2_keys`` and ``_v3_keys`` (for v3 and v4) turn
-each into the native uint32 key matrix, and ``_read_vocabulary`` checks the
-n-gram range before any of them and the keys after, with ``_check_keys``,
-which owns the rules a file's keys must keep.  ``_v3_keys`` hands it the
-stored prefix lengths, from which it checks key order; for v1 and v2 it
-gets the ones ``_shared_prefix`` finds.
+``weight_value``, is still read; nothing writes it.  Formats v1 and v2 are
+no longer read: such a file must be retrained.  This module owns both
+formats and is the only one that knows their byte order: ``_v3_keys`` turns
+the front-coded fields into the native uint32 key matrix, and
+``_read_vocabulary`` checks the n-gram range before it and the keys after,
+with ``_check_keys``, which owns the rules a file's keys must keep and
+checks key order from the stored prefix lengths.
 
-Loading is strict: anything but a v1, v2, v3 or v4 model document raises
+Loading is strict: anything but a v3 or v4 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
-``format_version`` other than the integer 1, 2, 3 or 4).  That includes
-text that is not JSON or nests too deeply to decode, fields of the wrong
-JSON type (``true`` and ``false`` are not numbers), a ``trainer`` other
-than ``null``, ``"sgd"`` or ``"dual-cd"``, a ``config`` holding a
-non-finite number or a ``trainer`` key (the top-level ``trainer`` would
-replace it, so the file would load as another trainer), non-finite idf or
-weight values, keys that are not a sorted vocabulary over the alphabet (see
-``_check_keys``) and, from v2 on, invalid base64 and byte lengths that do not fit the vocabulary size or the
-item width.  From v3 on the prefix and suffix lengths are checked before
-any key is built: the first prefix must be 0, no prefix may be longer than
-the n-gram before it, no n-gram longer than ``ngram_max``, and the suffix
-lengths must add up to the suffix's length; every ``idf_index`` entry must
-be below the table's length, and every table entry finite, used or not.  In
-v4 ``weight_bitmap`` must be ``ceil(dim / 8)`` bytes with no bit set past
-the last n-gram, ``weight_index`` must hold one entry per set bit, each
-below the table's length, and every ``weight_table`` entry must be finite
-and nonzero, used or not.
+``format_version`` other than the integer 3 or 4, one that says to
+retrain for 1 or 2).  That includes text that is not JSON or nests too
+deeply to decode, fields of the wrong JSON type (``true`` and ``false``
+are not numbers), a ``trainer`` other than ``null``, ``"sgd"`` or
+``"dual-cd"``, a ``config`` holding a non-finite number or a ``trainer``
+key (the top-level ``trainer`` would replace it, so the file would load as
+another trainer), a non-finite bias, keys that are not a sorted vocabulary
+over the alphabet (see ``_check_keys``), invalid base64, and byte lengths
+that do not fit the vocabulary size or the item width.  The prefix and
+suffix lengths are checked before any key is built: the first prefix must
+be 0, no prefix may be longer than the n-gram before it, no n-gram longer
+than ``ngram_max``, and the suffix lengths must add up to the suffix's
+length; every ``idf_index`` entry must be below the table's length, and
+every table entry finite, used or not.  In v3 the weight columns must be
+strictly increasing and below the vocabulary size, and their values
+finite.  In v4 ``weight_bitmap`` must be ``ceil(dim / 8)`` bytes with no
+bit set past the last n-gram, ``weight_index`` must hold one entry per set
+bit, each below the table's length, and every ``weight_table`` entry must
+be finite and nonzero, used or not.
 """
 
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
 import re
@@ -94,10 +91,10 @@ from .errors import ModelFormatError, VersionMismatchError
 from .linear_model import LinearModel
 from .sgd import TRAINER_SGD
 from .util import open_new
-from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _id_map, _run_starts
+from .vectorize import IdfModel, Vocabulary, _check_alphabet, _check_range, _run_starts
 
 FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, 4)
+_READABLE_VERSIONS = (3, 4)
 _TOOL = "tracesvm/0.1.0"
 # Bytes handled at a time by save_model: each field's array is built and
 # base64-encoded at most this many bytes at a time.  A multiple of 8 and of
@@ -249,22 +246,18 @@ def load_model(path: Path | str) -> ModelArtifact:
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
     version = doc.get("format_version")
     if type(version) is not int or version not in _READABLE_VERSIONS:
-        raise VersionMismatchError(
-            f"{path}: format_version {version!r} is not supported (expected 1, 2, 3 or 4)"
-        )
+        retired = type(version) is int and version in (1, 2)
+        reason = "is no longer read; retrain the model" if retired else "is not supported"
+        raise VersionMismatchError(f"{path}: format_version {version!r} {reason} (expected 3 or 4)")
     try:
-        vocab = _read_vocabulary(doc, version)
+        vocab = _read_vocabulary(doc)
         dim = len(vocab)
-        if version == 1:
-            idf_values = np.asarray(_list_of(doc["idf"], "idf", int, float), dtype=np.float64)
-            weights = _parse_weights(_list_of(doc["weights"], "weights", list), dim)
+        idf_values = _table_values(doc, "idf", dim)
+        if version == 4:
+            weights = _v4_weights(doc, dim)
         else:
-            idf_values = _array(doc, "idf", "<f8", dim) if version == 2 else _table_values(doc, "idf", dim)
-            if version == 4:
-                weights = _v4_weights(doc, dim)
-            else:
-                index = _array(doc, "weight_index", "<u4")
-                weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), dim)
+            index = _array(doc, "weight_index", "<u4")
+            weights = _dense_weights(index, _array(doc, "weight_value", "<f8", len(index)), dim)
         n_docs = _typed(doc["n_docs"], "n_docs", int)
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, got {n_docs}")
@@ -283,12 +276,6 @@ def load_model(path: Path | str) -> ModelArtifact:
         model = LinearModel(weights=weights, bias=bias, metadata=metadata)
     except (KeyError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
-    if idf_values.shape != (dim,):
-        raise ModelFormatError(
-            f"{path}: idf shape {idf_values.shape} does not match vocabulary size {dim}"
-        )
-    if not np.all(np.isfinite(idf_values)):
-        raise ModelFormatError(f"{path}: idf holds a non-finite value")
     if not math.isfinite(bias):
         raise ModelFormatError(f"{path}: bias {bias!r} is not finite")
     return ModelArtifact(model=model, vocabulary=vocab, idf=idf)
@@ -309,29 +296,13 @@ def _list_of(items, key: str, *types: type) -> list:
     return items
 
 
-def _unb64(doc: dict, key: str) -> bytes:
-    text = _typed(doc[key], key, str)
-    try:
-        return base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise ValueError(f"{key} is not valid base64: {exc}") from None
-
-
-def _read_vocabulary(doc: dict, version: int) -> Vocabulary:
-    """The document's vocabulary: the n-gram range checked, its version's keys read, then checked."""
+def _read_vocabulary(doc: dict) -> Vocabulary:
+    """The document's vocabulary: the n-gram range checked, the front-coded keys read, then checked."""
     n_min = _typed(doc["ngram_min"], "ngram_min", int)
     n_max = _typed(doc["ngram_max"], "ngram_max", int)
     _check_range(n_min, n_max)
-    if version == 1:
-        alphabet, keys = _v1_keys(_list_of(doc["vocabulary"], "vocabulary", str), n_max)
-    else:
-        alphabet = tuple(_list_of(doc["alphabet"], "alphabet", str))
-    if version == 2:
-        keys = _v2_keys(_unb64(doc, "vocabulary"), n_max)
-    if version <= 2:
-        prefix = _shared_prefix(keys)
-    else:
-        keys, prefix = _v3_keys(doc, alphabet, n_max)
+    alphabet = tuple(_list_of(doc["alphabet"], "alphabet", str))
+    keys, prefix = _v3_keys(doc, alphabet, n_max)
     _check_keys(alphabet, keys, n_min, prefix)
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
@@ -342,13 +313,13 @@ def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int, prefix:
     The names must keep the call-name rule (``_check_alphabet``); each key
     n_min to n_max ids in 1..len(alphabet), then only 0 padding; each row
     above the one before at the end of the prefix they share.  ``prefix[i]``
-    is how many leading ids row i is known to share with row i - 1: the
-    stored prefix of a v3 or v4 file, or ``_shared_prefix`` for v1 and v2.
-    Order is checked at that column.  A row that ties the one above there,
-    because the stored prefix is shorter than what the two share or the row
-    repeats the one above (its prefix then may be n_max), is checked again
-    at the end of the prefix they really share.  So a stored prefix makes
-    the check accept and refuse what ``_shared_prefix`` would.
+    is the file's stored count of leading ids that row i shares with row
+    i - 1, and order is checked at that column.  A row that ties the one
+    above there, because the stored prefix is shorter than what the two
+    share or the row repeats the one above (its prefix then may be n_max),
+    is checked again at the end of the prefix they really share.  So a
+    short stored prefix makes the check accept and refuse what the full
+    shared prefix, as ``_shared_prefix`` finds it, would.
     """
     _check_alphabet(alphabet)
     if keys.size and keys.max() > len(alphabet):
@@ -374,28 +345,6 @@ def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int, prefix:
     above[tie], below[tie] = flat[exact], flat[n_max:][exact]
     if np.any(below <= above):
         raise ValueError("vocabulary: n-grams must be sorted and unique")
-
-
-def _v1_keys(grams: list[str], n_max: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """v1's space-joined n-gram strings as (alphabet, keys), the alphabet every name they hold."""
-    lengths = np.fromiter(map(str.count, grams, itertools.repeat(" ")), np.int64, len(grams)) + 1
-    if lengths.max(initial=0) > n_max:
-        raise ValueError(f"vocabulary: an n-gram is longer than ngram_max {n_max}")
-    names = " ".join(grams).split(" ") if grams else []
-    alphabet = tuple(sorted(set(names)))
-    keys = np.zeros((len(grams), n_max), dtype=np.uint32)
-    row = np.repeat(np.arange(len(grams)), lengths)
-    col = np.arange(len(names)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    keys[row, col] = np.fromiter(map(_id_map(alphabet).__getitem__, names), dtype=np.uint32, count=len(names))
-    return alphabet, keys
-
-
-def _v2_keys(raw: bytes, n_max: int) -> np.ndarray:
-    """v2's big-endian key bytes, ``n_max`` ids per n-gram, as keys."""
-    width = 4 * n_max
-    if len(raw) % width:
-        raise ValueError(f"vocabulary: {len(raw)} bytes is not a whole number of {width}-byte n-grams")
-    return np.frombuffer(raw, ">u4").reshape(-1, n_max).astype(np.uint32)
 
 
 def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +415,11 @@ def _v4_weights(doc: dict, dim: int) -> np.ndarray:
 
 def _array(doc: dict, key: str, dtype: str, count: int | None = None) -> np.ndarray:
     """The base64 field as a native-endian, writable array of ``count`` items, if given."""
-    raw = _unb64(doc, key)
+    text = _typed(doc[key], key, str)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{key} is not valid base64: {exc}") from None
     width = np.dtype(dtype).itemsize
     if len(raw) % width or (count is not None and len(raw) != count * width):
         expected = f"{count} items of" if count is not None else "a whole number of"
@@ -484,13 +437,3 @@ def _dense_weights(index: np.ndarray, value: np.ndarray, dim: int) -> np.ndarray
     weights[index] = value
     return weights
 
-
-def _parse_weights(pairs: list, dim: int) -> np.ndarray:
-    """Dense weights from v1's [index, value] lists."""
-    if not set(map(len, pairs)) <= {2}:
-        raise ValueError("weights must be [index, value] pairs")
-    flat = _list_of(list(itertools.chain.from_iterable(pairs)), "weight pair", int, float)
-    index, value = np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(-1, 2).T
-    if not np.all((index >= 0) & (index < dim) & (index == np.floor(index))):
-        raise ValueError(f"weight indices must be integers in [0, {dim})")
-    return _dense_weights(index.astype(np.int64), value, dim)

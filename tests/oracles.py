@@ -17,11 +17,10 @@ per-row lists, and ``pairs``, ``to_dense``, ``norm`` and ``same_rows``
 read rows as plain ``(indices, values)`` pairs, such as ``FeatureMatrix.rows``
 holds.  ``grams`` renders a vocabulary's n-gram strings
 from its key rows one id at a time, and ``vocabulary_of`` builds those rows
-from strings the same way; ``canonical_text``, ``canonical_text_v3``,
-``canonical_text_v2`` and ``canonical_text_v1`` are the v4, v3, v2 and v1
-model files as one ``json.dumps`` call writes them, the arrays packed with
-``struct``, and ``front_code`` is the front coding of id lists that v3 and
-v4 share, one list at a time.
+from strings the same way; ``canonical_text`` and ``canonical_text_v3``
+are the v4 and v3 model files as one ``json.dumps`` call writes them, the
+arrays packed with ``struct``, and ``front_code`` is the front coding of id
+lists that v3 and v4 share, one list at a time.
 ``void_vocabulary_keys`` and
 ``void_count_csr`` are the vectorizer's former lookup: one ``np.unique``
 and one ``np.searchsorted`` over void keys of big-endian ids packed with
@@ -397,60 +396,8 @@ def _pack_uints(values: Sequence[int], largest: int) -> bytes:
     return struct.pack(f"<{len(values)}{code}", *values)
 
 
-def canonical_text_v2(artifact: ModelArtifact) -> str:
-    """The v2 model file, which nothing writes any more: one indented
-    json.dumps, its arrays packed by struct.
-
-    Each n-gram's ids are looked up in the alphabet from its string, as
-    ``grams`` renders it, and packed again.
-    """
-    model, vocab = artifact.model, artifact.vocabulary
-    index = {name: i for i, name in enumerate(vocab.alphabet, start=1)}
-    vocabulary = b""
-    for gram in grams(vocab):
-        ids = [index[name] for name in gram.split(" ")]
-        vocabulary += struct.pack(f">{vocab.n_max}I", *ids, *[0] * (vocab.n_max - len(ids)))
-    idf = [float(v) for v in artifact.idf.idf]
-    nz = [j for j, w in enumerate(model.weights) if w != 0]
-    document = {
-        "format_version": 2,
-        "created_by": "tracesvm/0.1.0",
-        "trainer": model.metadata.get("trainer"),
-        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
-        "ngram_min": vocab.n_min,
-        "ngram_max": vocab.n_max,
-        "n_docs": artifact.idf.n_docs,
-        "bias": model.bias,
-        "alphabet": list(vocab.alphabet),
-        "vocabulary": _b64(vocabulary),
-        "idf": _b64(struct.pack(f"<{len(idf)}d", *idf)),
-        "weight_index": _b64(struct.pack(f"<{len(nz)}I", *nz)),
-        "weight_value": _b64(struct.pack(f"<{len(nz)}d", *[float(model.weights[j]) for j in nz])),
-    }
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
-
-
-def canonical_text_v1(artifact: ModelArtifact) -> str:
-    """The v1 model file, which nothing writes any more: one indented json.dumps."""
-    model = artifact.model
-    document = {
-        "format_version": 1,
-        "created_by": "tracesvm/0.1.0",
-        "trainer": model.metadata.get("trainer"),
-        "config": {k: v for k, v in model.metadata.items() if k != "trainer"},
-        "ngram_min": artifact.vocabulary.n_min,
-        "ngram_max": artifact.vocabulary.n_max,
-        "vocabulary": grams(artifact.vocabulary),
-        "idf": [float(v) for v in artifact.idf.idf],
-        "n_docs": artifact.idf.n_docs,
-        "weights": [[j, float(w)] for j, w in enumerate(model.weights) if w != 0],
-        "bias": model.bias,
-    }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def ngram_to_index(vocab: Vocabulary) -> dict[str, int]:

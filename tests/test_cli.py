@@ -224,23 +224,24 @@ class TestModelFile:
 
     def test_structurally_broken_model_exits_cleanly(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "hollow.json"
-        bad.write_text('{"format_version": 1}\n')
+        bad.write_text('{"format_version": 4}\n')
         code = main(
             ["evaluate", "--model", str(bad), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
-    def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2, 5])
+    def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys, version):
         doc = json.loads(model_path.read_text())
-        doc["format_version"] = 5
-        future = tmp_path / "future.json"
-        future.write_text(json.dumps(doc))
+        doc["format_version"] = version
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps(doc))
         code = main(
-            ["evaluate", "--model", str(future), "--manifest", str(corpus_dir / "manifest.csv")]
+            ["evaluate", "--model", str(unknown), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
-        assert "format_version 5" in capsys.readouterr().err
+        assert f"format_version {version}" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -1,14 +1,13 @@
 """The model file: the writer against its oracle, and strict loading, where
 every corrupt field raises ModelFormatError.
 
-``train`` writes format v4.  Formats v1, v2 and v3 are still read; their
-documents here come from ``canonical_text_v1``, ``canonical_text_v2`` and
-``canonical_text_v3``, as the writers that made them are gone, and from
-``data/model_v2.json`` and ``data/model_v3.json``, which the last v2 and v3
-writers saved.  v3's and v4's integer fields take the narrowest width that
-holds their largest possible value: the round trips at each width's edge
-cover uint8, uint16 and uint32, and the fault suite's wide document has all
-four of v3's at uint16.
+``train`` writes format v4.  Format v3 is still read; its documents here
+come from ``canonical_text_v3``, as the writer that made them is gone, and
+from ``data/model_v3.json``, which the last v3 writer saved.  Formats v1
+and v2 are refused with a message to retrain.  v3's and v4's integer
+fields take the narrowest width that holds their largest possible value:
+the round trips at each width's edge cover uint8, uint16 and uint32, and
+the fault suite's wide document has all four of v3's at uint16.
 """
 
 from __future__ import annotations
@@ -25,11 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     canonical_text,
-    canonical_text_v1,
-    canonical_text_v2,
     canonical_text_v3,
     front_code,
-    grams,
     vocabulary_of,
 )
 from tracesvm import (
@@ -90,41 +86,18 @@ def v3_doc(tmp_path_factory, trained):
     return path, doc
 
 
-@pytest.fixture(scope="module")
-def v2_doc(tmp_path_factory, trained):
-    """A v2 model file."""
-    path = tmp_path_factory.mktemp("model") / "model_v2.json"
-    path.write_text(canonical_text_v2(trained))
-    doc = json.loads(path.read_text())
-    assert len(unpack(doc, "weight_index")) >= 3
-    return path, doc
-
-
-@pytest.fixture(scope="module")
-def model_doc(tmp_path_factory, trained):
-    """A v1 model file."""
-    path = tmp_path_factory.mktemp("model") / "model_v1.json"
-    path.write_text(canonical_text_v1(trained))
-    doc = json.loads(path.read_text())
-    assert len(doc["weights"]) >= 3
-    return path, doc
-
-
 def write_doc(tmp_path, doc):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return path
 
 
-# The dtypes of the v2, v3 and v4 arrays; v2's vocabulary is one row of ids
-# per n-gram.  Each of v3's and v4's integer fields is as wide as its largest
-# possible value needs: ngram_max for the lengths, the alphabet size for the
-# ids and the table's last position for an index into a table.  v2's and
-# v3's weight_index holds columns as uint32; v4's, positions in weight_table.
-DTYPES = {
-    "vocabulary": ">u4", "idf": "<f8", "idf_table": "<f8", "weight_bitmap": "<u1",
-    "weight_table": "<f8", "weight_value": "<f8",
-}
+# The dtypes of the v3 and v4 arrays.  Each of their integer fields is as
+# wide as its largest possible value needs: ngram_max for the lengths, the
+# alphabet size for the ids and the table's last position for an index into
+# a table.  v3's weight_index holds columns as uint32; v4's, positions in
+# weight_table.
+DTYPES = {"idf_table": "<f8", "weight_bitmap": "<u1", "weight_table": "<f8", "weight_value": "<f8"}
 
 
 def dtype_of(doc, key):
@@ -141,8 +114,7 @@ def dtype_of(doc, key):
 
 
 def unpack(doc, key):
-    values = np.frombuffer(base64.b64decode(doc[key]), dtype=dtype_of(doc, key)).copy()
-    return values.reshape(-1, doc["ngram_max"]) if key == "vocabulary" else values
+    return np.frombuffer(base64.b64decode(doc[key]), dtype=dtype_of(doc, key)).copy()
 
 
 def pack(values, key, doc=None):
@@ -156,23 +128,15 @@ def test_save_load_save_is_byte_identical(v4_doc, tmp_path):
     assert out.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_older_file_resaves_as_the_v4_file(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version):
-    path, _ = {1: model_doc, 2: v2_doc, 3: v3_doc}[version]
+@pytest.mark.parametrize("version", [3])
+def test_older_file_resaves_as_the_v4_file(v3_doc, v4_doc, tmp_path, version):
+    path, _ = {3: v3_doc}[version]
     out = tmp_path / "resaved.json"
     save_model(load_model(path), out)
     assert out.read_bytes() == v4_doc[0].read_bytes()
 
 
-def test_unedited_document_loads(model_doc, v2_doc, v3_doc, v4_doc, tmp_path):
-    _, doc = model_doc
-    artifact = load_model(write_doc(tmp_path, doc))
-    assert artifact.model.dim == len(doc["vocabulary"])
-    assert np.count_nonzero(artifact.model.weights) == len(doc["weights"])
-    _, doc = v2_doc
-    artifact = load_model(write_doc(tmp_path, doc))
-    assert artifact.model.dim == len(unpack(doc, "vocabulary")) == len(unpack(doc, "idf"))
-    assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_value"))
+def test_unedited_document_loads(v3_doc, v4_doc, tmp_path):
     _, doc = v3_doc
     artifact = load_model(write_doc(tmp_path, doc))
     assert artifact.model.dim == len(unpack(doc, "vocabulary_prefix")) == len(unpack(doc, "idf_index"))
@@ -183,53 +147,10 @@ def test_unedited_document_loads(model_doc, v2_doc, v3_doc, v4_doc, tmp_path):
     assert np.count_nonzero(artifact.model.weights) == len(unpack(doc, "weight_index"))
 
 
-def test_v1_file_loads_and_scores_as_its_source(trained, model_doc):
-    path, _ = model_doc
-    loaded = load_model(path)
-    assert grams(loaded.vocabulary) == grams(trained.vocabulary)
-    assert loaded.vocabulary.alphabet == trained.vocabulary.alphabet
-    assert loaded.vocabulary.keys.tobytes() == trained.vocabulary.keys.tobytes()
-    assert loaded.idf.idf.tobytes() == trained.idf.idf.tobytes()
-    assert loaded.model.weights.tobytes() == trained.model.weights.tobytes()
-    assert loaded.model.bias == trained.model.bias
-    assert loaded.model.metadata == trained.model.metadata
-    corpus = CORPUS + [SyscallTrace("n", ("ntb", "nta", "nte", "ntc", "ntd"), "benign")]
-    expected = decision_many(trained.model, transform(corpus, trained.vocabulary, trained.idf))
-    scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
-    assert scores.tobytes() == expected.tobytes()
-
-
-def test_committed_v2_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
-    """``data/model_v2.json`` is the v2 writer's file for 8 generated traces of
-    10-14 calls (generator seed 21), n-grams of 2-3 calls and SGD with alpha
-    1e-3 for 5 epochs."""
-    path = Path(__file__).parent / "data" / "model_v2.json"
-    assert json.loads(path.read_text())["format_version"] == 2
-    loaded = load_model(path)
-    assert canonical_text_v2(loaded) == path.read_text()
-    out = tmp_path / "model.json"
-    save_model(loaded, out)
-    assert out.read_text() == canonical_text(loaded)
-    resaved = load_model(out)
-    assert resaved.vocabulary.alphabet == loaded.vocabulary.alphabet
-    assert resaved.vocabulary.n_min == loaded.vocabulary.n_min
-    assert resaved.vocabulary.keys.shape == loaded.vocabulary.keys.shape
-    assert resaved.vocabulary.keys.tobytes() == loaded.vocabulary.keys.tobytes()
-    assert resaved.idf.idf.tobytes() == loaded.idf.idf.tobytes() and resaved.idf.n_docs == loaded.idf.n_docs
-    assert resaved.model.weights.tobytes() == loaded.model.weights.tobytes()
-    assert resaved.model.bias == loaded.model.bias and resaved.model.metadata == loaded.model.metadata
-    for seed in (21, 22):  # the training corpus, then a fresh one
-        corpus = generate(GeneratorConfig(n_traces=8, trace_len_range=(10, 14), seed=seed))
-        scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
-        again = decision_many(resaved.model, transform(corpus, resaved.vocabulary, resaved.idf))
-        assert again.tobytes() == scores.tobytes()
-        if seed == 21:
-            assert [s >= 0 for s in scores] == [t.label == "malicious" for t in corpus]
-
-
 def test_committed_v3_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
-    """``data/model_v3.json`` is the v3 writer's file for the training run
-    of ``data/model_v2.json``."""
+    """``data/model_v3.json`` is the v3 writer's file for 8 generated traces
+    of 10-14 calls (generator seed 21), n-grams of 2-3 calls and SGD with
+    alpha 1e-3 for 5 epochs."""
     path = Path(__file__).parent / "data" / "model_v3.json"
     assert json.loads(path.read_text())["format_version"] == 3
     loaded = load_model(path)
@@ -247,8 +168,6 @@ def test_committed_v3_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
     again = tmp_path / "again.json"
     save_model(resaved, again)
     assert again.read_bytes() == out.read_bytes()
-    v2 = load_model(path.with_name("model_v2.json"))
-    assert v2.model.weights.tobytes() == loaded.model.weights.tobytes()
     for seed in (21, 22):  # the training corpus, then a fresh one
         corpus = generate(GeneratorConfig(n_traces=8, trace_len_range=(10, 14), seed=seed))
         scores = decision_many(loaded.model, transform(corpus, loaded.vocabulary, loaded.idf))
@@ -256,128 +175,29 @@ def test_committed_v3_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
         assert from_v4.tobytes() == scores.tobytes()
 
 
-def edit_weights(doc, edit):
-    weights = [list(p) for p in doc["weights"]]
-    edit(weights)
-    return {**doc, "weights": weights}
-
-
-def _set_first_index(value):
-    def edit(weights):
-        weights[0][0] = value
-    return edit
-
-
-def _swap_first_two(weights):
-    weights[0], weights[1] = weights[1], weights[0]
-
-
-def _repeat_first_index(weights):
-    weights[1][0] = weights[0][0]
-
-
-def _set_first_value(value):
-    def edit(weights):
-        weights[0][1] = value
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set_first_index(-1),
-        _set_first_index(10**6),
-        _set_first_index(0.5),
-        lambda w: w.__setitem__(0, "12"),
-        _swap_first_two,
-        _repeat_first_index,
-        _set_first_value(float("nan")),
-        _set_first_value(float("inf")),
-        lambda w: w[0].append(1.0),
-        lambda w: w.append(5),
-    ],
-    ids=[
-        "index-minus-one", "index-out-of-range", "index-not-integer", "pair-is-string",
-        "indices-unsorted", "index-duplicated", "value-nan", "value-inf",
-        "triple-not-pair", "bare-number",
-    ],
-)
-def test_bad_weights_rejected(model_doc, tmp_path, edit):
-    _, doc = model_doc
-    with pytest.raises(ModelFormatError):
-        load_model(write_doc(tmp_path, edit_weights(doc, edit)))
-
-
-def test_duplicate_vocabulary_entry_rejected(model_doc, tmp_path):
-    _, doc = model_doc
-    vocab = list(doc["vocabulary"])
-    vocab[1] = vocab[0]
-    with pytest.raises(ModelFormatError):
-        load_model(write_doc(tmp_path, {**doc, "vocabulary": vocab}))
-
-
-def test_unsorted_vocabulary_rejected(model_doc, tmp_path):
-    _, doc = model_doc
-    vocab = list(doc["vocabulary"])
-    vocab[0], vocab[1] = vocab[1], vocab[0]
-    with pytest.raises(ModelFormatError):
-        load_model(write_doc(tmp_path, {**doc, "vocabulary": vocab}))
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, [0.5]])
-def test_bad_bias_rejected(model_doc, tmp_path, value):
-    _, doc = model_doc
+def test_bad_bias_rejected(v4_doc, tmp_path, value):
+    _, doc = v4_doc
     with pytest.raises(ModelFormatError):
         load_model(write_doc(tmp_path, {**doc, "bias": value}))
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
-def test_non_finite_idf_rejected(model_doc, tmp_path, value):
-    _, doc = model_doc
-    idf = list(doc["idf"])
-    idf[0] = value
-    with pytest.raises(ModelFormatError):
-        load_model(write_doc(tmp_path, {**doc, "idf": idf}))
-
-
-def test_idf_of_wrong_shape_rejected(model_doc, tmp_path):
-    _, doc = model_doc
-    with pytest.raises(ModelFormatError):
-        load_model(write_doc(tmp_path, {**doc, "idf": [[v] for v in doc["idf"]]}))
 
 
 @pytest.mark.parametrize(
     "field, make",
     [
-        ("vocabulary", lambda doc: dict.fromkeys(doc["vocabulary"], 0)),
-        ("vocabulary", lambda doc: "abcdefghijklmnopqrstuvwxyz"[: len(doc["vocabulary"])]),
         ("ngram_min", lambda doc: 1.9),
         ("n_docs", lambda doc: "200"),
         ("n_docs", lambda doc: -3),
         ("n_docs", lambda doc: 0),
         ("bias", lambda doc: True),
-        ("idf", lambda doc: [True, *doc["idf"][1:]]),
         ("config", lambda doc: [["alpha", 0.01]]),
-        ("weights", lambda doc: [[True, 0.5]]),
-        ("weights", lambda doc: [[0, False]]),
     ],
-    ids=[
-        "vocabulary-object", "vocabulary-string", "ngram_min-float", "n_docs-string",
-        "n_docs-negative", "n_docs-zero", "bias-true", "idf-true", "config-pairs",
-        "weight-index-true", "weight-value-false",
-    ],
+    ids=["ngram_min-float", "n_docs-string", "n_docs-negative", "n_docs-zero", "bias-true", "config-pairs"],
 )
-def test_field_of_wrong_json_type_rejected(model_doc, tmp_path, field, make):
-    _, doc = model_doc
+def test_field_of_wrong_json_type_rejected(v4_doc, tmp_path, field, make):
+    _, doc = v4_doc
     with pytest.raises(ModelFormatError):
         load_model(write_doc(tmp_path, {**doc, field: make(doc)}))
-
-
-@pytest.mark.parametrize("version", [True, 1.0])
-def test_format_version_must_be_the_integer_one(model_doc, tmp_path, version):
-    _, doc = model_doc
-    with pytest.raises(VersionMismatchError):
-        load_model(write_doc(tmp_path, {**doc, "format_version": version}))
 
 
 @pytest.mark.parametrize(
@@ -390,197 +210,37 @@ def test_undecodable_text_rejected(tmp_path, text):
         load_model(path)
 
 
-# --- v2 load faults, one test each -----------------------------------------
-
-ARRAYS = ("vocabulary", "idf", "weight_index", "weight_value")
-
-
 def load_edited(tmp_path, doc, **fields):
     return load_model(write_doc(tmp_path, {**doc, **fields}))
-
-
-@pytest.mark.parametrize("field", ARRAYS)
-@pytest.mark.parametrize("value", [[1, 2], 12, None], ids=["list", "number", "null"])
-def test_v2_array_that_is_not_a_string_rejected(v2_doc, tmp_path, field, value):
-    _, doc = v2_doc
-    with pytest.raises(ModelFormatError, match=field):
-        load_edited(tmp_path, doc, **{field: value})
-
-
-@pytest.mark.parametrize("field", ARRAYS)
-@pytest.mark.parametrize(
-    "mangle",
-    [lambda t: t[:-1], lambda t: "!" + t[1:], lambda t: t[:4] + "\n" + t[4:], lambda t: "\u00e9" + t[1:]],
-    ids=["bad-padding", "bad-character", "newline", "non-ascii"],
-)
-def test_v2_array_that_is_not_base64_rejected(v2_doc, tmp_path, field, mangle):
-    _, doc = v2_doc
-    with pytest.raises(ModelFormatError, match=f"{field} is not valid base64"):
-        load_edited(tmp_path, doc, **{field: mangle(doc[field])})
 
 
 def _with_bytes(doc, field, edit):
     return {field: base64.b64encode(edit(base64.b64decode(doc[field]))).decode("ascii")}
 
 
-@pytest.mark.parametrize(
-    "field, edit",
-    [
-        ("vocabulary", lambda b: b + b"\0\0\0\0"),
-        ("vocabulary", lambda b: b[:-4]),
-        ("idf", lambda b: b[:-8]),
-        ("idf", lambda b: b + b"\0"),
-        ("weight_index", lambda b: b + b"\0\0"),
-        ("weight_index", lambda b: b[:-4]),
-        ("weight_value", lambda b: b[:-8]),
-        ("weight_value", lambda b: b + bytes(8)),
-    ],
-    ids=[
-        "vocabulary-extra-id", "vocabulary-id-short", "idf-item-short", "idf-odd-byte",
-        "weight_index-part-item", "weight_index-item-short", "weight_value-item-short",
-        "weight_value-item-extra",
-    ],
-)
-def test_v2_byte_length_mismatch_rejected(v2_doc, tmp_path, field, edit):
-    _, doc = v2_doc
-    # One index fewer is found as a weight_value of the wrong length.
-    with pytest.raises(ModelFormatError, match=field.replace("index", "(index|value)")):
-        load_edited(tmp_path, doc, **_with_bytes(doc, field, edit))
+@pytest.mark.parametrize("version", [1, 2])
+def test_retired_format_version_rejected_with_a_retrain_message(v4_doc, tmp_path, version):
+    _, doc = v4_doc
+    with pytest.raises(VersionMismatchError, match=rf"format_version {version} .*retrain.*expected 3 or 4"):
+        load_edited(tmp_path, doc, format_version=version)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda a: a[::-1],
-        lambda a: [a[0], *a],
-        lambda a: ["", *a],
-        lambda a: [*a, "nt z"],
-        lambda a: [*a, "ntz\x1f"],
-        lambda a: [*a, 7],
-    ],
-    ids=["unsorted", "duplicate", "empty-name", "space-in-name", "control-character", "not-a-string"],
-)
-def test_v2_bad_alphabet_rejected(v2_doc, tmp_path, edit):
-    _, doc = v2_doc
-    with pytest.raises(ModelFormatError, match="alphabet"):
-        load_edited(tmp_path, doc, alphabet=edit(list(doc["alphabet"])))
-
-
-def _edit_ids(doc, edit):
-    ids = unpack(doc, "vocabulary")
-    edit(ids)
-    return {"vocabulary": pack(ids, "vocabulary")}
-
-
-def test_v2_id_above_the_alphabet_rejected(v2_doc, tmp_path):
-    _, doc = v2_doc
-    edit = _edit_ids(doc, lambda ids: ids.__setitem__((-1, 0), len(doc["alphabet"]) + 1))
-    with pytest.raises(ModelFormatError, match="above the alphabet size"):
-        load_edited(tmp_path, doc, **edit)
-
-
-def test_v2_gram_shorter_than_ngram_min_rejected(v2_doc, tmp_path):
-    _, doc = v2_doc
-    ids = unpack(doc, "vocabulary")
-    assert doc["ngram_min"] == 1 and np.all(ids[:, 0] != 0)
-    # Every gram of length 1 is now shorter than ngram_min 2; so is an all-0 key.
-    with pytest.raises(ModelFormatError, match="shorter than ngram_min"):
-        load_edited(tmp_path, doc, ngram_min=2)
-    with pytest.raises(ModelFormatError, match="shorter than ngram_min"):
-        load_edited(tmp_path, doc, **_edit_ids(doc, lambda ids: ids.__setitem__(0, 0)))
-
-
-def test_v2_id_after_padding_rejected(v2_doc, tmp_path):
-    _, doc = v2_doc
-    ids = unpack(doc, "vocabulary")
-    (row,) = np.flatnonzero(ids[:, 1] == 0)[-1:]  # the last unigram
-    wide = np.zeros((ids.shape[0], 3), dtype=np.uint32)
-    wide[:, :2] = ids
-    wide[row, 2] = 1  # a unigram, then 0, then an id
-    fields = {"ngram_max": 3, "vocabulary": pack(wide, "vocabulary")}
-    with pytest.raises(ModelFormatError, match="after its padding"):
-        load_edited(tmp_path, doc, **fields)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [lambda ids: ids.__setitem__(slice(0, 2), ids[1::-1].copy()), lambda ids: ids.__setitem__(1, ids[0])],
-    ids=["swapped", "duplicated"],
-)
-def test_v2_keys_not_strictly_increasing_rejected(v2_doc, tmp_path, edit):
-    _, doc = v2_doc
-    with pytest.raises(ModelFormatError, match="sorted and unique"):
-        load_edited(tmp_path, doc, **_edit_ids(doc, edit))
-
-
-@pytest.mark.parametrize("field", ["idf", "weight_value"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_v2_non_finite_value_rejected(v2_doc, tmp_path, field, value):
-    _, doc = v2_doc
-    values = unpack(doc, field)
-    values[1] = value
-    with pytest.raises(ModelFormatError, match="idf|weight values"):
-        load_edited(tmp_path, doc, **{field: pack(values, field)})
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda i, dim: i.__setitem__(slice(0, 2), i[1::-1].copy()),
-        lambda i, dim: i.__setitem__(1, i[0]),
-        lambda i, dim: i.__setitem__(-1, dim),
-        lambda i, dim: i.__setitem__(-1, 2**32 - 1),
-    ],
-    ids=["unsorted", "duplicated", "index-equal-to-dim", "index-max-uint32"],
-)
-def test_v2_bad_weight_index_rejected(v2_doc, tmp_path, edit):
-    _, doc = v2_doc
-    index = unpack(doc, "weight_index")
-    edit(index, len(unpack(doc, "idf")))
-    with pytest.raises(ModelFormatError, match="weight indices"):
-        load_edited(tmp_path, doc, weight_index=pack(index, "weight_index"))
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("bias", float("nan")),
-        ("bias", True),
-        ("n_docs", 0),
-        ("n_docs", 2.0),
-        ("config", [["alpha", 0.01]]),
-        ("ngram_min", 0),
-        ("ngram_min", 3),
-        ("ngram_max", 1001),
-        ("ngram_min", True),
-    ],
-    ids=[
-        "bias-nan", "bias-true", "n_docs-zero", "n_docs-float", "config-pairs",
-        "ngram_min-zero", "ngram_min-above-max", "ngram_max-above-limit", "ngram_min-true",
-    ],
-)
-def test_v2_bad_small_field_rejected(v2_doc, tmp_path, field, value):
-    _, doc = v2_doc
-    with pytest.raises(ModelFormatError):
-        load_edited(tmp_path, doc, **{field: value})
-
-
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [3, 4])
 @pytest.mark.parametrize(
     "value", [float("inf"), float("-inf"), float("nan"), [1.0, float("inf")]], ids=["inf", "-inf", "nan", "nested"]
 )
-def test_non_finite_config_number_rejected(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, value):
-    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+def test_non_finite_config_number_rejected(v3_doc, v4_doc, tmp_path, version, value):
+    _, doc = {3: v3_doc, 4: v4_doc}[version]
     with pytest.raises(ModelFormatError, match="config holds a non-finite number"):
         load_edited(tmp_path, doc, config={**doc["config"], "alpha": value})
 
 
 # load_model puts the top-level trainer into the metadata, so a trainer in
 # config would be dropped and the file would load as another trainer.
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [3, 4])
 @pytest.mark.parametrize("trainer", ["dual-cd", "sgd", None])
-def test_config_holding_a_trainer_rejected(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, trainer):
-    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+def test_config_holding_a_trainer_rejected(v3_doc, v4_doc, tmp_path, version, trainer):
+    _, doc = {3: v3_doc, 4: v4_doc}[version]
     assert doc["trainer"] == "sgd"
     with pytest.raises(ModelFormatError, match="config holds a 'trainer' key"):
         load_edited(tmp_path, doc, config={**doc["config"], "trainer": trainer})
@@ -589,42 +249,28 @@ def test_config_holding_a_trainer_rejected(model_doc, v2_doc, v3_doc, v4_doc, tm
 # The trainer is one of the two trainers' names, or null for a model whose
 # metadata names none; any other JSON value would load and then re-save as
 # it is, or, as NaN, make save_model fail outside TraceSvmError.
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [3, 4])
 @pytest.mark.parametrize(
     "trainer", [float("nan"), float("inf"), 5, True, [1], {"x": 1}, "bogus", "SGD"],
     ids=["nan", "inf", "number", "true", "list", "object", "bogus", "upper"],
 )
-def test_trainer_other_than_a_trainers_name_or_null_rejected(
-    model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version, trainer
-):
-    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+def test_trainer_other_than_a_trainers_name_or_null_rejected(v3_doc, v4_doc, tmp_path, version, trainer):
+    _, doc = {3: v3_doc, 4: v4_doc}[version]
     with pytest.raises(ModelFormatError, match="trainer must be null, 'sgd' or 'dual-cd', got "):
         load_edited(tmp_path, doc, trainer=trainer)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
-def test_null_trainer_loads_and_resaves(model_doc, v2_doc, v3_doc, v4_doc, tmp_path, version):
-    _, doc = {1: model_doc, 2: v2_doc, 3: v3_doc, 4: v4_doc}[version]
+@pytest.mark.parametrize("version", [3, 4])
+def test_null_trainer_loads_and_resaves(v3_doc, v4_doc, tmp_path, version):
+    _, doc = {3: v3_doc, 4: v4_doc}[version]
     artifact = load_edited(tmp_path, doc, trainer=None)
     assert artifact.model.metadata["trainer"] is None
     save_model(artifact, tmp_path / "resaved.json")
     assert json.loads((tmp_path / "resaved.json").read_text())["trainer"] is None
 
 
-# A v2 document that claims format 3 or 4 lacks their fields: ModelFormatError.
-@pytest.mark.parametrize("version", [True, 2.0, 5, 0])
-def test_v2_format_version_must_be_the_integer_two(v2_doc, tmp_path, version):
-    _, doc = v2_doc
-    with pytest.raises(VersionMismatchError):
-        load_edited(tmp_path, doc, format_version=version)
-
-
-def test_v2_arrays_load_native_and_writable(v2_doc, v3_doc, v4_doc):
-    path, _ = v2_doc
-    artifact = load_model(path)
-    v1_path = path.with_name("model_v1.json")
-    v1_path.write_text(canonical_text_v1(artifact))
-    for loaded in (artifact, load_model(v1_path), load_model(v3_doc[0]), load_model(v4_doc[0])):
+def test_loaded_arrays_are_native_and_writable(v3_doc, v4_doc):
+    for loaded in (load_model(v3_doc[0]), load_model(v4_doc[0])):
         for array in (loaded.idf.idf, loaded.model.weights, loaded.vocabulary.keys):
             assert array.flags.writeable
         assert loaded.idf.idf.dtype == np.float64 and loaded.idf.idf.dtype.isnative
@@ -1186,14 +832,10 @@ def test_save_writes_the_canonical_text(artifact):
         loaded = load_model(path)
         save_model(loaded, path)
         assert path.read_bytes() == canonical_text(artifact).encode("utf-8")
-        # The v1, v2 and v3 texts of the same artifact load to the same strings and bits.
-        path.write_text(canonical_text_v1(artifact))
-        from_v1 = load_model(path)
-        path.write_text(canonical_text_v2(artifact))
-        from_v2 = load_model(path)
+        # The v3 text of the same artifact loads to the same strings and bits.
         path.write_text(canonical_text_v3(artifact))
         from_v3 = load_model(path)
-    for other in (loaded, from_v1, from_v2, from_v3):
+    for other in (loaded, from_v3):
         assert other.vocabulary.alphabet == artifact.vocabulary.alphabet
         assert other.vocabulary.keys.tobytes() == artifact.vocabulary.keys.tobytes()
         assert other.idf.idf.tobytes() == artifact.idf.idf.tobytes()
@@ -1332,16 +974,6 @@ JSON_VALUES = st.recursive(
 )
 
 
-FIELDS = (
-    "bias", "config", "created_by", "format_version", "idf", "n_docs",
-    "ngram_max", "ngram_min", "trainer", "vocabulary", "weights",
-)
-FIELDS_V2 = (
-    "alphabet", "bias", "config", "created_by", "format_version", "idf", "n_docs",
-    "ngram_max", "ngram_min", "trainer", "vocabulary", "weight_index", "weight_value",
-)
-
-
 def load_or_raise(path):
     """load_model either raises a TraceSvmError or returns an artifact that save_model writes."""
     try:
@@ -1360,37 +992,8 @@ def test_any_bytes_load_or_raise_a_tracesvm_error(data):
         load_or_raise(path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
-def test_any_value_of_one_field_loads_or_raises_a_tracesvm_error(model_doc, field, value):
-    _, doc = model_doc
-    assert set(doc) == set(FIELDS)
-    with tempfile.TemporaryDirectory() as tmp:
-        load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
-
-
-@settings(max_examples=300, deadline=None)
-@given(start=st.integers(0, 10**6), cut=st.integers(0, 40), data=st.binary(max_size=40))
-def test_any_bytes_in_a_v2_file_load_or_raise_a_tracesvm_error(v2_doc, start, cut, data):
-    path, _ = v2_doc
-    text = path.read_bytes()
-    start %= len(text) + 1
-    with tempfile.TemporaryDirectory() as tmp:
-        edited = Path(tmp) / "model.json"
-        edited.write_bytes(text[:start] + data + text[start + cut :])
-        load_or_raise(edited)
-
-
+# Any JSON value, or the base64 of any bytes, as a large field holds.
 V2_VALUES = JSON_VALUES | st.binary(max_size=64).map(lambda b: base64.b64encode(b).decode("ascii"))
-
-
-@settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(FIELDS_V2), value=V2_VALUES)
-def test_any_value_of_one_v2_field_loads_or_raises_a_tracesvm_error(v2_doc, field, value):
-    _, doc = v2_doc
-    assert set(doc) == set(FIELDS_V2)
-    with tempfile.TemporaryDirectory() as tmp:
-        load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
 
 
 FIELDS_V3 = (

@@ -32,11 +32,9 @@ from tracesvm import (
     top_features,
     transform,
 )
-from tracesvm.model_io import _read_vocabulary
 from tracesvm.synthetic import GeneratorConfig, generate
 from tracesvm.vectorize import _code_rounds, _id_bits, _IdRows, _pack, _windows
 from oracles import (
-    canonical_text_v1,
     count_vector,
     csr_matrix,
     dense_tfidf_pipeline,
@@ -50,11 +48,6 @@ from oracles import (
     void_count_csr,
     void_vocabulary_keys,
 )
-
-
-def _parse_v1_vocabulary(grams, n_min, n_max):
-    """A v1 document's n-gram strings through the loader's vocabulary path."""
-    return _read_vocabulary({"vocabulary": grams, "ngram_min": n_min, "ngram_max": n_max}, 1)
 
 
 SEVEN_CALLS = (
@@ -137,35 +130,6 @@ class TestVocabulary:
         # An empty name would fit a model whose saved file does not load.
         with pytest.raises(ConfigError, match="empty"):
             fit_transform([trace(["", "nta", "ntb"])], 1, 2)
-
-    # The string-vocabulary tests check the vocabulary of a v1 model file as
-    # model_io loads it: its n-gram strings turned into keys, then checked.
-
-    def test_string_vocabulary_must_be_sorted_and_unique(self):
-        with pytest.raises(ValueError):
-            _parse_v1_vocabulary(["ntb", "nta"], n_min=1, n_max=1)
-        with pytest.raises(ValueError):
-            _parse_v1_vocabulary(["nta", "nta"], n_min=1, n_max=1)
-
-    @pytest.mark.parametrize(
-        "grams, n_min, n_max",
-        [(("nta",), 2, 3), (("nta ntb",), 1, 1), ((), 0, 1), ((), 3, 2), (("nta",), 1, 1001)],
-    )
-    def test_string_vocabulary_checks_gram_lengths(self, grams, n_min, n_max):
-        with pytest.raises(ValueError):
-            _parse_v1_vocabulary(list(grams), n_min=n_min, n_max=n_max)
-
-    @pytest.mark.parametrize("grams", [("nta  ntb",), (" nta",), ("",), ("nt\ta",), ("nta\x00",)])
-    def test_string_vocabulary_call_names_checked(self, grams):
-        # Names must be non-empty and free of characters <= U+0020, or the
-        # keys derived from the strings would not sort as the strings do.
-        with pytest.raises(ValueError):
-            _parse_v1_vocabulary(list(grams), n_min=1, n_max=3)
-
-    def test_string_vocabulary_derives_keys(self):
-        vocab = _parse_v1_vocabulary(["nta", "nta ntb", "ntb"], n_min=1, n_max=2)
-        assert vocab.alphabet == ("nta", "ntb")
-        assert vocab.keys.tolist() == [[1, 0], [1, 2], [2, 0]]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -452,18 +416,14 @@ class TestIntegerKeyedLookup:
             path = Path(tmp) / "model.json"
             save_model(artifact, path)
             loaded = load_model(path)
-            path.write_text(canonical_text_v1(artifact))
-            loaded_v1 = load_model(path)
         assert loaded.vocabulary.alphabet == vocab.alphabet
         assert loaded.vocabulary.keys.tobytes() == vocab.keys.tobytes()
-        assert grams(loaded_v1.vocabulary) == grams(vocab)
         new_corpus = as_corpus(new_lists) + fit_corpus
         fitted = transform(new_corpus, vocab, idf)
-        for loaded_vocab, loaded_idf in ((loaded.vocabulary, loaded.idf), (loaded_v1.vocabulary, loaded_v1.idf)):
-            m = transform(new_corpus, loaded_vocab, loaded_idf)
-            assert m.dim == fitted.dim and same_rows(m.rows, fitted.rows)
+        m = transform(new_corpus, loaded.vocabulary, loaded.idf)
+        assert m.dim == fitted.dim and same_rows(m.rows, fitted.rows)
         per_trace = [count_vector(t, loaded.vocabulary) for t in new_corpus]
-        for vocabulary in (vocab, loaded.vocabulary, loaded_v1.vocabulary):
+        for vocabulary in (vocab, loaded.vocabulary):
             m = count_matrix(new_corpus, vocabulary)
             assert m.dim == len(loaded.vocabulary) and same_rows(m.rows, per_trace)
 
