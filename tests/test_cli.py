@@ -231,17 +231,28 @@ class TestModelFile:
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2, 5])
-    def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys, version):
+    def test_unknown_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        doc["format_version"] = version
-        unknown = tmp_path / "unknown.json"
-        unknown.write_text(json.dumps(doc))
+        doc["format_version"] = 5
+        future = tmp_path / "future.json"
+        future.write_text(json.dumps(doc))
         code = main(
-            ["evaluate", "--model", str(unknown), "--manifest", str(corpus_dir / "manifest.csv")]
+            ["evaluate", "--model", str(future), "--manifest", str(corpus_dir / "manifest.csv")]
         )
         assert code == 2
-        assert f"format_version {version}" in capsys.readouterr().err
+        assert "format_version 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_format_version_rejected(self, model_path, corpus_dir, tmp_path, capsys, version):
+        doc = json.loads(model_path.read_text())
+        doc["format_version"] = version
+        retired = tmp_path / "retired.json"
+        retired.write_text(json.dumps(doc))
+        code = main(
+            ["evaluate", "--model", str(retired), "--manifest", str(corpus_dir / "manifest.csv")]
+        )
+        assert code == 2
+        assert f"format_version {version} is no longer read; retrain" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -4,10 +4,12 @@ every corrupt field raises ModelFormatError.
 ``train`` writes format v4.  Format v3 is still read; its documents here
 come from ``canonical_text_v3``, as the writer that made them is gone, and
 from ``data/model_v3.json``, which the last v3 writer saved.  Formats v1
-and v2 are refused with a message to retrain.  v3's and v4's integer
-fields take the narrowest width that holds their largest possible value:
-the round trips at each width's edge cover uint8, uint16 and uint32, and
-the fault suite's wide document has all four of v3's at uint16.
+and v2 are refused with a message to retrain, before any other field is
+read: their documents here are v4's relabelled 1 or 2, and a fault in one
+is found as its version.  v3's and v4's integer fields take the narrowest
+width that holds their largest possible value: the round trips at each
+width's edge cover uint8, uint16 and uint32, and the fault suite's wide
+document has all four of v3's at uint16.
 """
 
 from __future__ import annotations
@@ -175,11 +177,71 @@ def test_committed_v3_file_loads_scores_and_resaves_to_the_same_bits(tmp_path):
         assert from_v4.tobytes() == scores.tobytes()
 
 
+def _append(array, value):
+    return np.append(array, np.asarray(value, dtype=array.dtype))
+
+
+# v3's weight_index and weight_value hold v1's [index, value] pairs as two
+# arrays, so each fault of a pair is an edit of one or both.
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda i, v: (np.concatenate(([2**32 - 1], i[1:])).astype(i.dtype), v),
+        lambda i, v: (np.concatenate(([10**6], i[1:])).astype(i.dtype), v),
+        lambda i, v: (np.concatenate((i[1::-1], i[2:])), v),
+        lambda i, v: (np.concatenate((i[:1], i[:1], i[2:])), v),
+        lambda i, v: (i, np.concatenate(([np.nan], v[1:]))),
+        lambda i, v: (i, np.concatenate(([np.inf], v[1:]))),
+        lambda i, v: (i, _append(v, 1.0)),
+        lambda i, v: (_append(i, i[-1] + 1), v),
+    ],
+    ids=[
+        "index-minus-one", "index-out-of-range", "indices-unsorted", "index-duplicated",
+        "value-nan", "value-inf", "triple-not-pair", "bare-number",
+    ],
+)
+def test_bad_weights_rejected(v3_doc, tmp_path, edit):
+    _, doc = v3_doc
+    index, values = edit(unpack(doc, "weight_index"), unpack(doc, "weight_value"))
+    fields = {"weight_index": pack(index, "weight_index"), "weight_value": pack(values, "weight_value")}
+    with pytest.raises(ModelFormatError, match=r"weight indices|weight values|weight_value holds \d+ bytes"):
+        load_edited(tmp_path, doc, **fields)
+
+
+def test_duplicate_vocabulary_entry_rejected(v4_doc, tmp_path):
+    _, doc = v4_doc
+    with pytest.raises(ModelFormatError, match="sorted and unique"):
+        load_edited(tmp_path, doc, **_keys_edit(v4_doc, lambda keys: keys.__setitem__(1, keys[0])))
+
+
+def test_unsorted_vocabulary_rejected(v4_doc, tmp_path):
+    _, doc = v4_doc
+    edit = _keys_edit(v4_doc, lambda keys: keys.__setitem__(slice(0, 2), keys[1::-1].copy()))
+    with pytest.raises(ModelFormatError, match="sorted and unique"):
+        load_edited(tmp_path, doc, **edit)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, [0.5]])
 def test_bad_bias_rejected(v4_doc, tmp_path, value):
     _, doc = v4_doc
     with pytest.raises(ModelFormatError):
         load_model(write_doc(tmp_path, {**doc, "bias": value}))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_non_finite_idf_rejected(v4_doc, tmp_path, value):
+    _, doc = v4_doc
+    table = unpack(doc, "idf_table")
+    table[0] = value
+    with pytest.raises(ModelFormatError, match="idf_table holds a non-finite value"):
+        load_edited(tmp_path, doc, idf_table=pack(table, "idf_table"))
+
+
+def test_idf_of_wrong_shape_rejected(v4_doc, tmp_path):
+    _, doc = v4_doc
+    index = unpack(doc, "idf_index")[:-1]  # one n-gram without an idf
+    with pytest.raises(ModelFormatError, match=r"idf_index holds \d+ bytes, not \d+ items"):
+        load_edited(tmp_path, doc, idf_index=pack(index, "idf_index", doc))
 
 
 @pytest.mark.parametrize(
@@ -191,8 +253,16 @@ def test_bad_bias_rejected(v4_doc, tmp_path, value):
         ("n_docs", lambda doc: 0),
         ("bias", lambda doc: True),
         ("config", lambda doc: [["alpha", 0.01]]),
+        ("vocabulary_prefix", lambda doc: dict.fromkeys(doc["alphabet"], 0)),
+        ("alphabet", lambda doc: "abcdefghijklmnopqrstuvwxyz"[: len(doc["alphabet"])]),
+        ("idf_table", lambda doc: True),
+        ("weight_index", lambda doc: True),
+        ("weight_table", lambda doc: False),
     ],
-    ids=["ngram_min-float", "n_docs-string", "n_docs-negative", "n_docs-zero", "bias-true", "config-pairs"],
+    ids=[
+        "ngram_min-float", "n_docs-string", "n_docs-negative", "n_docs-zero", "bias-true", "config-pairs",
+        "vocabulary-object", "vocabulary-string", "idf-true", "weight-index-true", "weight-value-false",
+    ],
 )
 def test_field_of_wrong_json_type_rejected(v4_doc, tmp_path, field, make):
     _, doc = v4_doc
@@ -225,38 +295,70 @@ def test_retired_format_version_rejected_with_a_retrain_message(v4_doc, tmp_path
         load_edited(tmp_path, doc, format_version=version)
 
 
-@pytest.mark.parametrize("version", [3, 4])
+# Only the integers 1 and 2 are the retired formats; true, 1.0 and 2.0 are
+# no format at all.
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_version_must_be_the_integer_one(v4_doc, tmp_path, version):
+    _, doc = v4_doc
+    with pytest.raises(VersionMismatchError, match=rf"format_version {version!r} is not supported"):
+        load_edited(tmp_path, doc, format_version=version)
+
+
+@pytest.mark.parametrize("version", [True, 2.0, 5, 0])
+def test_v2_format_version_must_be_the_integer_two(v4_doc, tmp_path, version):
+    _, doc = v4_doc
+    with pytest.raises(VersionMismatchError, match=rf"format_version {version!r} is not supported"):
+        load_edited(tmp_path, doc, format_version=version)
+
+
+# A v1 or v2 document is refused for its version before any other field is
+# read: each fault below is found in the v3 and v4 documents, and the v4
+# one relabelled 1 or 2 is refused for its version whatever the fault.
+def doc_of(version, v3_doc, v4_doc):
+    """The v3 or v4 document, or the v4 one relabelled ``version``."""
+    _, doc = v3_doc if version == 3 else v4_doc
+    return {**doc, "format_version": version}
+
+
+def rejected(version, match):
+    """pytest.raises of the error load_model raises for a fault in ``doc_of(version)``."""
+    if version in (1, 2):
+        return pytest.raises(VersionMismatchError, match=rf"format_version {version} is no longer read; retrain")
+    return pytest.raises(ModelFormatError, match=match)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "value", [float("inf"), float("-inf"), float("nan"), [1.0, float("inf")]], ids=["inf", "-inf", "nan", "nested"]
 )
 def test_non_finite_config_number_rejected(v3_doc, v4_doc, tmp_path, version, value):
-    _, doc = {3: v3_doc, 4: v4_doc}[version]
-    with pytest.raises(ModelFormatError, match="config holds a non-finite number"):
+    doc = doc_of(version, v3_doc, v4_doc)
+    with rejected(version, "config holds a non-finite number"):
         load_edited(tmp_path, doc, config={**doc["config"], "alpha": value})
 
 
 # load_model puts the top-level trainer into the metadata, so a trainer in
 # config would be dropped and the file would load as another trainer.
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize("trainer", ["dual-cd", "sgd", None])
 def test_config_holding_a_trainer_rejected(v3_doc, v4_doc, tmp_path, version, trainer):
-    _, doc = {3: v3_doc, 4: v4_doc}[version]
+    doc = doc_of(version, v3_doc, v4_doc)
     assert doc["trainer"] == "sgd"
-    with pytest.raises(ModelFormatError, match="config holds a 'trainer' key"):
+    with rejected(version, "config holds a 'trainer' key"):
         load_edited(tmp_path, doc, config={**doc["config"], "trainer": trainer})
 
 
 # The trainer is one of the two trainers' names, or null for a model whose
 # metadata names none; any other JSON value would load and then re-save as
 # it is, or, as NaN, make save_model fail outside TraceSvmError.
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "trainer", [float("nan"), float("inf"), 5, True, [1], {"x": 1}, "bogus", "SGD"],
     ids=["nan", "inf", "number", "true", "list", "object", "bogus", "upper"],
 )
 def test_trainer_other_than_a_trainers_name_or_null_rejected(v3_doc, v4_doc, tmp_path, version, trainer):
-    _, doc = {3: v3_doc, 4: v4_doc}[version]
-    with pytest.raises(ModelFormatError, match="trainer must be null, 'sgd' or 'dual-cd', got "):
+    doc = doc_of(version, v3_doc, v4_doc)
+    with rejected(version, "trainer must be null, 'sgd' or 'dual-cd', got "):
         load_edited(tmp_path, doc, trainer=trainer)
 
 
@@ -1050,3 +1152,42 @@ def test_any_value_of_one_v4_field_loads_or_raises_a_tracesvm_error(v4_doc, fiel
     assert set(doc) == set(FIELDS_V4)
     with tempfile.TemporaryDirectory() as tmp:
         load_or_raise(write_doc(Path(tmp), {**doc, field: value}))
+
+
+# A v1 or v2 file is v4's relabelled: the loader reads no other field of it.
+def load_retired_or_raise(doc, field, value):
+    """A retired document with one field changed is refused for its version,
+    unless the change is to its format_version."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp), {**doc, field: value})
+        if field == "format_version":
+            load_or_raise(path)
+        else:
+            with pytest.raises(VersionMismatchError, match="is no longer read; retrain"):
+                load_model(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS_V4), value=V2_VALUES)
+def test_any_value_of_one_field_loads_or_raises_a_tracesvm_error(v4_doc, field, value):
+    _, doc = v4_doc
+    load_retired_or_raise({**doc, "format_version": 1}, field, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS_V4), value=V2_VALUES)
+def test_any_value_of_one_v2_field_loads_or_raises_a_tracesvm_error(v4_doc, field, value):
+    _, doc = v4_doc
+    load_retired_or_raise({**doc, "format_version": 2}, field, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 10**6), cut=st.integers(0, 40), data=st.binary(max_size=40))
+def test_any_bytes_in_a_v2_file_load_or_raise_a_tracesvm_error(v4_doc, start, cut, data):
+    _, doc = v4_doc
+    text = (json.dumps({**doc, "format_version": 2}, sort_keys=True, indent=2) + "\n").encode("ascii")
+    start %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "model.json"
+        edited.write_bytes(text[:start] + data + text[start + cut :])
+        load_or_raise(edited)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import gc
 import math
 import tempfile
@@ -32,6 +33,7 @@ from tracesvm import (
     top_features,
     transform,
 )
+from tracesvm.model_io import _read_vocabulary, _uint
 from tracesvm.synthetic import GeneratorConfig, generate
 from tracesvm.vectorize import _code_rounds, _id_bits, _IdRows, _pack, _windows
 from oracles import (
@@ -39,6 +41,7 @@ from oracles import (
     csr_matrix,
     dense_tfidf_pipeline,
     extract_ngrams,
+    front_code,
     grams,
     ngram_to_index,
     norm,
@@ -48,6 +51,20 @@ from oracles import (
     void_count_csr,
     void_vocabulary_keys,
 )
+
+
+def _parse_vocabulary(grams, n_min, n_max):
+    """N-gram strings through the loader's vocabulary path, front-coded over
+    their sorted call names as a model file stores them."""
+    alphabet = sorted({name for gram in grams for name in gram.split(" ")})
+    index = {name: i for i, name in enumerate(alphabet, start=1)}
+    fields = front_code([[index[name] for name in gram.split(" ")] for gram in grams])
+    dtypes = (_uint(n_max), _uint(n_max), _uint(len(alphabet)))
+    names = ("vocabulary_prefix", "vocabulary_suffix_len", "vocabulary_suffix")
+    doc = {"alphabet": alphabet, "ngram_min": n_min, "ngram_max": n_max}
+    for name, values, dtype in zip(names, fields, dtypes):
+        doc[name] = base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+    return _read_vocabulary(doc)
 
 
 SEVEN_CALLS = (
@@ -130,6 +147,36 @@ class TestVocabulary:
         # An empty name would fit a model whose saved file does not load.
         with pytest.raises(ConfigError, match="empty"):
             fit_transform([trace(["", "nta", "ntb"])], 1, 2)
+
+    # The string-vocabulary tests check the vocabulary of a model file as
+    # model_io loads it: n-gram strings, front-coded over their call names
+    # as the file stores them, read back into keys, then checked.
+
+    def test_string_vocabulary_must_be_sorted_and_unique(self):
+        with pytest.raises(ValueError):
+            _parse_vocabulary(["ntb", "nta"], n_min=1, n_max=1)
+        with pytest.raises(ValueError):
+            _parse_vocabulary(["nta", "nta"], n_min=1, n_max=1)
+
+    @pytest.mark.parametrize(
+        "grams, n_min, n_max",
+        [(("nta",), 2, 3), (("nta ntb",), 1, 1), ((), 0, 1), ((), 3, 2), (("nta",), 1, 1001)],
+    )
+    def test_string_vocabulary_checks_gram_lengths(self, grams, n_min, n_max):
+        with pytest.raises(ValueError):
+            _parse_vocabulary(list(grams), n_min=n_min, n_max=n_max)
+
+    @pytest.mark.parametrize("grams", [("nta  ntb",), (" nta",), ("",), ("nt\ta",), ("nta\x00",)])
+    def test_string_vocabulary_call_names_checked(self, grams):
+        # Names must be non-empty and free of characters <= U+0020, or the
+        # keys derived from the strings would not sort as the strings do.
+        with pytest.raises(ValueError):
+            _parse_vocabulary(list(grams), n_min=1, n_max=3)
+
+    def test_string_vocabulary_derives_keys(self):
+        vocab = _parse_vocabulary(["nta", "nta ntb", "ntb"], n_min=1, n_max=2)
+        assert vocab.alphabet == ("nta", "ntb")
+        assert vocab.keys.tolist() == [[1, 0], [1, 2], [2, 0]]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
