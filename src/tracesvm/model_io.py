@@ -46,11 +46,11 @@ or of a whole array.  Format v3, which is v4 with the nonzero weights as
 their uint32 columns in ``weight_index`` and their float64 values in
 ``weight_value``, is still read; nothing writes it.  Formats v1 and v2 are
 no longer read: such a file must be retrained.  This module owns both
-formats and is the only one that knows their byte order: ``_v3_keys`` turns
-the front-coded fields into the native uint32 key matrix, and
-``_read_vocabulary`` checks the n-gram range before it and the keys after,
-with ``_check_keys``, which owns the rules a file's keys must keep and
-checks key order from the stored prefix lengths.
+formats and is the only one that knows their byte order: ``_v3_keys``
+checks the front-coded fields and turns them into the native uint32 key
+matrix, and ``_read_vocabulary`` checks the n-gram range and the call
+names before it and key order after, with ``_check_keys``, the one check
+that reads the keys.
 
 Loading is strict: anything but a v3 or v4 model document raises
 ``ModelFormatError`` naming the field (``VersionMismatchError`` for a
@@ -60,14 +60,16 @@ deeply to decode, fields of the wrong JSON type (``true`` and ``false``
 are not numbers), a ``trainer`` other than ``null``, ``"sgd"`` or
 ``"dual-cd"``, a ``config`` holding a non-finite number or a ``trainer``
 key (the top-level ``trainer`` would replace it, so the file would load as
-another trainer), a non-finite bias, keys that are not a sorted vocabulary
-over the alphabet (see ``_check_keys``), invalid base64, and byte lengths
-that do not fit the vocabulary size or the item width.  The prefix and
-suffix lengths are checked before any key is built: the first prefix must
-be 0, no prefix may be longer than the n-gram before it, no n-gram longer
-than ``ngram_max``, and the suffix lengths must add up to the suffix's
-length; every ``idf_index`` entry must be below the table's length, and
-every table entry finite, used or not.  In v3 the weight columns must be
+another trainer), a non-finite bias, call names that break ``vectorize``'s
+rule, n-grams out of order (see ``_check_keys``), invalid base64, and byte
+lengths that do not fit the vocabulary size or the item width.  The
+front-coded fields are checked before any key is built: the first prefix
+must be 0, no prefix may be longer than the n-gram before it, no n-gram
+longer than ``ngram_max`` or shorter than ``ngram_min``, the suffix
+lengths must add up to the suffix's length, and every suffix id must be
+in 1..len(alphabet), as a 0 would cut its n-gram short or put an id after
+its padding; every ``idf_index`` entry must be below the table's length,
+and every table entry finite, used or not.  In v3 the weight columns must be
 strictly increasing and below the vocabulary size, and their values
 finite.  In v4 ``weight_bitmap`` must be ``ceil(dim / 8)`` bytes with no
 bit set past the last n-gram, ``weight_index`` must hold one entry per set
@@ -297,44 +299,29 @@ def _list_of(items, key: str, *types: type) -> list:
 
 
 def _read_vocabulary(doc: dict) -> Vocabulary:
-    """The document's vocabulary: the n-gram range checked, the front-coded keys read, then checked."""
+    """The document's vocabulary: range, names and front-coded fields checked, then key order."""
     n_min = _typed(doc["ngram_min"], "ngram_min", int)
     n_max = _typed(doc["ngram_max"], "ngram_max", int)
     _check_range(n_min, n_max)
     alphabet = tuple(_list_of(doc["alphabet"], "alphabet", str))
-    keys, prefix = _v3_keys(doc, alphabet, n_max)
-    _check_keys(alphabet, keys, n_min, prefix)
+    _check_alphabet(alphabet)
+    keys, prefix = _v3_keys(doc, len(alphabet), n_min, n_max)
+    _check_keys(keys, prefix)
     return Vocabulary(alphabet=alphabet, keys=keys, n_min=n_min)
 
 
-def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int, prefix: np.ndarray) -> None:
-    """Raise ValueError unless ``keys`` are a vocabulary over ``alphabet``.
+def _check_keys(keys: np.ndarray, prefix: np.ndarray) -> None:
+    """Raise ValueError unless the rows of ``keys`` strictly increase.
 
-    The names must keep the call-name rule (``_check_alphabet``); each key
-    n_min to n_max ids in 1..len(alphabet), then only 0 padding; each row
-    above the one before at the end of the prefix they share.  ``prefix[i]``
-    is the file's stored count of leading ids that row i shares with row
-    i - 1, and order is checked at that column.  A row that ties the one
-    above there, because the stored prefix is shorter than what the two
-    share or the row repeats the one above (its prefix then may be n_max),
-    is checked again at the end of the prefix they really share.  So a
-    short stored prefix makes the check accept and refuse what the full
-    shared prefix, as ``_shared_prefix`` finds it, would.
+    ``prefix[i]`` is the file's stored count of leading ids that row i
+    shares with row i - 1, and order is checked at that column.  A row that
+    ties the one above there, because the stored prefix is shorter than
+    what the two share or the row repeats the one above (its prefix then
+    may be n_max), is checked again at the end of the prefix they really
+    share.  So a short stored prefix makes the check accept and refuse what
+    the full shared prefix, as ``_shared_prefix`` finds it, would.
     """
-    _check_alphabet(alphabet)
-    if keys.size and keys.max() > len(alphabet):
-        raise ValueError(f"vocabulary: an id is above the alphabet size {len(alphabet)}")
     n_max = keys.shape[1]
-    zero = (keys == 0).ravel()
-    # A 0 before an id, other than a row's last cell before the next row's
-    # first, which holds an id if no row is shorter than n_min.
-    gap = zero[:-1] > zero[1:]
-    gap[n_max - 1 :: n_max] = False
-    # With no such 0, a row is shorter than n_min where its id n_min is 0.
-    if zero[n_min - 1 :: n_max].any() or gap.any():
-        if zero.reshape(-1, n_max)[:, :n_min].any():
-            raise ValueError(f"vocabulary: an n-gram is shorter than ngram_min {n_min}")
-        raise ValueError("vocabulary: an n-gram has an id after its padding")
     # Row i's cell at its prefix, and the same cell of row i - 1.
     flat = keys.ravel()
     at = np.arange(0, flat.size - n_max, n_max)
@@ -347,18 +334,18 @@ def _check_keys(alphabet: tuple[str, ...], keys: np.ndarray, n_min: int, prefix:
         raise ValueError("vocabulary: n-grams must be sorted and unique")
 
 
-def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _v3_keys(doc: dict, n_names: int, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """v3's front-coded n-grams as keys, with the prefix lengths as intp.
 
     N-gram i repeats the first ``prefix[i]`` ids of n-gram i - 1 and then
-    takes its next ``suffix_len[i]`` ids from the suffix.  The lengths are
+    takes its next ``suffix_len[i]`` ids from the suffix.  The fields are
     checked before the key matrix is built, so that every n-gram's ids fall
-    in its own row.
+    in its own row and each key is n_min to n_max ids in 1..n_names, then 0s.
     """
     # Narrow lengths are cast first: uint8 sums would wrap.
     prefix = _array(doc, "vocabulary_prefix", _uint(n_max)).astype(np.intp)
     added = _array(doc, "vocabulary_suffix_len", _uint(n_max), len(prefix)).astype(np.intp)
-    suffix = _array(doc, "vocabulary_suffix", _uint(len(alphabet)))
+    suffix = _array(doc, "vocabulary_suffix", _uint(n_names))
     end = prefix + added
     if prefix[:1].any():
         raise ValueError("vocabulary_prefix: the first n-gram's prefix is not 0")
@@ -366,10 +353,16 @@ def _v3_keys(doc: dict, alphabet: tuple[str, ...], n_max: int) -> tuple[np.ndarr
         raise ValueError("vocabulary_prefix: an n-gram shares more ids than the n-gram before it holds")
     if np.any(end > n_max):
         raise ValueError(f"vocabulary_suffix_len: an n-gram is longer than ngram_max {n_max}")
+    if np.any(end < n_min):
+        raise ValueError(f"vocabulary_suffix_len: an n-gram is shorter than ngram_min {n_min}")
     if added.sum() != len(suffix):
         raise ValueError(
             f"vocabulary_suffix holds {len(suffix)} ids, not the {added.sum()} of vocabulary_suffix_len"
         )
+    if not suffix.all():
+        raise ValueError("vocabulary_suffix: a 0 id cuts an n-gram short or puts an id after its padding")
+    if np.any(suffix > n_names):
+        raise ValueError(f"vocabulary_suffix: an id is above the alphabet size {n_names}")
     dim = len(prefix)
     keys = np.zeros((dim, n_max), dtype=np.uint32)
     # Row i's suffix ids, which start at offset (cumsum(added) - added)[i] of

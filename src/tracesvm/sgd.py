@@ -44,7 +44,8 @@ throughout.
 
 ``objective`` adds the hinge terms left to right (``np.cumsum``: ``np.sum``
 pairs them, and the bits decide where ``train_sgd`` stops; ``np.fmax``
-keeps max(0, NaN) = 0), and without an l1 part skips the |w_j| sum.
+keeps max(0, NaN) = 0), and skips the w_j^2 sum without an l2 part and the
+|w_j| sum without an l1 part.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ def _penalty_coefficients(penalty: str, phi: float) -> tuple[float, float]:
 
 
 def regularizer_value(w: np.ndarray, penalty: str, phi: float = 0.5) -> float:
+    # A sum whose coefficient is 0 is skipped: 0 times an overflowed sum is NaN.
     l2c, l1c = _penalty_coefficients(penalty, phi)
-    l1 = l1c * np.sum(np.abs(w)) if l1c else 0.0  # pure l2 would multiply the sum by 0
-    return float(0.5 * l2c * np.sum(w * w) + l1)
+    l2 = 0.5 * l2c * np.sum(w * w) if l2c else 0.0
+    l1 = l1c * np.sum(np.abs(w)) if l1c else 0.0
+    return float(l2 + l1)
 
 
 def objective(

@@ -31,8 +31,8 @@ string.
 N-gram strings are rendered only where they are printed, by
 ``_render_keys``.  This module owns the call-name rule, the id map and the
 n-gram range (``_check_range``) and knows no file format or byte order:
-``model_io`` reads a model file's keys and checks them with its own
-``_check_keys``.
+``model_io`` reads a model file's keys and checks them itself, on the
+stored fields before it builds them and for order after (``_check_keys``).
 
 Inverse document frequency uses the natural log of
 (1 + n_docs) / (1 + doc_frequency), so a feature present in every document
@@ -87,7 +87,7 @@ class Vocabulary:
     native (dim, n_max) uint32 matrix: row j is n-gram j's alphabet ids, 0
     as padding (see ``_windows``), and the rows strictly increase.  The
     key width is ``n_max``.  Nothing is checked here: ``build_vocabulary``
-    makes valid keys, and ``model_io._check_keys`` checks a model file's.
+    makes valid keys, and ``model_io._read_vocabulary`` checks a model file's.
     """
 
     alphabet: tuple[str, ...]

@@ -3,10 +3,10 @@
 Everything here is deliberately naive and dense: straight loops, explicit
 formulas, no sharing of code paths with the package under test.  The
 single-step references at the end (string n-grams and per-trace counts, the
-SGD objective one row at a time, one SGD subgradient step, one dual
-coordinate update) take the package's own types or plain ``(indices,
-values)`` rows as arguments, and ``count_vector`` returns such a row; no
-trainer or vectorizer calls them.
+SGD objective and its mean hinge loss one row at a time, one SGD
+subgradient step, one dual coordinate update) take the package's own types
+or plain ``(indices, values)`` rows as arguments, and ``count_vector``
+returns such a row; no trainer or vectorizer calls them.
 ``sgd_cumulative_l1`` is the eager form of ``train_sgd``'s pure-l1 and
 elastic-net paths.  ``DualState`` and ``dual_objective`` are the dual
 solver's state and objective, kept here because the package exposes
@@ -20,7 +20,8 @@ from its key rows one id at a time, and ``vocabulary_of`` builds those rows
 from strings the same way; ``canonical_text`` and ``canonical_text_v3``
 are the v4 and v3 model files as one ``json.dumps`` call writes them, the
 arrays packed with ``struct``, and ``front_code`` is the front coding of id
-lists that v3 and v4 share, one list at a time.
+lists that v3 and v4 share, one list at a time, and ``front_decode`` its
+reverse.
 ``void_vocabulary_keys`` and
 ``void_count_csr`` are the vectorizer's former lookup: one ``np.unique``
 and one ``np.searchsorted`` over void keys of big-endian ids packed with
@@ -390,6 +391,20 @@ def front_code(grams_ids: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     return prefix, suffix_len, suffix
 
 
+def front_decode(prefix: Sequence[int], suffix_len: Sequence[int], suffix: Sequence[int]) -> list[list[int]]:
+    """The id lists that front-coded fields spell, the reverse of ``front_code``.
+
+    List i is the first ``prefix[i]`` ids of list i - 1 (as many as it has),
+    then the next ``suffix_len[i]`` ids of ``suffix``.
+    """
+    lists, previous, at = [], [], 0
+    for shared, added in zip(prefix, suffix_len):
+        previous = previous[:shared] + list(suffix[at : at + added])
+        lists.append(previous)
+        at += added
+    return lists
+
+
 def _pack_uints(values: Sequence[int], largest: int) -> bytes:
     """Little-endian, as uint8, uint16 or uint32: the first that holds ``largest``."""
     code = "B" if largest <= 0xFF else "H" if largest <= 0xFFFF else "I"
@@ -444,20 +459,26 @@ def regularizer_subgradient(w: np.ndarray, penalty: str, phi: float = 0.5) -> np
     return np.array(out, dtype=np.float64)
 
 
-def sgd_objective(w, b, matrix: FeatureMatrix, labels, alpha, penalty, phi=0.5) -> float:
-    """``sgd.objective`` one row at a time.
+def sgd_mean_hinge(w, b, matrix: FeatureMatrix, labels) -> float:
+    """The mean hinge loss one row at a time.
 
     Each row's score, its values dotted with w at its columns plus b, gives
-    max(0, 1 - y * score), added to a running total; the mean follows, plus
-    alpha times R with both its sums, the one its coefficient zeroes too.
+    max(0, 1 - y * score), added to a running total; the mean follows.
     """
-    l2, l1 = {"l2": (1.0, 0.0), "l1": (0.0, 0.5)}.get(penalty, (phi, 1.0 - phi))
     total = 0.0
     for i, y in enumerate(labels):
         lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
         score = matrix.data[lo:hi] @ w[matrix.indices[lo:hi]] + b
         total += max(0.0, 1.0 - y * score)
-    return total / len(matrix) + alpha * float(0.5 * l2 * np.sum(w * w) + l1 * np.sum(np.abs(w)))
+    return total / len(matrix)
+
+
+def sgd_objective(w, b, matrix: FeatureMatrix, labels, alpha, penalty, phi=0.5) -> float:
+    """``sgd.objective`` one row at a time: ``sgd_mean_hinge`` plus alpha
+    times R with both its sums, the one its coefficient zeroes too."""
+    l2, l1 = {"l2": (1.0, 0.0), "l1": (0.0, 0.5)}.get(penalty, (phi, 1.0 - phi))
+    penalty_value = float(0.5 * l2 * np.sum(w * w) + l1 * np.sum(np.abs(w)))
+    return sgd_mean_hinge(w, b, matrix, labels) + alpha * penalty_value
 
 
 def sgd_step(

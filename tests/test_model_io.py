@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import operator
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,7 @@ from oracles import (
     canonical_text,
     canonical_text_v3,
     front_code,
+    front_decode,
     vocabulary_of,
 )
 from tracesvm import (
@@ -651,6 +653,89 @@ def test_v3_id_after_padding_rejected(v3_doc, tmp_path):
     fields = {"ngram_max": 3, **_keys_edit(v3_doc, edit, n_max=3)}
     with pytest.raises(ModelFormatError, match="after its padding"):
         load_edited(tmp_path, doc, **fields)
+
+
+def test_zero_length_grams_are_refused_before_any_key_is_built(v4_doc, tmp_path):
+    # 6000 grams of no id at ngram_max 1000 describe a 24 MB key matrix in
+    # a file of 32 KB of lengths; their stored lengths alone refuse them.
+    _, doc = v4_doc
+    dim, n_max = 6000, 1000
+    assert dim * n_max * np.dtype(np.uint32).itemsize >= 20 << 20
+    empty = pack(np.zeros(dim), "vocabulary_prefix", {"ngram_max": n_max})
+    fields = {"vocabulary_prefix": empty, "vocabulary_suffix_len": empty, "vocabulary_suffix": ""}
+    path = write_doc(tmp_path, {**doc, "ngram_max": n_max, **fields})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="shorter than ngram_min 1"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
+# A fitted file over three names, one of them ntzz (id 3), at n 1-2.
+ZZ_CORPUS = [
+    SyscallTrace("z", ("nta", "ntb", "ntzz", "nta"), "malicious"),
+    SyscallTrace("y", ("ntzz", "ntb", "nta"), "benign"),
+]
+ZZ_ROWS = [[1], [1, 2], [2], [2, 1], [2, 3], [3], [3, 1], [3, 2]]
+
+
+@pytest.fixture(scope="module")
+def zz_doc(tmp_path_factory):
+    vocab, idf, matrix = fit_transform(ZZ_CORPUS, 1, 2)
+    model = train_sgd(matrix, np.array([1, -1]), SgdConfig(alpha=1e-2, epochs=5))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(ModelArtifact(model=model, vocabulary=vocab, idf=idf), path)
+    assert [_ids(row) for row in vocab.keys.tolist()] == ZZ_ROWS
+    return json.loads(path.read_text())
+
+
+@st.composite
+def front_coded_fields(draw):
+    """(prefix, suffix_len, suffix) of ZZ_ROWS with up to 3 rows replaced by
+    lists of 0 to 3 ids in 0..4, sorted or not, each stored with its shared
+    prefix or, less often, one id shorter or longer, kept within the row."""
+    rows = [list(row) for row in ZZ_ROWS]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(st.integers(0, 4), max_size=3))
+    if draw(st.booleans()):
+        rows.sort()
+    shared, _, _ = front_code(rows)
+    shifts = st.sampled_from((0, 0, 0, 0, -1, 1))
+    prefix = [min(len(row), max(0, p + draw(shifts))) for row, p in zip(rows, shared)]
+    added = [len(row) - p for row, p in zip(rows, prefix)]
+    return prefix, added, [i for row, p in zip(rows, prefix) for i in row[p:]]
+
+
+@settings(max_examples=300, deadline=None)
+@example(fields=front_code([[1], [1, 2], [2], [2, 1], [2, 3], [3, 0], [3, 1], [3, 2]]))  # [ntzz, 0] for [ntzz]
+@given(fields=front_coded_fields())
+def test_a_vocabulary_loads_as_the_grams_its_fields_spell_or_is_refused(zz_doc, fields):
+    """A file loads if and only if its fields spell a vocabulary, and then as exactly those grams."""
+    prefix, added, suffix = fields
+    spelled = front_decode(prefix, added, suffix)
+    is_vocabulary = (
+        prefix[0] == 0
+        and all(p <= len(above) for p, above in zip(prefix[1:], spelled))
+        and all(1 <= len(ids) <= 2 and all(1 <= i <= 3 for i in ids) for ids in spelled)
+        and all(map(operator.lt, spelled, spelled[1:]))
+    )
+    fields = {
+        "vocabulary_prefix": pack(prefix, "vocabulary_prefix", zz_doc),
+        "vocabulary_suffix_len": pack(added, "vocabulary_suffix_len", zz_doc),
+        "vocabulary_suffix": pack(suffix, "vocabulary_suffix", zz_doc),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp), {**zz_doc, **fields})
+        if not is_vocabulary:
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+            return
+        keys = load_model(path).vocabulary.keys
+    assert keys.shape == (len(spelled), 2)
+    assert [_ids(row) for row in keys.tolist()] == spelled
 
 
 @pytest.mark.parametrize(

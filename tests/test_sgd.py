@@ -25,6 +25,7 @@ from oracles import (
     matrix_from_dense,
     regularizer_subgradient,
     sgd_cumulative_l1,
+    sgd_mean_hinge,
     sgd_objective,
     sgd_step,
 )
@@ -86,12 +87,16 @@ class TestObjective:
     NAN_ROW = (csr_matrix([([0, 1], [1.0, 1.0]), ([], [])], 2), [1, -1], np.array([np.inf, -np.inf]), 0.5)
     # Finite weights whose |w_j| sum overflows.
     HUGE_W = (csr_matrix([([0], [1.0]), ([1], [-1.0])], 2), [1, -1], np.array([1e308, 1e308]), 0.0)
+    # Finite weights whose w_j^2 sum overflows and whose |w_j| sum does not.
+    HUGE_SQUARES = (csr_matrix([([0], [1.0]), ([1], [-1.0])], 2), [1, -1], np.array([1e200, -1e200]), 0.0)
 
     @settings(max_examples=400, deadline=None)
     @example(problem=NAN_ROW, alpha=1.0, penalty="l2", phi=0.5)
     @example(problem=HUGE_W, alpha=1.0, penalty="l2", phi=0.5)
     @example(problem=HUGE_W, alpha=1.0, penalty="l1", phi=0.5)
     @example(problem=HUGE_W, alpha=1.0, penalty="elasticnet", phi=1.0)
+    @example(problem=HUGE_SQUARES, alpha=1.0, penalty="l1", phi=0.5)
+    @example(problem=HUGE_SQUARES, alpha=1.0, penalty="elasticnet", phi=0.0)
     @given(
         problem=objective_problems(),
         alpha=st.floats(1e-12, 1e12),
@@ -99,7 +104,8 @@ class TestObjective:
         phi=st.floats(0.0, 1.0),
     )
     def test_bit_equal_to_the_per_row_loop(self, problem, alpha, penalty, phi):
-        """Bit-equal wherever the |w_j| sum is finite or an l1 part multiplies it.
+        """Bit-equal wherever each of the w_j^2 and |w_j| sums is finite or a
+        nonzero coefficient multiplies it.
 
         Scores and penalties overflow here, and NaN scores cost 0, as in the loop.
         """
@@ -108,12 +114,23 @@ class TestObjective:
             got = objective(w, b, matrix, labels, alpha, penalty, phi)
             expected = sgd_objective(w, b, matrix, labels, alpha, penalty, phi)
             abs_sum = np.sum(np.abs(w))
+            square_sum = np.sum(w * w)
         no_l1 = penalty == "l2" or (penalty == "elasticnet" and phi == 1.0)
+        no_l2 = penalty == "l1" or (penalty == "elasticnet" and phi == 0.0)
         if no_l1 and not np.isfinite(abs_sum):
             # The loop's 0 * inf makes its objective NaN.  objective skips that
             # term, and the sum of w_j^2 makes it inf, or NaN for a NaN weight.
             assert np.isnan(expected)
             assert np.isnan(got) if np.isnan(w).any() else got == np.inf
+        elif no_l2 and not np.isfinite(square_sum):
+            # The mirror: the loop's 0 * inf makes its objective NaN.  objective
+            # skips the w_j^2 sum, so it is the loop's hinge mean plus alpha
+            # times the l1 term alone.
+            assert np.isnan(expected)
+            l1c = 0.5 if penalty == "l1" else 1.0
+            with np.errstate(all="ignore"):
+                l1_only = sgd_mean_hinge(w, b, matrix, labels) + alpha * float(l1c * abs_sum)
+            assert bits(got) == bits(l1_only)
         else:
             assert bits(got) == bits(expected)
 
@@ -126,6 +143,12 @@ class TestRegularizers:
         assert regularizer_value(self.W, "l1") == 3.5
         # elasticnet's l1 share carries no 1/2
         assert regularizer_value(self.W, "elasticnet", phi=0.5) == 0.5 / 2 * 25 + 0.5 * 7
+
+    def test_l1_skips_the_sum_of_squares(self):
+        # The w_j^2 sum overflows, and 0 times it would be NaN.
+        w = np.array([1e200, -1e200])
+        assert regularizer_value(w, "l1") == 1e200
+        assert regularizer_value(w, "elasticnet", phi=0.0) == 2e200
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FINITE, max_size=8))
@@ -297,6 +320,19 @@ class TestTrainSgd:
         m, y = self._toy()
         model = train_sgd(m, y, SgdConfig(alpha=1e-3, epochs=200, tol=0.5, seed=0))
         assert model.metadata["epochs_run"] < 200
+
+    @pytest.mark.parametrize("penalty, phi", [("l1", 0.5), ("elasticnet", 0.0)])
+    def test_finite_model_whose_squares_overflow_is_not_diverged(self, penalty, phi):
+        # Steps of up to 1/alpha on entries of order 1e3 give weights of order
+        # 1e303, whose w_j^2 sum overflows; with no l2 part it is not summed.
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(500, 1500, size=(20, 5)) * rng.choice([-1, 1], size=(20, 5))
+        y = np.where(np.arange(20) % 2 == 0, 1, -1)
+        config = SgdConfig(penalty=penalty, phi=phi, alpha=1e-300, t0=0.0, epochs=50)
+        model = train_sgd(matrix_from_dense(rows), y, config)
+        assert model.metadata["epochs_run"] == 1
+        assert np.isfinite(model.metadata["final_objective"])
+        assert np.all(np.isfinite(model.weights)) and np.max(np.abs(model.weights)) > 1e302
 
     @pytest.mark.parametrize(
         "config",
